@@ -12,9 +12,9 @@ const struct {
   Target target;
   const char* name;
 } kTargets[] = {
-    {Target::kSoa, "soa"},         {Target::kReplay, "replay"},
-    {Target::kTaint, "taint"},     {Target::kThreads, "threads"},
-    {Target::kDigest, "digest"},   {Target::kTrajectory, "trajectory"},
+    {Target::kSoa, "soa"},               {Target::kReplay, "replay"},
+    {Target::kTaint, "taint"},           {Target::kThreads, "threads"},
+    {Target::kTrajectory, "trajectory"},
 };
 
 void AppendHex(std::string& out, std::uint64_t v) {

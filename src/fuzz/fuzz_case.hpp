@@ -21,7 +21,6 @@ enum class Target {
   kReplay,      // batch-replay vs TP_NO_REPLAY vs per-op dispatch identity
   kTaint,       // contract cleanliness + taint-map counting consistency
   kThreads,     // SweepEngine 1-vs-N thread bit-identity
-  kDigest,      // scoped state-digest stability and cache coherence
   kTrajectory,  // forgiving JSON parser robustness
 };
 

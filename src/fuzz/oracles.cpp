@@ -287,7 +287,7 @@ OracleResult RunSoa(const FuzzCase& c) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared machine/program decode for the replay and digest targets
+// Machine/program decode for the replay target
 // ---------------------------------------------------------------------------
 
 // Small overridden geometries (256K-1M LLC) keep full-flush steps cheap;
@@ -348,7 +348,7 @@ struct ProgramData {
 };
 
 // Batches are derived from the case seed and reused every round, so the
-// span-batch memo's pointer-identity rendezvous can engage from round 2 on.
+// span-batch memo's pointer-identity key can match from round 2 on.
 ProgramData MakeProgram(std::uint64_t seed) {
   Rng rng(runner::SplitMix64(seed));
   ProgramData p;
@@ -371,8 +371,6 @@ ProgramData MakeProgram(std::uint64_t seed) {
   }
   return p;
 }
-
-bool IsFlushStep(std::uint64_t op) { return ((op & 0xF) % 8) == 7; }
 
 // One program step on `core`. `elementwise` dispatches batch steps through
 // the per-op Access path instead (the replay oracle's third machine).
@@ -448,8 +446,8 @@ void ExecStep(hw::Core& core, const ProgramData& p, std::uint64_t op, bool eleme
   }
 }
 
-// Per-structure hit/miss/writeback snapshot, indexed to match BatchScope
-// bit order: l1i l1d l2 llc itlb dtlb l2tlb.
+// Per-structure hit/miss/writeback snapshot, in the order
+// l1i l1d l2 llc itlb dtlb l2tlb.
 struct StructSnap {
   std::uint64_t v[7][3] = {};
 };
@@ -571,108 +569,6 @@ OracleResult RunReplay(const FuzzCase& c) {
   if (std::string why = DiffRuns(with_replay, per_op, "batch vs per-op dispatch");
       !why.empty()) {
     return OracleResult::Violation(why);
-  }
-  return OracleResult{};
-}
-
-// ---------------------------------------------------------------------------
-// digest: scoped digest stability and digest-cache coherence
-// ---------------------------------------------------------------------------
-
-OracleResult RunDigest(const FuzzCase& c) {
-  ScopedTaint taint_off(false);
-  std::size_t rounds = 1;
-  const hw::MachineConfig mc = DecodeMachine(c, &rounds);
-  const ProgramData prog = MakeProgram(c.seed);
-
-  hw::Machine machine(mc);
-  FlatContext ctx(1);
-  hw::Core& core = machine.core(0);
-  InstallFlat(core, ctx);
-  const bool multi = machine.num_cores() > 1;
-  Rng rng(runner::SplitMix64(c.seed ^ 0xD16E57));
-
-  static constexpr std::uint32_t kBits[8] = {
-      hw::kScopeL1I,  hw::kScopeL1D,   hw::kScopeL2,       hw::kScopeLlc,
-      hw::kScopeItlb, hw::kScopeDtlb,  hw::kScopeL2Tlb,    hw::kScopePrefetch,
-  };
-  static constexpr const char* kBitNames[8] = {"l1i", "l1d", "l2",    "llc",
-                                               "itlb", "dtlb", "l2tlb", "prefetch"};
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t i = 0; i < c.ops.size(); ++i) {
-      const std::uint64_t op = c.ops[i];
-      if (IsFlushStep(op)) {
-        // Flush scope semantics are deliberately out of scope here: flushes
-        // bump the generation and may touch structures without moving their
-        // stats. Execute and move on.
-        ExecStep(core, prog, op, false);
-        continue;
-      }
-      auto at = [&](const std::string& what) {
-        return "digest step " + U(i) + " round " + U(r) + ": " + what;
-      };
-      std::uint64_t before[8];
-      for (int j = 0; j < 8; ++j) {
-        before[j] = machine.ScopedDigestUncached(kBits[j], 0);
-      }
-      const std::uint64_t other_before =
-          multi ? machine.ScopedDigestUncached(hw::kScopeXCores, 0) : 0;
-      const std::uint64_t whole_before = machine.StateDigest();
-      const StructSnap sb = TakeStructSnap(machine);
-      const std::uint64_t binv_before = machine.back_invalidate_count();
-
-      ExecStep(core, prog, op, false);
-
-      const StructSnap sa = TakeStructSnap(machine);
-      // Mirror of Core::ScopeOf: a structure is touched iff its stats
-      // moved; prefetcher/DRAM memo ride the llc-miss delta; an inclusive
-      // back-invalidate may reach any private cache level silently.
-      std::uint32_t touched = 0;
-      for (int j = 0; j < 7; ++j) {
-        if (sa.v[j][0] != sb.v[j][0] || sa.v[j][1] != sb.v[j][1] || sa.v[j][2] != sb.v[j][2]) {
-          touched |= kBits[j];
-        }
-      }
-      if (sa.v[3][1] != sb.v[3][1]) {
-        touched |= hw::kScopePrefetch;
-      }
-      const bool back_invals = machine.back_invalidate_count() != binv_before;
-      if (back_invals) {
-        touched |= hw::kScopeL1I | hw::kScopeL1D | hw::kScopeL2;
-      }
-
-      for (int j = 0; j < 8; ++j) {
-        if ((touched & kBits[j]) != 0) {
-          continue;
-        }
-        if (machine.ScopedDigestUncached(kBits[j], 0) != before[j]) {
-          return OracleResult::Violation(
-              at(std::string(kBitNames[j]) + " digest changed with no stat movement"));
-        }
-      }
-      if (touched == 0 && machine.StateDigest() != whole_before) {
-        return OracleResult::Violation(at("StateDigest changed by a scope-free step"));
-      }
-      if (multi && !back_invals &&
-          machine.ScopedDigestUncached(hw::kScopeXCores, 0) != other_before) {
-        return OracleResult::Violation(
-            at("other-core digest changed without a back-invalidate"));
-      }
-
-      // Digest-cache coherence: the memoised fold must agree with the
-      // uncached one, and the uncached fold must be deterministic.
-      const std::size_t jb = static_cast<std::size_t>(rng.Below(8));
-      const std::uint64_t uncached = machine.ScopedDigestUncached(kBits[jb], 0);
-      if (machine.ScopedDigest(kBits[jb], 0) != uncached) {
-        return OracleResult::Violation(
-            at(std::string(kBitNames[jb]) + " cached/uncached digest disagree"));
-      }
-      if (machine.ScopedDigestUncached(kBits[jb], 0) != uncached) {
-        return OracleResult::Violation(
-            at(std::string(kBitNames[jb]) + " uncached digest nondeterministic"));
-      }
-    }
   }
   return OracleResult{};
 }
@@ -1335,11 +1231,11 @@ void GenerateSoa(Rng& rng, FuzzCase& c) {
   }
 }
 
-void GenerateMachineCase(Rng& rng, FuzzCase& c, std::size_t min_steps, std::size_t step_span) {
+void GenerateReplay(Rng& rng, FuzzCase& c) {
   for (int i = 0; i < 11; ++i) {
     c.params.push_back(rng.Next());
   }
-  const std::size_t n = min_steps + rng.Below(step_span);
+  const std::size_t n = 20 + rng.Below(61);
   for (std::size_t i = 0; i < n; ++i) {
     c.ops.push_back(rng.Next());
   }
@@ -1507,8 +1403,6 @@ OracleResult RunCase(const FuzzCase& c) {
         return RunTaint(c);
       case Target::kThreads:
         return RunThreads(c);
-      case Target::kDigest:
-        return RunDigest(c);
       case Target::kTrajectory:
         return RunTrajectory(c);
     }
@@ -1528,16 +1422,13 @@ FuzzCase GenerateCase(Target target, std::uint64_t case_seed) {
       GenerateSoa(rng, c);
       break;
     case Target::kReplay:
-      GenerateMachineCase(rng, c, 20, 61);
+      GenerateReplay(rng, c);
       break;
     case Target::kTaint:
       GenerateTaint(rng, c);
       break;
     case Target::kThreads:
       GenerateThreads(rng, c);
-      break;
-    case Target::kDigest:
-      GenerateMachineCase(rng, c, 10, 31);
       break;
     case Target::kTrajectory:
       GenerateTrajectory(rng, c);

@@ -17,9 +17,6 @@
 //   threads     — SweepEngine over a synthetic channel: TP_THREADS=1 vs N
 //                 must be bit-identical per cell (observations, MI, CIs,
 //                 shard/round accounting, adaptive stopping decisions).
-//   digest      — scoped state digests: a step that moves no stats of a
-//                 structure must leave that structure's digest unchanged;
-//                 the ScopedDigest cache must agree with the uncached fold.
 //   trajectory  — the forgiving JSON parser: never crashes, reports sane
 //                 "offset N:" errors, accepts everything an independent
 //                 strict validator accepts, and successfully parsed

@@ -177,12 +177,6 @@ class SetAssociativeCache {
   // stamps) into a batch-replay digest. The signature array is a pure
   // per-slot function of the tag array and is skipped.
   void DigestState(std::uint64_t& h) const;
-  // Bytes DigestState folds — drives the replay memo's digest-cost gate.
-  std::size_t DigestSizeBytes() const {
-    return tags_.size() * sizeof(std::uint64_t) + ages_.size() +
-           (valid_.size() + dirty_.size()) * sizeof(std::uint64_t) +
-           taint_.DigestSizeBytes();
-  }
   void ResetStats();
 
   // Taint metadata (active only when taint tracking was enabled at

@@ -324,32 +324,10 @@ Cycles Core::Access(VAddr vaddr, AccessKind kind) {
 // B(S3) = S3, and the third run's deltas are the steady-state deltas every
 // later run repeats. The machine state generation (bumped by every live
 // access run and every flush, machine-wide) guarantees nothing touched a
-// cache or TLB between the runs being compared. The prime/probe/traverse
-// inner loops of the attacks re-issue the same trace many times per
-// timeslice, which is where the sweep's wall time goes.
-// BatchScope mask of a live run, from its stat deltas: a structure moved a
-// tally iff the run probed it (see BatchScope). Prefetcher slots and the
-// DRAM row memo are only read on LLC demand misses; a back-invalidate may
-// have reached any core's private caches without a stat moving there.
-std::uint32_t Core::ScopeOf(const ReplayDeltas& d) {
-  auto touched = [](const StructStats& s) {
-    return (s.hits | s.misses | s.writebacks) != 0;
-  };
-  std::uint32_t scope = 0;
-  if (touched(d.l1i)) scope |= kScopeL1I;
-  if (touched(d.l1d)) scope |= kScopeL1D;
-  if (touched(d.l2)) scope |= kScopeL2;
-  if (touched(d.llc)) scope |= kScopeLlc;
-  if (touched(d.itlb)) scope |= kScopeItlb;
-  if (touched(d.dtlb)) scope |= kScopeDtlb;
-  if (touched(d.l2tlb)) scope |= kScopeL2Tlb;
-  if (d.llc.misses != 0) scope |= kScopePrefetch;
-  if (d.back_invals != 0) {
-    scope |= kScopeL1I | kScopeL1D | kScopeL2 | kScopeXCores;
-  }
-  return scope;
-}
-
+// cache or TLB between the runs being compared, so only the core's latest
+// live batch is ever a candidate and one memo per core holds it. The
+// prime/probe/traverse inner loops of the attacks re-issue the same trace
+// many times per timeslice, which is where the sweep's wall time goes.
 Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
   if (vaddrs.empty()) {
     return 0;
@@ -366,63 +344,29 @@ Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
       break;
   }
   const bool instruction = kind == AccessKind::kFetch;
-  BatchMemo* memo = nullptr;       // record slot whose pre-state is known
-  BatchMemo* keymate = nullptr;    // same batch, pre-state unrecognised
-  bool keymate_viable = false;     // keymate can still be rendezvoused with
+  BatchMemo& memo = batch_memo_;
+  BatchKey key;
+  // The machine still sits at the memo's recorded post-state: this run is
+  // a convergence candidate (or, once verified, a replay).
+  bool state_known = false;
   if (batch_replay_on_) {
-    std::uint64_t hash = 0;
-    bool hashed = false;
-    for (BatchMemo& m : batch_memos_) {
-      if (m.data != vaddrs.data() || m.size != vaddrs.size() || m.kind != kind ||
-          m.user_ctx != user_ctx_ || m.kernel_ctx != kernel_ctx_ ||
-          m.user_gen != *user_gen_ || m.kernel_gen != *kernel_gen_ ||
-          m.taint_owner != taint_owner_ || m.domain_tag != domain_tag_ ||
-          m.kernel_global != kernel_global_) {
-        continue;
+    key = BatchKey{.data = vaddrs.data(),
+                   .size = vaddrs.size(),
+                   .kind = kind,
+                   .content_hash = HashBatch(vaddrs),
+                   .user_ctx = user_ctx_,
+                   .kernel_ctx = kernel_ctx_,
+                   .user_gen = *user_gen_,
+                   .kernel_gen = *kernel_gen_,
+                   .taint_owner = taint_owner_,
+                   .domain_tag = domain_tag_,
+                   .kernel_global = kernel_global_};
+    if (memo.state_gen == machine_->state_gen() && memo.key == key) {
+      if (memo.verified) {
+        ApplyReplay(memo.deltas);
+        return memo.deltas.total;
       }
-      if (!hashed) {
-        hash = HashBatch(vaddrs);
-        hashed = true;
-      }
-      if (m.content_hash != hash) {
-        continue;
-      }
-      if (m.state_gen == machine_->state_gen()) {
-        // Nothing touched a cache or TLB since the recorded run: the
-        // machine still sits at that run's post-state.
-        if (m.verified) {
-          ApplyReplay(m.deltas);
-          return m.deltas.total;
-        }
-        memo = &m;
-        break;
-      }
-      // Cross-timeslice rendezvous: intervening work moved the generation,
-      // but if the scoped digest of the current state matches the memo's
-      // post-state digest, the run's entire visible state is back where the
-      // recorded run left it (a probe kernel re-entered after a switch).
-      // Only worth a fold when it is cheaper than the run it may elide, and
-      // damped once the pre-state stops recurring.
-      keymate = &m;
-      keymate_viable = m.digest_post != 0 && m.fail_streak < kMaxFailStreak &&
-                       machine_->ScopedDigestBytes(m.scope, id_) <=
-                           m.deltas.total * kDigestBytesPerCycle;
-      if (!keymate_viable) {
-        break;
-      }
-      if (machine_->ScopedDigest(m.scope, id_) != m.digest_post) {
-        ++m.fail_streak;
-        break;
-      }
-      m.fail_streak = 0;
-      m.state_gen = machine_->state_gen();
-      if (m.verified) {
-        ApplyReplay(m.deltas);
-        return m.deltas.total;
-      }
-      memo = &m;
-      keymate = nullptr;
-      break;
+      state_known = true;
     }
   }
   machine_->BumpStateGen();
@@ -438,74 +382,26 @@ Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
   if (!batch_replay_on_) {
     return total;
   }
-  const ReplayDeltas deltas = DiffStats(before, total);
-  const std::uint32_t scope = ScopeOf(deltas);
-  const bool state_known = memo != nullptr;
-  if (memo == nullptr) {
-    if (keymate != nullptr) {
-      if (keymate->verified && keymate_viable && keymate->fail_streak <= 1) {
-        // The batch ran from an unrecognised state (e.g. the warm-up probe
-        // right after a domain switch perturbed the scope) while a fixpoint
-        // memo the next probe can rendezvous with exists for it: keep the
-        // fixpoint. Only the first miss is forgiven — two in a row mean the
-        // stored fixpoint went stale (the steady state drifted), and the
-        // memo is refreshed below so convergence re-anchors to the state
-        // that actually recurs.
-        return total;
-      }
-      memo = keymate;  // stale or unrecognisable record: refresh in place
-    } else {
-      // Claim a slot, preferring one not holding a proven fixpoint.
-      for (std::size_t i = 0; i < kBatchMemos; ++i) {
-        const std::size_t idx = (batch_memo_next_ + i) % kBatchMemos;
-        if (!batch_memos_[idx].verified) {
-          batch_memo_next_ = idx;
-          break;
-        }
-      }
-      memo = &batch_memos_[batch_memo_next_];
-      batch_memo_next_ = (batch_memo_next_ + 1) % kBatchMemos;
-    }
-    memo->data = vaddrs.data();
-    memo->size = vaddrs.size();
-    memo->kind = kind;
-    memo->content_hash = HashBatch(vaddrs);
-    memo->user_ctx = user_ctx_;
-    memo->kernel_ctx = kernel_ctx_;
-    memo->user_gen = *user_gen_;
-    memo->kernel_gen = *kernel_gen_;
-    memo->taint_owner = taint_owner_;
-    memo->domain_tag = domain_tag_;
-    memo->kernel_global = kernel_global_;
-    memo->digest_post = 0;
-    memo->verified = false;
+  if (!state_known) {
+    memo = BatchMemo{.key = key};
   }
-  const bool all_hit = deltas.itlb.misses + deltas.dtlb.misses == 0 &&
-                       deltas.l1i.misses + deltas.l1d.misses == 0;
-  if (all_hit) {
+  memo.deltas = DiffStats(before, total);
+  const ReplayDeltas& d = memo.deltas;
+  if (d.itlb.misses + d.dtlb.misses + d.l1i.misses + d.l1d.misses == 0) {
     // All-hit run: fixpoint by the analytic argument, no digest needed (no
     // miss anywhere implies no fill, insert, writeback, walk or prefetch
     // train; promotes and dirty/taint writes are idempotent).
-    memo->verified = true;
-    memo->digest_post = 0;
+    memo.verified = true;
   } else if (state_known) {
-    // Fold the touched scope. Only convergence candidates (known
-    // pre-state) digest: the batch demonstrably re-runs, and one fold can
-    // unlock a whole timeslice of replays. First sightings never digest —
-    // a batch whose pre-state is only ever seen once cannot rendezvous,
-    // and the fold would be pure cost.
-    const std::uint64_t digest = machine_->ScopedDigest(scope, id_);
-    memo->verified = state_known && memo->digest_post != 0 &&
-                     memo->scope == scope && memo->digest_post == digest;
-    memo->digest_post = digest;
-  } else {
-    memo->verified = false;
-    memo->digest_post = 0;
+    // Only convergence candidates (known pre-state) digest: the batch
+    // demonstrably re-runs, and one fold can unlock a whole timeslice of
+    // replays. First sightings never digest — most batches are not re-run
+    // from their own post-state, and the fold would be pure cost.
+    const std::uint64_t digest = machine_->StateDigest();
+    memo.verified = memo.digest_post != 0 && memo.digest_post == digest;
+    memo.digest_post = digest;
   }
-  memo->scope = scope;
-  memo->fail_streak = 0;
-  memo->deltas = deltas;
-  memo->state_gen = machine_->state_gen();
+  memo.state_gen = machine_->state_gen();
   return total;
 }
 
@@ -517,7 +413,6 @@ Core::StatSnapshot Core::TakeStats() const {
   s.c[3] = counters_.llc_misses;
   s.c[4] = counters_.tlb_misses;
   s.c[5] = counters_.page_walks;
-  s.c[6] = machine_->back_invalidate_count();
   const SetAssociativeCache* caches[4] = {l1i_.get(), l1d_.get(), l2_.get(),
                                           &machine_->llc()};
   for (int i = 0; i < 4; ++i) {
@@ -544,7 +439,6 @@ Core::ReplayDeltas Core::DiffStats(const StatSnapshot& before, Cycles total) con
   d.llc_misses = after.c[3] - before.c[3];
   d.tlb_misses = after.c[4] - before.c[4];
   d.page_walks = after.c[5] - before.c[5];
-  d.back_invals = after.c[6] - before.c[6];
   StructStats* out[7] = {&d.l1i, &d.l1d, &d.l2, &d.llc, &d.itlb, &d.dtlb, &d.l2tlb};
   for (int i = 0; i < 7; ++i) {
     out[i]->hits = after.s[i].hits - before.s[i].hits;
@@ -585,39 +479,6 @@ void Core::DigestState(std::uint64_t& h) const {
   l2tlb_->DigestState(h);
   prefetcher_->DigestState(h);
   DigestWord(h, last_miss_line_);
-}
-
-void Core::DigestScoped(std::uint64_t& h, std::uint32_t scope) const {
-  if ((scope & kScopeL1I) != 0) l1i_->DigestState(h);
-  if ((scope & kScopeL1D) != 0) l1d_->DigestState(h);
-  if ((scope & kScopeL2) != 0 && l2_ != nullptr) l2_->DigestState(h);
-  if ((scope & kScopeItlb) != 0) itlb_->DigestState(h);
-  if ((scope & kScopeDtlb) != 0) dtlb_->DigestState(h);
-  if ((scope & kScopeL2Tlb) != 0) l2tlb_->DigestState(h);
-  if ((scope & kScopePrefetch) != 0) {
-    prefetcher_->DigestState(h);
-    DigestWord(h, last_miss_line_);
-  }
-}
-
-void Core::DigestPrivateCaches(std::uint64_t& h) const {
-  l1i_->DigestState(h);
-  l1d_->DigestState(h);
-  if (l2_ != nullptr) {
-    l2_->DigestState(h);
-  }
-}
-
-std::size_t Core::DigestBytesScoped(std::uint32_t scope) const {
-  std::size_t bytes = 0;
-  if ((scope & kScopeL1I) != 0) bytes += l1i_->DigestSizeBytes();
-  if ((scope & kScopeL1D) != 0) bytes += l1d_->DigestSizeBytes();
-  if ((scope & kScopeL2) != 0 && l2_ != nullptr) bytes += l2_->DigestSizeBytes();
-  if ((scope & kScopeItlb) != 0) bytes += itlb_->DigestSizeBytes();
-  if ((scope & kScopeDtlb) != 0) bytes += dtlb_->DigestSizeBytes();
-  if ((scope & kScopeL2Tlb) != 0) bytes += l2tlb_->DigestSizeBytes();
-  if ((scope & kScopePrefetch) != 0) bytes += prefetcher_->DigestSizeBytes();
-  return bytes;
 }
 
 Cycles Core::AccessBatch(std::span<const MemOp> ops) {

@@ -71,31 +71,6 @@ struct SimTally {
 };
 SimTally SimTallySnapshot();
 
-// Which structures a batched access run touched, derived from its stat
-// deltas: a structure moved its hit/miss/writeback tallies iff the run
-// probed it (every probe tallies), so the delta-built mask names exactly
-// the state the run read or wrote. Two machine states that agree on a
-// run's scope are interchangeable for that run — by induction along the
-// op sequence, every lookup sees the same tags/ages and takes the same
-// path — which is what lets the replay memo fold (and compare) only the
-// touched structures instead of the whole machine.
-enum BatchScope : std::uint32_t {
-  kScopeL1I = 1u << 0,
-  kScopeL1D = 1u << 1,
-  kScopeL2 = 1u << 2,   // private L2, where present
-  kScopeLlc = 1u << 3,
-  kScopeItlb = 1u << 4,
-  kScopeDtlb = 1u << 5,
-  kScopeL2Tlb = 1u << 6,
-  // Prefetcher slots + DRAM row memo: trained/read only on LLC demand
-  // misses (CachePath), so they ride the llc-miss delta.
-  kScopePrefetch = 1u << 7,
-  // An inclusive-LLC eviction back-invalidated lines in private caches —
-  // possibly another core's, with no stat movement there. Folds every
-  // core's private levels.
-  kScopeXCores = 1u << 8,
-};
-
 class Core {
  public:
   Core(CoreId id, Machine* machine);
@@ -189,17 +164,6 @@ class Core {
   // Folds this core's batch-reachable state (caches, TLBs, prefetcher, DRAM
   // row memo) into a machine state digest (see Machine::StateDigest).
   void DigestState(std::uint64_t& h) const;
-  // Folds only the structures named by `scope` (BatchScope bits), in fixed
-  // bit order. A batch reads nothing outside the structures it touched, so
-  // two states that agree on the touched scope are interchangeable for it —
-  // which makes the scoped fold as strong as the whole-machine one at a
-  // fraction of the walk (the Haswell LLC alone is ~1.7 MiB of fold).
-  void DigestScoped(std::uint64_t& h, std::uint32_t scope) const;
-  // The private cache levels only (L1s + private L2): what an inclusive-LLC
-  // back-invalidate from another core's batch can reach.
-  void DigestPrivateCaches(std::uint64_t& h) const;
-  // Bytes DigestScoped would fold: the cost side of the replay-memo gate.
-  std::size_t DigestBytesScoped(std::uint32_t scope) const;
 
  private:
   const TranslationContext* ContextFor(VAddr vaddr) const;
@@ -278,21 +242,17 @@ class Core {
     std::uint64_t page_walks = 0;
     StructStats l1i, l1d, l2, llc;
     StructStats itlb, dtlb, l2tlb;  // writebacks unused
-    // Inclusive-LLC back-invalidates the run triggered (machine-wide count;
-    // scope tracking only — invalidation bumps no replayable stat).
-    std::uint64_t back_invals = 0;
     Cycles total = 0;
   };
   // Counter snapshot bracketing a live run; DiffStats turns two of these
   // into the ReplayDeltas above.
   struct StatSnapshot {
-    std::uint64_t c[7];       // perf-counter fields + back-invals, DiffStats order
+    std::uint64_t c[6];       // perf-counter fields, DiffStats order
     StructStats s[7];         // l1i l1d l2 llc itlb dtlb l2tlb
   };
   StatSnapshot TakeStats() const;
   ReplayDeltas DiffStats(const StatSnapshot& before, Cycles total) const;
   void ApplyReplay(const ReplayDeltas& d);
-  static std::uint32_t ScopeOf(const ReplayDeltas& d);
 
   // Batch replay memo (see AccessBatch): a batch re-run from the exact
   // machine state it last left behind is at a fixpoint — it repeats the
@@ -301,14 +261,16 @@ class Core {
   // place of the per-op loop. Two proofs establish the fixpoint: an
   // all-hit run is one analytically (no fills, final LRU ages a pure
   // function of the touch order, dirty/taint writes idempotent), and any
-  // batch is one once two consecutive live runs end in the same scoped
-  // state digest. The fixpoint state is recognised two ways: the machine
-  // generation still matching (nothing touched a cache or TLB since the
-  // run) or, across intervening work, the scoped digest of the current
-  // state matching digest_post — the cross-timeslice rendezvous that lets
-  // a probe kernel resume replaying right after a domain switch perturbed
-  // unrelated state.
-  struct BatchMemo {
+  // batch is one once two consecutive live runs end in the same
+  // Machine::StateDigest. The fixpoint state is recognised by the machine
+  // generation still matching state_gen: nothing touched a cache or TLB
+  // since the recorded run. One memo per core suffices — every live run on
+  // any core bumps the generation, so only the core's latest live batch
+  // can ever match again.
+  // Everything besides machine state that a batch run depends on: the op
+  // list (identity and content), the translation contexts and their
+  // generations, and the owners and global bit the run stamps on its fills.
+  struct BatchKey {
     const VAddr* data = nullptr;
     std::size_t size = 0;
     AccessKind kind = AccessKind::kRead;
@@ -320,24 +282,16 @@ class Core {
     std::uint16_t taint_owner = 0;
     std::uint16_t domain_tag = 0;   // prefetcher training owner on misses
     bool kernel_global = true;      // global bit on kernel TLB inserts
+    bool operator==(const BatchKey&) const = default;
+  };
+  struct BatchMemo {
+    BatchKey key;
     std::uint64_t state_gen = 0;    // machine generation right after the run
-    std::uint32_t scope = 0;        // BatchScope mask of the recorded run
-    std::uint64_t digest_post = 0;  // scoped digest after the run (0 = none)
+    std::uint64_t digest_post = 0;  // StateDigest after the run (0 = none)
     bool verified = false;          // fixpoint proven; replay allowed
-    std::uint8_t fail_streak = 0;   // consecutive digest rendezvous misses
     ReplayDeltas deltas;
   };
-  static constexpr std::size_t kBatchMemos = 16;
-  // Rendezvous digests stop being attempted for a memo after this many
-  // consecutive misses: a batch whose pre-state never recurs (a raw-mode
-  // receiver drifting with the sender) must not pay a fold per lookup.
-  static constexpr std::uint8_t kMaxFailStreak = 8;
-  // A digest fold costs ~1 host ns per 4-6 bytes; a live run ~1 ns per
-  // simulated cycle. A digest is only worth taking when the fold is
-  // cheaper than the run it may later elide.
-  static constexpr std::uint64_t kDigestBytesPerCycle = 4;
-  BatchMemo batch_memos_[kBatchMemos];
-  std::size_t batch_memo_next_ = 0;
+  BatchMemo batch_memo_;
   // Latched at construction: replay stands down whenever fault injection is
   // active, so every site still sees every eligible event (a FireOnce
   // ordinal must not be starved by an elided run).

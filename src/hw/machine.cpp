@@ -143,51 +143,7 @@ std::uint64_t Machine::StateDigest() const {
   return h;
 }
 
-std::uint64_t Machine::ScopedDigest(std::uint32_t scope, std::size_t core) {
-  for (const ScopedDigestCacheEntry& e : digest_cache_) {
-    if (e.gen == state_gen_ && e.scope == scope && e.core == core) {
-      return e.digest;
-    }
-  }
-  const std::uint64_t h = ScopedDigestUncached(scope, core);
-  digest_cache_[digest_cache_next_] =
-      ScopedDigestCacheEntry{state_gen_, scope, core, h};
-  digest_cache_next_ = (digest_cache_next_ + 1) % std::size(digest_cache_);
-  return h;
-}
-
-std::uint64_t Machine::ScopedDigestUncached(std::uint32_t scope, std::size_t core) const {
-  std::uint64_t h = kDigestSeed;
-  DigestWord(h, scope);
-  if ((scope & kScopeLlc) != 0) {
-    llc_->DigestState(h);
-  }
-  cores_[core]->DigestScoped(h, scope);
-  if ((scope & kScopeXCores) != 0) {
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      if (i != core) {
-        cores_[i]->DigestPrivateCaches(h);
-      }
-    }
-  }
-  return h;
-}
-
-std::size_t Machine::ScopedDigestBytes(std::uint32_t scope, std::size_t core) const {
-  std::size_t bytes = (scope & kScopeLlc) != 0 ? llc_->DigestSizeBytes() : 0;
-  bytes += cores_[core]->DigestBytesScoped(scope);
-  if ((scope & kScopeXCores) != 0) {
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      if (i != core) {
-        bytes += cores_[i]->DigestBytesScoped(kScopeL1I | kScopeL1D | kScopeL2);
-      }
-    }
-  }
-  return bytes;
-}
-
 void Machine::BackInvalidateLine(PAddr line_paddr) {
-  ++back_invalidate_count_;
   for (std::unique_ptr<Core>& core : cores_) {
     core->BackInvalidateLine(line_paddr);
   }

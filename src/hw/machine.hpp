@@ -93,8 +93,8 @@ class Machine {
   const MachineConfig& config() const { return config_; }
 
   // Monotone count of cache/TLB-mutating episodes anywhere on the machine:
-  // every live access run and every flush bumps it. Core's batch-replay
-  // memos validate against it — an unchanged generation proves no cache or
+  // every live access run and every flush bumps it. Each core's batch-replay
+  // memo validates against it — an unchanged generation proves no cache or
   // TLB was touched since the memo was recorded, so the machine still sits
   // at that batch's fixpoint state. Replays mutate nothing and therefore do
   // not bump it. Branch-predictor state is deliberately outside the
@@ -108,38 +108,9 @@ class Machine {
   // replay memo uses this to prove a re-run batch sits at its fixpoint.
   std::uint64_t StateDigest() const;
 
-  // Digest of only the structures in `scope` (BatchScope bits) as seen from
-  // `core`: the shared LLC if scoped, that core's scoped structures, and —
-  // under kScopeXCores — every other core's private cache levels. Results
-  // are memoised against the state generation: digests of an unchanged
-  // machine are served from cache, so several memo lookups (or a lookup
-  // right after a replay, which mutates nothing) fold the state once.
-  std::uint64_t ScopedDigest(std::uint32_t scope, std::size_t core);
-  // The same fold without the generation-keyed memo: const, so invariant
-  // checkers can digest a machine they only hold const access to and
-  // cross-check that the cached path returns the identical value.
-  std::uint64_t ScopedDigestUncached(std::uint32_t scope, std::size_t core) const;
-  // Bytes ScopedDigest would fold — the cost side of the replay-memo gate.
-  std::size_t ScopedDigestBytes(std::uint32_t scope, std::size_t core) const;
-
-  // Machine-wide count of inclusive-LLC back-invalidations. A batch that
-  // evicted an LLC line may have silently invalidated another core's
-  // private copy (no stat moves there); the replay memo widens its scope
-  // to every core's private caches when this moved across a run.
-  std::uint64_t back_invalidate_count() const { return back_invalidate_count_; }
-
  private:
   MachineConfig config_;
   std::uint64_t state_gen_ = 0;
-  std::uint64_t back_invalidate_count_ = 0;
-  struct ScopedDigestCacheEntry {
-    std::uint64_t gen = ~std::uint64_t{0};
-    std::uint32_t scope = 0;
-    std::size_t core = 0;
-    std::uint64_t digest = 0;
-  };
-  ScopedDigestCacheEntry digest_cache_[4];
-  std::size_t digest_cache_next_ = 0;
   std::unique_ptr<SetAssociativeCache> llc_;
   InterruptController irqc_;
   std::vector<std::unique_ptr<Core>> cores_;

@@ -126,9 +126,6 @@ class StreamPrefetcher {
   // MSR enable bit into a batch-replay state digest (field by field — the
   // slot struct has padding the digest must not read).
   void DigestState(std::uint64_t& h) const;
-  std::size_t DigestSizeBytes() const {
-    return (data_slots_.size() + instruction_slots_.size()) * 32 + 24;
-  }
 
  private:
   struct Stream {

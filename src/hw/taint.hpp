@@ -130,7 +130,6 @@ class TaintMap {
   // Folds the per-entry metadata into a batch-replay state digest (the
   // per-owner counts are derived from it and need no separate fold).
   void DigestState(std::uint64_t& h) const;
-  std::size_t DigestSizeBytes() const { return meta_.size() * sizeof(std::uint32_t); }
 
   // Entries owned by a domain other than 0/`incoming` whose colour is in
   // `colour_mask` (bit c = colour c observable by the incoming domain).

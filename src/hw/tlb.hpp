@@ -78,11 +78,6 @@ class Tlb {
 
   // Folds the behavioural state into a batch-replay digest (see cache.hpp).
   void DigestState(std::uint64_t& h) const;
-  std::size_t DigestSizeBytes() const {
-    return vpns_.size() * sizeof(std::uint64_t) + asids_.size() * sizeof(Asid) +
-           ages_.size() + (valid_.size() + global_.size()) * sizeof(std::uint64_t) +
-           taint_.DigestSizeBytes();
-  }
 
   // Taint metadata (active only when tracking was enabled at construction);
   // TLBs are uncolourable, so every entry uses colour 0. Entry index is

@@ -6,7 +6,9 @@
 // TLB, prefetcher, taint and LRU word in the machine), across virtually-
 // and physically-indexed hierarchies and with taint tracking on. The
 // full-grid --max-mi-delta 0 CI diff proves the same property end-to-end
-// on mi_bits; these tests localise a violation to the core layer.
+// on mi_bits; these tests localise a violation to the core layer. Since
+// identity also holds for a memo that never replays, the LiveRounds tests
+// check through Machine::state_gen() that both fixpoint proofs fire.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -164,6 +166,72 @@ TEST(BatchReplay, FlushBetweenRoundsInvalidatesTheMemo) {
     b.core(0).FlushTlbAll();
   }
   EXPECT_EQ(batched, dispatched);
+  EXPECT_EQ(a.StateDigest(), b.StateDigest());
+}
+
+// Which of `rounds` batched probe-stream reads on core 0 ran live. A live
+// run bumps Machine::state_gen(); a replay mutates nothing and does not.
+std::vector<bool> LiveRounds(const MachineConfig& config, int rounds) {
+  Machine machine(config);
+  FlatTranslationContext ctx(1);
+  InstallFlatContext(machine.core(0), ctx);
+  const std::vector<VAddr> stream = ProbeStream();
+  std::vector<bool> live;
+  for (int round = 0; round < rounds; ++round) {
+    const std::uint64_t gen = machine.state_gen();
+    machine.core(0).AccessBatch(stream, AccessKind::kRead);
+    live.push_back(machine.state_gen() != gen);
+  }
+  return live;
+}
+
+// Haswell: the 20 KiB stream fits the L1-D and the 4-way D-TLB, so round 1
+// misses nowhere and the all-hit proof lets every later round replay.
+TEST(BatchReplay, AllHitRoundsReplay) {
+  EXPECT_EQ(LiveRounds(MachineConfig::Haswell(1), 6),
+            (std::vector<bool>{true, true, false, false, false, false}));
+}
+
+// Sabre: the D-TLB is direct-mapped with 32 entries, so VPN 0 and VPN 256
+// share an entry and every round misses twice. Rounds 1 and 2 start from
+// their predecessor's post-state and end in the same StateDigest, which
+// proves the fixpoint; rounds 3-5 replay.
+TEST(BatchReplay, MissingRoundsReplayOnceTheDigestConverges) {
+  EXPECT_EQ(LiveRounds(MachineConfig::Sabre(1), 6),
+            (std::vector<bool>{true, true, true, false, false, false}));
+}
+
+// Any live run on any core bumps the machine generation, so a verified memo
+// on core 0 must not replay after core 1 ran a batch in between — and with
+// the generation only growing, no older memo could ever match again either.
+TEST(BatchReplay, LiveBatchOnAnotherCoreForcesALiveRound) {
+  Machine a(MachineConfig::Haswell(2));
+  Machine b(MachineConfig::Haswell(2));
+  FlatTranslationContext ctx0(1);
+  FlatTranslationContext ctx1(2);
+  for (Machine* m : {&a, &b}) {
+    InstallFlatContext(m->core(0), ctx0);
+    InstallFlatContext(m->core(1), ctx1);
+  }
+  const std::vector<VAddr> stream = ProbeStream();
+  std::vector<bool> live;
+  auto round = [&](std::size_t core) {
+    const std::uint64_t gen = a.state_gen();
+    a.core(core).AccessBatch(stream, AccessKind::kRead);
+    live.push_back(a.state_gen() != gen);
+    for (VAddr va : stream) {
+      b.core(core).Access(va, AccessKind::kRead);
+    }
+  };
+  round(0);
+  round(0);
+  round(0);  // replayed: all-hit fixpoint
+  round(1);
+  round(0);  // must run live: core 1 moved the generation
+  round(0);  // replayed again
+  EXPECT_EQ(live, (std::vector<bool>{true, true, false, true, true, false}));
+  EXPECT_EQ(a.core(0).now(), b.core(0).now());
+  EXPECT_EQ(a.core(1).now(), b.core(1).now());
   EXPECT_EQ(a.StateDigest(), b.StateDigest());
 }
 

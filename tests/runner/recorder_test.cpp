@@ -2,6 +2,8 @@
 // fields, and the TP_BENCH_JSON enable switch.
 #include "runner/recorder.hpp"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,7 +18,10 @@ namespace {
 class RecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "recorder_test.json";
+    // One file per case: ctest runs each discovered case as its own
+    // process, concurrently under -j, so a shared path would race.
+    path_ = ::testing::TempDir() + "recorder_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".json";
     std::remove(path_.c_str());
     setenv("TP_BENCH_JSON", path_.c_str(), 1);
     setenv("TP_BENCH_LABEL", "unit-test", 1);
@@ -25,6 +30,7 @@ class RecorderTest : public ::testing::Test {
     unsetenv("TP_BENCH_JSON");
     unsetenv("TP_BENCH_LABEL");
     std::remove(path_.c_str());
+    std::remove((path_ + ".lock").c_str());
   }
 
   std::string ReadFile() const {

@@ -47,7 +47,7 @@ int Usage(const char* argv0) {
                "  --cases N          randomized cases to run (default 500)\n"
                "  --seed S           root seed (default 1)\n"
                "  --target T[,T...]  restrict to targets (repeatable); one of\n"
-               "                     soa replay taint threads digest trajectory\n"
+               "                     soa replay taint threads trajectory\n"
                "  --replay TOKEN     re-run one case from a tpf1 token (or @file)\n"
                "  --corpus DIR       replay every *.case under DIR\n"
                "  --corpus-append DIR  append shrunk failures to DIR\n"
