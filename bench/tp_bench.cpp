@@ -21,6 +21,7 @@
 //   tp_bench --cell-budget-ms N     # per-cell watchdog (cell_status=timeout)
 //   tp_bench --resume               # complete only the cells missing from
 //                                   # the results file under this label
+//                                   # (an incomplete cost spec reruns whole)
 //   tp_bench --quiet                # suppress tables (recording unaffected)
 //   tp_bench --profile              # per-channel host throughput report
 //                                   # (simulated accesses/second) at exit
@@ -139,9 +140,11 @@ struct ResumePlan {
 };
 
 // Scans the results file for the label and decides, per selected spec,
-// whether it is already fully recorded (skip), partially recorded (strip
-// its stale total/non-ok records and rerun only the missing cells) or
-// absent (run in full). Returns nullopt with a message on unusable input.
+// whether it is already fully recorded (skip), partially recorded or
+// absent. A partially recorded channel spec keeps its ok cells and reruns
+// only the rest; a partially recorded cost spec is stripped and rerun
+// whole, since its cross-cell ratios need their baseline cells in the same
+// run. Returns nullopt with a message on unusable input.
 std::optional<ResumePlan> PlanResume(
     const std::string& json_path, const std::string& label,
     const std::vector<const tp::scenarios::ChannelSpec*>& selected) {
@@ -159,9 +162,9 @@ std::optional<ResumePlan> PlanResume(
     return std::nullopt;
   }
 
-  std::set<std::string> selected_names;
+  std::map<std::string, const tp::scenarios::ChannelSpec*> selected_specs;
   for (const tp::scenarios::ChannelSpec* spec : selected) {
-    selected_names.insert(spec->name);
+    selected_specs[spec->name] = spec;
   }
 
   // First pass: type each raw record (individually, so a record this build
@@ -176,7 +179,7 @@ std::optional<ResumePlan> PlanResume(
     }
     typed[i] = std::move(one->records[0]);
     const tp::trajectory::TrajectoryRecord& r = *typed[i];
-    if (r.label != label || selected_names.find(r.bench) == selected_names.end()) {
+    if (r.label != label || selected_specs.find(r.bench) == selected_specs.end()) {
       continue;
     }
     BenchHistory& h = history[r.bench];
@@ -193,19 +196,22 @@ std::optional<ResumePlan> PlanResume(
   for (const auto& [bench, h] : history) {
     if (h.has_total && h.non_ok == 0 && !h.ok_cells.empty()) {
       plan.complete.insert(bench);
-    } else if (!h.ok_cells.empty()) {
+    } else if (!h.ok_cells.empty() && selected_specs.at(bench)->is_channel()) {
       plan.skip[bench] = h.ok_cells;
     }
   }
 
-  // Second pass: keep every record except the stale total and non-ok cells
-  // of the specs about to be rerun (their replacements are re-recorded).
+  // Second pass: of the specs about to be rerun, keep only the records of
+  // the cells the rerun skips; every other record of theirs (stale total,
+  // non-ok cells, a cost spec's cells) is re-recorded.
   for (std::size_t i = 0; i < raw->size(); ++i) {
     bool keep = true;
     if (typed[i] && typed[i]->label == label &&
-        selected_names.find(typed[i]->bench) != selected_names.end() &&
+        selected_specs.find(typed[i]->bench) != selected_specs.end() &&
         plan.complete.find(typed[i]->bench) == plan.complete.end()) {
-      keep = typed[i]->cell != "total" && typed[i]->cell_ok();
+      auto skip = plan.skip.find(typed[i]->bench);
+      keep = skip != plan.skip.end() && typed[i]->cell_ok() &&
+             skip->second.count(typed[i]->cell) > 0;
     }
     if (keep) {
       plan.kept.push_back((*raw)[i]);
@@ -422,7 +428,7 @@ int main(int argc, char** argv) {
           tp::scenarios::RunSpec(*spec, pool, options);
       std::size_t bad = 0;
       for (const tp::runner::SweepCellResult& r : results) {
-        if (r.ok()) {
+        if (r.ok() && !r.cost) {
           rounds_run += r.rounds_run;
           rounds_budget += r.rounds;
           adaptive = adaptive || r.adaptive;

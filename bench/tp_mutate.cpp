@@ -49,7 +49,8 @@ constexpr const char* kUsage =
 // exercises the broken mechanism AND a detector can observe the breakage.
 // The table is deliberately explicit — every row below is proven live by
 // the committed detection matrix, and a new site or channel must extend it
-// (see BUILDING.md "Adding a fault site").
+// (see BUILDING.md "Adding a fault site"). Only channel (MI) specs are
+// swept, so cost scenarios have no rows.
 bool Applies(const std::string& site, const std::string& bench,
              const tp::runner::GridCell& cell) {
   const bool prot = cell.mode == "protected";
@@ -94,7 +95,7 @@ bool Applies(const std::string& site, const std::string& bench,
   // Colour partitioning: channels whose protected mode relies on disjoint
   // cache partitions between sender and receiver domains.
   if (site == "colour.mask" || site == "colour.frame") {
-    return prot && (bench == "fig3_kernel_channel" || bench == "fig4_llc_side_channel");
+    return prot && bench == "fig3_kernel_channel";
   }
   // A stale translation-memo entry is only observable where the probing
   // domains translate *per-domain* data addresses: the kernel channels
@@ -134,19 +135,15 @@ bool Applies(const std::string& site, const std::string& bench,
     return bench == "fig3_kernel_channel" || bench == "fig6_interrupt_channel" ||
            (bench == "table3_intra_core" && cell.variant == "L1-I");
   }
-  // L1-D flush: every protected cell with data-memory probes. fig4's
-  // protected mode partitions the LLC by colour and keeps the cores
-  // untouched; PC-only cells and the bp-flush ablation variant issue no
-  // data traffic.
+  // L1-D flush: every protected cell with data-memory probes. PC-only
+  // cells and the bp-flush ablation variant issue no data traffic.
   if (site == "flush.l1d") {
-    return prot && bench != "fig4_llc_side_channel" && !pc_only &&
-           !(bench == "ablation_mechanisms" && cell.variant == "bp-flush");
+    return prot && !pc_only && !(bench == "ablation_mechanisms" && cell.variant == "bp-flush");
   }
   // TLB flush: translations back every probe access, PC-only or not — a
-  // dropped TLB flush is contract-visible on every protected cell whose
-  // defense stack includes FlushOnCoreState (all but fig4, see above).
+  // dropped TLB flush is contract-visible on every protected cell.
   if (site == "flush.tlb") {
-    return prot && bench != "fig4_llc_side_channel";
+    return prot;
   }
   return false;
 }

@@ -58,37 +58,4 @@ mi::Observations MergeObservations(const std::vector<mi::Observations>& parts) {
   return merged;
 }
 
-mi::Observations RunSharded(const ExperimentRunner& runner, const ShardPlan& plan,
-                            const std::function<mi::Observations(const Shard&)>& shard_fn) {
-  std::vector<mi::Observations> parts =
-      runner.Map(plan.num_shards(), [&](std::size_t i) {
-        return shard_fn(Shard{i, plan.SeedFor(i), plan.shard_rounds[i]});
-      });
-  return MergeObservations(parts);
-}
-
-std::vector<mi::Observations> RunShardedCells(
-    const ExperimentRunner& runner, const std::vector<ShardPlan>& plans,
-    const std::function<mi::Observations(std::size_t cell, const Shard&)>& shard_fn) {
-  std::vector<std::pair<std::size_t, Shard>> tasks;
-  for (std::size_t cell = 0; cell < plans.size(); ++cell) {
-    const ShardPlan& plan = plans[cell];
-    for (std::size_t i = 0; i < plan.num_shards(); ++i) {
-      tasks.emplace_back(cell, Shard{i, plan.SeedFor(i), plan.shard_rounds[i]});
-    }
-  }
-  std::vector<mi::Observations> parts = runner.Map(
-      tasks.size(), [&](std::size_t i) { return shard_fn(tasks[i].first, tasks[i].second); });
-  std::vector<mi::Observations> cells(plans.size());
-  std::size_t next = 0;
-  for (std::size_t cell = 0; cell < plans.size(); ++cell) {
-    std::vector<mi::Observations> cell_parts(
-        parts.begin() + static_cast<std::ptrdiff_t>(next),
-        parts.begin() + static_cast<std::ptrdiff_t>(next + plans[cell].num_shards()));
-    next += plans[cell].num_shards();
-    cells[cell] = MergeObservations(cell_parts);
-  }
-  return cells;
-}
-
 }  // namespace tp::runner

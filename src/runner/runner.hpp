@@ -8,18 +8,18 @@
 // never on how many host threads execute it: same root seed => bit-identical
 // merged mi::Observations and MI at any thread count.
 //
-// ExperimentRunner::Map is the generic fan-out primitive (cost benches map
-// over their scenario/platform cells directly); RunSharded layers the
-// rounds-splitting channel-experiment pattern on top.
+// ExperimentRunner::Map is the generic fan-out primitive; SweepEngine
+// (runner/sweep.hpp) layers grid cells and their shards on top of it.
 #ifndef TP_RUNNER_RUNNER_HPP_
 #define TP_RUNNER_RUNNER_HPP_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mi/observations.hpp"
@@ -153,20 +153,6 @@ struct Shard {
   std::uint64_t seed = 0;
   std::size_t rounds = 0;
 };
-
-// Fans the shards of `plan` out across the runner's threads and merges the
-// per-shard observations. `shard_fn` must build a fresh experiment from
-// shard.seed — shards share nothing.
-mi::Observations RunSharded(const ExperimentRunner& runner, const ShardPlan& plan,
-                            const std::function<mi::Observations(const Shard&)>& shard_fn);
-
-// Whole-grid variant: every shard of every cell joins one flat task pool
-// (a scenario grid keeps all host threads busy even when individual cells
-// have few shards); returns the merged observations per cell, in cell
-// order.
-std::vector<mi::Observations> RunShardedCells(
-    const ExperimentRunner& runner, const std::vector<ShardPlan>& plans,
-    const std::function<mi::Observations(std::size_t cell, const Shard&)>& shard_fn);
 
 }  // namespace tp::runner
 

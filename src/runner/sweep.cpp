@@ -34,39 +34,63 @@ std::uint64_t EffectiveCellBudgetNs(const SweepOptions& options) {
   return 0;
 }
 
-// Per-cell crash-isolation state shared by that cell's shards. code uses
-// first-wins CAS so the earliest failure names the cell's status; later
+// Per-cell crash-isolation state shared by that cell's shards. Mark is
+// first-wins, so the earliest failure names the cell's status; later
 // shards of a doomed cell early-return without running their bodies.
 struct CellState {
   std::atomic<int> code{0};  // 0 ok, 1 failed, 2 timeout
   std::atomic<std::uint64_t> wall{0};
-  std::string error;  // guarded by the owning sweep's error mutex
+  std::mutex error_mu;
+  std::string error;  // written under error_mu; read once the sweep joined
+
+  void Mark(int failure, const std::string& message) {
+    int expected = 0;
+    if (code.compare_exchange_strong(expected, failure)) {
+      std::lock_guard<std::mutex> lk(error_mu);
+      error = message;
+    }
+  }
+
+  // Copies a failure onto the cell's result; false when the cell is healthy.
+  bool Failed(SweepCellResult& r) const {
+    const int c = code.load();
+    if (c == 0) {
+      return false;
+    }
+    r.status = c == 2 ? "timeout" : "failed";
+    r.error = error;
+    return true;
+  }
 };
 
-struct ShardOut {
-  mi::Observations obs;
+// What the harness measured around one body run.
+struct Isolated {
   std::uint64_t wall_ns = 0;
   hw::ContractTally contract;
 };
 
-// The crash-isolated shard body shared by the fixed and adaptive execution
-// paths: ambient fault seed, harness self-test sites, contract capture,
+struct ShardOut {
+  mi::Observations obs;
+  Isolated measured;
+};
+
+// The crash-isolation harness every cell body runs in, MI shard or cost
+// cell: ambient fault seed, harness self-test sites, contract capture,
 // first-wins failure marking and the per-cell wall-time watchdog.
-ShardOut RunShardIsolated(const GridCell& cell, const Shard& shard, CellState& state,
-                          std::uint64_t budget_ns, const SweepEngine::CellShardFn& fn,
-                          const std::function<void(int, const std::string&)>& mark) {
-  ShardOut out;
+Isolated RunIsolated(const GridCell& cell, CellState& state, std::uint64_t budget_ns,
+                     const std::function<void()>& body) {
+  Isolated out;
   if (state.code.load() != 0) {
     return out;  // the cell already failed or timed out; don't pile on
   }
   std::uint64_t t0 = bench::Recorder::NowNs();
   // Publish the cell's coordinate-keyed seed so fault sites latched by
-  // structures this shard builds fire deterministically per (site, cell)
+  // structures this body builds fire deterministically per (site, cell)
   // at any host thread count.
   faults::ScopedCellSeed ambient(cell.seed);
   const std::string cell_name = cell.Name();
   try {
-    // Harness self-test sites: a deliberate shard exception and a
+    // Harness self-test sites: a deliberate body exception and a
     // deliberate budget overrun, used by the mutation sweep and tests to
     // prove the crash-isolation path itself works.
     faults::FaultSite fault_throw = faults::FaultSite::For("harness.cell_throw");
@@ -80,22 +104,38 @@ ShardOut RunShardIsolated(const GridCell& cell, const Shard& shard, CellState& s
           std::chrono::nanoseconds(budget_ns + 20'000'000ull));
     }
     hw::ContractCapture capture;
-    out.obs = fn(cell, shard);
+    body();
     out.contract = capture.Take();
   } catch (const std::exception& e) {
-    out = ShardOut{};
-    mark(1, e.what());
+    state.Mark(1, e.what());
   } catch (...) {
-    out = ShardOut{};
-    mark(1, "unknown exception");
+    state.Mark(1, "unknown exception");
   }
   out.wall_ns = bench::Recorder::NowNs() - t0;
   const std::uint64_t total = state.wall.fetch_add(out.wall_ns) + out.wall_ns;
   if (budget_ns > 0 && total > budget_ns) {
-    mark(2, "cell exceeded its " + std::to_string(budget_ns / 1000000ull) +
-                " ms wall-time budget");
+    state.Mark(2, "cell exceeded its " + std::to_string(budget_ns / 1000000ull) +
+                      " ms wall-time budget");
   }
   return out;
+}
+
+ShardOut RunShardIsolated(const GridCell& cell, const Shard& shard, CellState& state,
+                          std::uint64_t budget_ns, const SweepEngine::CellShardFn& fn) {
+  ShardOut out;
+  out.measured = RunIsolated(cell, state, budget_ns, [&] { out.obs = fn(cell, shard); });
+  return out;
+}
+
+// The grid's cells minus the ones the options skip.
+std::vector<GridCell> CellsToRun(const GridSpec& spec, const SweepOptions& options) {
+  std::vector<GridCell> cells = ExpandGrid(spec);
+  if (options.skip_cells != nullptr) {
+    std::erase_if(cells, [&](const GridCell& cell) {
+      return options.skip_cells->count(cell.Name()) > 0;
+    });
+  }
+  return cells;
 }
 
 // Sequential-stopping execution: shard-aligned waves with a barrier and a
@@ -113,14 +153,6 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
     const SweepEngine::CellShardFn& fn, const mi::LeakageOptions& leak_options,
     std::uint64_t budget_ns, const AdaptiveOptions& adaptive) {
   std::vector<CellState> states(cells.size());
-  std::mutex error_mu;
-  auto mark = [&](std::size_t c, int code, const std::string& message) {
-    int expected = 0;
-    if (states[c].code.compare_exchange_strong(expected, code)) {
-      std::lock_guard<std::mutex> lk(error_mu);
-      states[c].error = message;
-    }
-  };
 
   struct Progress {
     mi::StreamingMiEstimator stream;
@@ -195,17 +227,14 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
     std::vector<ShardOut> outs =
         runner.MapScheduled(tasks.size(), claim_order, [&](std::size_t i) {
           const std::size_t c = tasks[i].cell;
-          return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn,
-                                  [&](int code, const std::string& message) {
-                                    mark(c, code, message);
-                                  });
+          return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn);
         });
     // Barrier reached: fold this wave into each cell's prefix, in cell
     // order (outs are in task-index order regardless of thread count).
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       const std::size_t c = tasks[i].cell;
-      results[c].wall_ns += outs[i].wall_ns;
-      results[c].contract.Merge(outs[i].contract);
+      results[c].wall_ns += outs[i].measured.wall_ns;
+      results[c].contract.Merge(outs[i].measured.contract);
       if (states[c].code.load() == 0) {
         progress[c].stream.IngestAll(outs[i].obs);
         ++progress[c].shards_done;
@@ -289,10 +318,7 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
     r.adaptive = true;
     r.significance = adaptive.significance;
     r.rounds_run = progress[c].rounds_done;
-    const int code = states[c].code.load();
-    if (code != 0) {
-      r.status = code == 2 ? "timeout" : "failed";
-      r.error = states[c].error;
+    if (states[c].Failed(r)) {
       continue;
     }
     if (!progress[c].stopped) {
@@ -311,6 +337,20 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
     }
   }
   return results;
+}
+
+// Copies a captured contract tally onto a record's contract_* fields. A
+// no-op when taint tracking is off, so v2-shaped records stay v2-shaped; a
+// zero-switch cell with taint on records as (vacuously) clean.
+void ApplyContract(bench::BenchRecord& record, const hw::ContractTally& tally) {
+  if (!hw::TaintTrackingEnabled()) {
+    return;
+  }
+  record.contract_clean = tally.clean() ? 1 : 0;
+  record.contract_switches = tally.switches;
+  record.contract_violations = tally.violations;
+  record.contract_whitelisted = tally.whitelisted;
+  record.contract_first = tally.has_first ? hw::ToString(tally.first) : "";
 }
 
 }  // namespace
@@ -404,17 +444,7 @@ AdaptiveOptions EffectiveAdaptive(const SweepOptions& options) {
 std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
     const GridSpec& spec, const CellShardFn& fn, const mi::LeakageOptions& leak_options,
     const SweepOptions& options) const {
-  std::vector<GridCell> cells = ExpandGrid(spec);
-  if (options.skip_cells != nullptr && !options.skip_cells->empty()) {
-    std::vector<GridCell> kept;
-    kept.reserve(cells.size());
-    for (GridCell& cell : cells) {
-      if (options.skip_cells->find(cell.Name()) == options.skip_cells->end()) {
-        kept.push_back(std::move(cell));
-      }
-    }
-    cells = std::move(kept);
-  }
+  const std::vector<GridCell> cells = CellsToRun(spec, options);
   const std::uint64_t budget_ns = EffectiveCellBudgetNs(options);
 
   std::vector<ShardPlan> plans;
@@ -445,14 +475,6 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
     }
   }
   std::vector<CellState> states(cells.size());
-  std::mutex error_mu;
-  auto mark = [&](std::size_t c, int code, const std::string& message) {
-    int expected = 0;
-    if (states[c].code.compare_exchange_strong(expected, code)) {
-      std::lock_guard<std::mutex> lk(error_mu);
-      states[c].error = message;
-    }
-  };
   // Longest-first claim order: shards with the most rounds are picked up
   // first, so the round ranges of one slow cell spread across the pool
   // instead of queueing behind the rest of the grid. Scheduling only —
@@ -469,10 +491,7 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
   std::vector<ShardOut> outs = runner_.MapScheduled(
       tasks.size(), claim_order, [&](std::size_t i) {
     const std::size_t c = tasks[i].cell;
-    return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn,
-                            [&](int code, const std::string& message) {
-                              mark(c, code, message);
-                            });
+    return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn);
   });
 
   std::vector<SweepCellResult> results(cells.size());
@@ -483,21 +502,18 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
     r.rounds = spec.rounds;
     r.rounds_run = spec.rounds;
     r.shards = plans[c].num_shards();
-    const int code = states[c].code.load();
+    const bool failed = states[c].Failed(r);
     std::vector<mi::Observations> parts;
     parts.reserve(r.shards);
     for (std::size_t i = 0; i < r.shards; ++i, ++next) {
-      if (code == 0) {
+      if (!failed) {
         parts.push_back(std::move(outs[next].obs));
       }
-      r.wall_ns += outs[next].wall_ns;
-      r.contract.Merge(outs[next].contract);
+      r.wall_ns += outs[next].measured.wall_ns;
+      r.contract.Merge(outs[next].measured.contract);
     }
-    if (code == 0) {
+    if (!failed) {
       r.observations = MergeObservations(parts);
-    } else {
-      r.status = code == 2 ? "timeout" : "failed";
-      r.error = states[c].error;
     }
   }
 
@@ -527,15 +543,25 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
   return results;
 }
 
-void ApplyContract(bench::BenchRecord& record, const hw::ContractTally& tally) {
-  if (!hw::TaintTrackingEnabled()) {
-    return;
-  }
-  record.contract_clean = tally.clean() ? 1 : 0;
-  record.contract_switches = tally.switches;
-  record.contract_violations = tally.violations;
-  record.contract_whitelisted = tally.whitelisted;
-  record.contract_first = tally.has_first ? hw::ToString(tally.first) : "";
+std::vector<SweepCellResult> SweepEngine::RunCostGrid(const GridSpec& spec, const CostCellFn& fn,
+                                                      const SweepOptions& options) const {
+  const std::vector<GridCell> cells = CellsToRun(spec, options);
+  const std::uint64_t budget_ns = EffectiveCellBudgetNs(options);
+  std::vector<CellState> states(cells.size());
+  return runner_.Map(cells.size(), [&](std::size_t c) {
+    SweepCellResult r;
+    r.cell = cells[c];
+    r.shards = 1;
+    CostCell out;
+    const Isolated run = RunIsolated(cells[c], states[c], budget_ns, [&] { out = fn(cells[c]); });
+    r.wall_ns = run.wall_ns;
+    r.contract = run.contract;
+    if (!states[c].Failed(r)) {
+      r.rounds = r.rounds_run = out.rounds;
+      r.cost = std::move(out);
+    }
+    return r;
+  });
 }
 
 void RecordSweep(bench::Recorder& recorder, const ExperimentRunner& runner,
@@ -547,7 +573,15 @@ void RecordSweep(bench::Recorder& recorder, const ExperimentRunner& runner,
     record.wall_ns = r.wall_ns;
     record.threads = runner.threads();
     record.shards = r.shards;
-    if (r.ok()) {
+    if (!r.ok()) {
+      // Crash-isolated cell: no verdict or metrics; mi/m0 stay NaN (absent).
+      record.cell_status = r.status;
+      record.cell_error = r.error;
+    } else if (r.cost) {
+      record.samples = r.cost->samples;
+      record.metrics = r.cost->metrics;
+      ApplyContract(record, r.contract);
+    } else {
       record.samples = r.leakage.samples;
       record.mi_bits = r.leakage.mi_bits;
       record.m0_bits = r.leakage.m0_bits;
@@ -565,10 +599,6 @@ void RecordSweep(bench::Recorder& recorder, const ExperimentRunner& runner,
         record.ci_method = r.ci_method;
       }
       ApplyContract(record, r.contract);
-    } else {
-      // Crash-isolated cell: no leakage verdict; mi/m0 stay NaN (absent).
-      record.cell_status = r.status;
-      record.cell_error = r.error;
     }
     recorder.Add(std::move(record));
   }

@@ -9,15 +9,17 @@
 // of pre-existing cells.
 //
 // SweepEngine fans every shard of every cell into one flat task pool on the
-// ExperimentRunner; as with RunShardedCells, the shard layout is a pure
-// function of the spec, so a grid's merged results are bit-identical at any
-// TP_THREADS.
+// ExperimentRunner; the shard layout is a pure function of the spec, so a
+// grid's merged results are bit-identical at any TP_THREADS. MI cells and
+// cost cells run their bodies in the same crash-isolation harness.
 #ifndef TP_RUNNER_SWEEP_HPP_
 #define TP_RUNNER_SWEEP_HPP_
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -78,6 +80,15 @@ struct GridCell {
 
 std::vector<GridCell> ExpandGrid(const GridSpec& spec);
 
+// What one cost cell's body returns: the figures the cell owns. `display`
+// is optional text for the spec's report (fig4's spy trace).
+struct CostCell {
+  std::size_t rounds = 0;
+  std::size_t samples = 0;
+  std::map<std::string, double> metrics;
+  std::string display;
+};
+
 // One cell's merged result: observations, the leakage verdict over them,
 // and summed per-shard host work time (comparable across runs of any
 // thread count, unlike elapsed wall-clock of concurrent cells).
@@ -104,6 +115,10 @@ struct SweepCellResult {
   // carry no observations/leakage; `error` holds the first failure message.
   std::string status = "ok";
   std::string error;
+  // Cost cells (RunCostGrid): what the body returned, recorded in place of
+  // observations and a leakage verdict. Empty for MI cells and for cost
+  // cells that did not finish.
+  std::optional<CostCell> cost;
 
   bool ok() const { return status == "ok"; }
 };
@@ -177,52 +192,20 @@ class SweepEngine {
                                               const mi::LeakageOptions& leak_options = {},
                                               const SweepOptions& options = {}) const;
 
-  // Cost sweeps: one task per cell, driver-defined result type.
-  template <typename Fn>
-  auto MapCells(const GridSpec& spec, Fn&& fn) const {
-    std::vector<GridCell> cells = ExpandGrid(spec);
-    return runner_.Map(cells.size(), [&](std::size_t i) { return fn(cells[i]); });
-  }
+  using CostCellFn = std::function<CostCell(const GridCell&)>;
 
-  // One cost-cell result with the host wall time its body actually took —
-  // the per-cell `wall_ns` every schema-v2 cost record carries (amortising
-  // a grid's elapsed time over its cells would hide single-cell
-  // regressions from the trajectory gate).
-  template <typename T>
-  struct TimedCell {
-    T value{};
-    std::uint64_t wall_ns = 0;
-    hw::ContractTally contract;  // all-zero when taint off
-  };
-
-  // MapCells with per-cell wall timing and contract capture.
-  template <typename Fn>
-  auto MapCellsTimed(const GridSpec& spec, Fn&& fn) const {
-    std::vector<GridCell> cells = ExpandGrid(spec);
-    using R = std::invoke_result_t<Fn&, const GridCell&>;
-    return runner_.Map(cells.size(), [&](std::size_t i) {
-      const std::uint64_t t0 = bench::Recorder::NowNs();
-      TimedCell<R> out;
-      hw::ContractCapture capture;
-      out.value = fn(cells[i]);
-      out.contract = capture.Take();
-      out.wall_ns = bench::Recorder::NowNs() - t0;
-      return out;
-    });
-  }
-
-  const ExperimentRunner& runner() const { return runner_; }
+  // Cost sweeps: one task per cell, each run in the same crash-isolation
+  // harness, watchdog and skip set as an MI shard. A failed cell carries
+  // its status instead of a CostCell.
+  std::vector<SweepCellResult> RunCostGrid(const GridSpec& spec, const CostCellFn& fn,
+                                           const SweepOptions& options = {}) const;
 
  private:
   const ExperimentRunner& runner_;
 };
 
-// Copies a captured contract tally onto a record's contract_* fields. A
-// no-op when taint tracking is off, so v2-shaped records stay v2-shaped; a
-// zero-switch cell with taint on records as (vacuously) clean.
-void ApplyContract(bench::BenchRecord& record, const hw::ContractTally& tally);
-
-// Feeds one BenchRecord per cell result into the recorder.
+// Feeds one BenchRecord per cell result into the recorder: MI cells record
+// their leakage verdict, cost cells their samples and metrics.
 void RecordSweep(bench::Recorder& recorder, const ExperimentRunner& runner,
                  const std::vector<SweepCellResult>& results);
 

@@ -102,7 +102,7 @@ std::vector<runner::GridSpec> Grids() {
   return {grid};
 }
 
-void Report(RunContext&, const std::vector<runner::SweepCellResult>& results) {
+void Report(const std::vector<runner::SweepCellResult>& results) {
   Table t({"mechanism removed", "channel probed", "M ablated (mb)", "M protected (mb)",
            "verdict"});
   // Modes are the innermost axis: (ablated, protected) pairs are consecutive.
@@ -133,7 +133,6 @@ const RegisterChannel registrar{{
     .title = "Ablation: protected configuration minus one mechanism at a time",
     .paper = "each §3.2 requirement defeats a specific channel class; removing "
              "any one of them reopens its channel",
-    .kind = "channel",
     .contract = "protected cells clean; each ablated cell flags the exact structure its "
                 "removed mechanism scrubs",
     .grids = Grids,

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "runner/recorder.hpp"
 #include "scenarios/summary.hpp"
 
 namespace tp::scenarios {
@@ -41,12 +42,6 @@ std::vector<runner::SweepCellResult> RunSpec(const ChannelSpec& spec,
   }
   runner::SweepEngine engine(pool);
   bench::Recorder recorder(spec.name);
-  RunContext ctx{pool, engine, recorder, verbose};
-
-  if (!spec.is_channel()) {
-    spec.run(ctx);
-    return {};
-  }
 
   const bool resuming =
       options.sweep.skip_cells != nullptr && !options.sweep.skip_cells->empty();
@@ -54,8 +49,12 @@ std::vector<runner::SweepCellResult> RunSpec(const ChannelSpec& spec,
   std::vector<runner::SweepCellResult> results;
   for (const runner::GridSpec& grid : spec.grids()) {
     expanded += grid.num_cells();
-    std::vector<runner::SweepCellResult> part =
-        engine.RunChannelGrid(grid, spec.cell_shard, spec.leak_options, options.sweep);
+    std::vector<runner::SweepCellResult> part;
+    if (spec.is_channel()) {
+      part = engine.RunChannelGrid(grid, spec.cell_shard, spec.leak_options, options.sweep);
+    } else {
+      part = engine.RunCostGrid(grid, spec.cost_cell, options.sweep);
+    }
     results.insert(results.end(), std::make_move_iterator(part.begin()),
                    std::make_move_iterator(part.end()));
   }
@@ -67,15 +66,18 @@ std::vector<runner::SweepCellResult> RunSpec(const ChannelSpec& spec,
     // gate (only the "total" record exists) — refuse instead.
     throw std::runtime_error("channel '" + spec.name + "' expanded to no grid cells");
   }
-  if (verbose) {
+  if (spec.derive) {
+    spec.derive(results);
+  }
+  if (verbose && spec.is_channel()) {
     std::printf("\n");
     PrintSweepResults(results);
   }
   runner::RecordSweep(recorder, pool, results);
-  // The spec's extra report expects the full grid; a resumed partial rerun
-  // skips it (the numbers are already in the results file).
+  // The spec's report expects the full grid; a resumed partial rerun skips
+  // it (the numbers are already in the results file).
   if (spec.report && verbose && !resuming) {
-    spec.report(ctx, results);
+    spec.report(results);
   }
   return results;
 }
@@ -101,7 +103,7 @@ std::string MarkdownTable(const ChannelRegistry& registry) {
   std::string out = "| channel | kind | reproduces | paper result | contract_clean |\n";
   out += "| --- | --- | --- | --- | --- |\n";
   for (const ChannelSpec* spec : registry.All()) {
-    out += "| `" + spec->name + "` | " + spec->kind + " | " + spec->title + " | " +
+    out += "| `" + spec->name + "` | " + spec->kind() + " | " + spec->title + " | " +
            spec->paper + " | " + (spec->contract.empty() ? "—" : spec->contract) + " |\n";
   }
   return out;

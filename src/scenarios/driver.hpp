@@ -1,7 +1,7 @@
 // Registry-driven scenario execution: the tp_bench CLI, the sweep script
 // and the tests all run scenarios through these entry points, so every
-// registered channel behaves identically — header, grid expansion (channel
-// specs) or custom body (cost specs), uniform summary, recording.
+// registered channel behaves identically — header, grid expansion,
+// crash-isolated cells, recording, report.
 #ifndef TP_SCENARIOS_DRIVER_HPP_
 #define TP_SCENARIOS_DRIVER_HPP_
 
@@ -24,20 +24,20 @@ std::vector<const ChannelSpec*> SelectSpecs(const ChannelRegistry& registry,
 // Per-run controls for RunSpec beyond the shared pool.
 struct RunSpecOptions {
   bool verbose = true;
-  // Crash isolation / resume controls, forwarded to RunChannelGrid. When
-  // the skip set leaves a spec with zero cells to run, RunSpec returns
-  // empty instead of treating the spec as mis-registered; when any cell
-  // was skipped the spec's extra report is suppressed (report callbacks
-  // expect the full grid).
+  // Crash isolation / resume controls, forwarded to every grid. When the
+  // skip set leaves a spec with zero cells to run, RunSpec returns empty
+  // instead of treating the spec as mis-registered; when any cell was
+  // skipped the spec's report is suppressed (report callbacks expect the
+  // full grid).
   runner::SweepOptions sweep;
 };
 
-// Runs one spec end to end on the shared pool. Channel specs expand each of
-// their grids through SweepEngine::RunChannelGrid, print the uniform sweep
-// table, record every cell and then invoke the spec's extra report; cost
-// specs run their custom body. Returns the channel-grid cell results (empty
-// for cost specs). Cell failures are crash-isolated into the results'
-// status fields, not thrown.
+// Runs one spec end to end on the shared pool: expands each of its grids
+// through SweepEngine::RunChannelGrid (channel specs, which then print the
+// uniform sweep table) or RunCostGrid (cost specs, then their derive
+// step), records every cell and invokes the spec's report. Returns the
+// cell results in grid order. Cell failures are crash-isolated into the
+// results' status fields, not thrown.
 std::vector<runner::SweepCellResult> RunSpec(const ChannelSpec& spec,
                                              const runner::ExperimentRunner& pool,
                                              const RunSpecOptions& options);

@@ -37,7 +37,7 @@ std::vector<runner::GridSpec> Grids() {
   return {raw, prot};
 }
 
-void Report(RunContext&, const std::vector<runner::SweepCellResult>& results) {
+void Report(const std::vector<runner::SweepCellResult>& results) {
   const runner::SweepCellResult& paper_cell = results.front();
   std::printf(
       "\nchannel matrix at the paper's point (%s; inputs: 0=Signal 1=SetPriority "
@@ -55,7 +55,6 @@ const RegisterChannel registrar{{
     .title = "Figure 3: timing channel via a shared kernel image",
     .paper = "x86: raw M=0.79b (n=255790), protected M=0.6mb (M0=0.1mb); "
              "Arm: raw M=20mb, protected 0.0mb",
-    .kind = "channel",
     .contract = "protected cells clean; raw dirty (shared kernel image residue)",
     .grids = Grids,
     .cell_shard = CellShard,

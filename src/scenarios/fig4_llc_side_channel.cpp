@@ -17,49 +17,42 @@
 namespace tp::scenarios {
 namespace {
 
-void Run(RunContext& ctx) {
-  std::size_t slots = bench::Scaled(1200, 256);
-  constexpr std::uint64_t kSecret = 0xB1A5ED5EEDull;
+constexpr std::uint64_t kSecret = 0xB1A5ED5EEDull;
 
+std::vector<runner::GridSpec> Grids() {
   runner::GridSpec grid;
   grid.platforms = {kHaswell};
   grid.modes = {"raw", "protected"};
-  std::vector<runner::GridCell> cells = runner::ExpandGrid(grid);
+  return {grid};
+}
 
-  // The spy trace is one continuous time series per scenario, so the
-  // fan-out unit is the grid cell, not the slot.
-  auto results = ctx.engine.MapCellsTimed(grid, [&](const runner::GridCell& cell) {
-    return attacks::RunLlcSideChannel(PlatformConfig(cell.platform, 2),
-                                      ScenarioByName(cell.mode), kSecret, slots);
-  });
+// The spy trace is one continuous time series per scenario, so the unit of
+// work is the grid cell, not the slot.
+runner::CostCell Cell(const runner::GridCell& cell) {
+  const std::size_t slots = bench::Scaled(1200, 256);
+  attacks::SideChannelResult r = attacks::RunLlcSideChannel(
+      PlatformConfig(cell.platform, 2), ScenarioByName(cell.mode), kSecret, slots);
+  char summary[160];
+  std::snprintf(summary, sizeof(summary),
+                "activity in %zu/%zu slots (%.1f%%), %zu dot events, victim completed "
+                "%zu decryptions\n",
+                r.activity_slots, r.trace.size(), r.activity_fraction * 100.0,
+                r.activity_events, r.victim_decryptions);
+  return {.rounds = slots,
+          .samples = r.trace.size(),
+          .metrics = {{"activity_slots", static_cast<double>(r.activity_slots)},
+                      {"activity_events", static_cast<double>(r.activity_events)},
+                      {"activity_fraction", r.activity_fraction}},
+          .display = summary + r.AsciiTrace(100)};
+}
 
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const attacks::SideChannelResult& r = results[i].value;
-    if (ctx.verbose) {
-      std::printf(
-          "\n%s: activity in %zu/%zu slots (%.1f%%), %zu dot events, victim "
-          "completed %zu decryptions\n",
-          cells[i].Name().c_str(), r.activity_slots, r.trace.size(),
-          r.activity_fraction * 100.0, r.activity_events, r.victim_decryptions);
-      std::printf("%s", r.AsciiTrace(100).c_str());
-    }
-    bench::BenchRecord rec{
-        .cell = cells[i].Name(),
-        .rounds = slots,
-        .samples = r.trace.size(),
-        .wall_ns = results[i].wall_ns,
-        .threads = ctx.pool.threads(),
-        .metrics = {{"activity_slots", static_cast<double>(r.activity_slots)},
-                    {"activity_events", static_cast<double>(r.activity_events)},
-                    {"activity_fraction", r.activity_fraction}}};
-    runner::ApplyContract(rec, results[i].contract);
-    ctx.recorder.Add(std::move(rec));
+void Report(const std::vector<runner::SweepCellResult>& results) {
+  for (const runner::SweepCellResult& r : results) {
+    std::printf("\n%s: %s", r.cell.Name().c_str(), r.cost ? r.cost->display.c_str() : "failed\n");
   }
-  if (ctx.verbose) {
-    std::printf(
-        "\nShape check: the raw spy recovers the square-invocation pattern (dots\n"
-        "with bit-dependent spacing); colouring leaves the spy blind.\n");
-  }
+  std::printf(
+      "\nShape check: the raw spy recovers the square-invocation pattern (dots\n"
+      "with bit-dependent spacing); colouring leaves the spy blind.\n");
 }
 
 const RegisterChannel registrar{{
@@ -67,9 +60,10 @@ const RegisterChannel registrar{{
     .title = "Figure 4: cross-core LLC side channel on modular exponentiation",
     .paper = "raw: square-pattern dots at the victim's set; protected: no "
              "activity detectable",
-    .kind = "cost",
     .contract = "all cells clean (cross-core: no shared on-core state)",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .report = Report,
 }};
 
 }  // namespace

@@ -44,7 +44,7 @@ std::vector<runner::GridSpec> Grids() {
   return {grid};
 }
 
-void Report(RunContext&, const std::vector<runner::SweepCellResult>& results) {
+void Report(const std::vector<runner::SweepCellResult>& results) {
   for (const runner::SweepCellResult& r : results) {
     if (r.cell.mode != "nopad") {
       continue;
@@ -75,7 +75,6 @@ const RegisterChannel registrar{{
     .title = "Figure 5: cache-flush channel (Arm), unpadded vs padded",
     .paper = "receiver offline time vs sender dirty footprint; unmitigated "
              "M = 1.4 b at n = 1828; padding closes it",
-    .kind = "channel",
     .contract = "all cells clean (pure timing channel, no residue)",
     .grids = Grids,
     .cell_shard = CellShard,

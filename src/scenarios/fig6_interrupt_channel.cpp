@@ -34,7 +34,7 @@ std::vector<runner::GridSpec> Grids() {
   return {grid};
 }
 
-void Report(RunContext&, const std::vector<runner::SweepCellResult>& results) {
+void Report(const std::vector<runner::SweepCellResult>& results) {
   for (const runner::SweepCellResult& r : results) {
     if (r.cell.mode == "raw" && r.cell.timeslice_ms == 2.0) {
       std::printf(
@@ -53,7 +53,6 @@ const RegisterChannel registrar{{
     .title = "Figure 6: interrupt covert channel",
     .paper = "raw: M = 902 mb (timer 13-17ms, 10ms tick); partitioned: closed "
              "(M = 0.5 mb, M0 = 0.7 mb)",
-    .kind = "channel",
     .contract = "partitioned cells clean; raw dirty (foreign interrupt residue)",
     .grids = Grids,
     .cell_shard = CellShard,

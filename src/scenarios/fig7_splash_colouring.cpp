@@ -59,96 +59,80 @@ double RunOnce(const hw::MachineConfig& mc, workloads::SplashKind kind, bool clo
   return static_cast<double>(machine.core(0).now() - t0);
 }
 
-void Run(RunContext& ctx) {
-  std::uint64_t accesses = bench::QuickMode() ? 60'000 : 320'000;
-  std::vector<std::string> kinds;
-  for (workloads::SplashKind kind : workloads::AllSplashKinds()) {
-    kinds.emplace_back(workloads::SplashName(kind));
-  }
-
+// Every (benchmark, config) run, the 100% baselines included, is an
+// independent simulation.
+std::vector<runner::GridSpec> Grids() {
   runner::GridSpec grid;
   grid.platforms = {kHaswell, kSabre};
-  grid.variants = kinds;
+  grid.variants = SplashNames();
   grid.modes = {"base", "clone"};
   grid.colour_fractions = {1.0, 0.75, 0.5};
-  std::vector<runner::GridCell> cells = runner::ExpandGrid(grid);
+  return {grid};
+}
 
-  // Every (benchmark, config) run — including the 100% baselines — is an
-  // independent simulation; fan them all out at once, timing each cell.
-  auto timed = ctx.engine.MapCellsTimed(grid, [&](const runner::GridCell& cell) {
-    return RunOnce(PlatformConfig(cell.platform), SplashKindByName(cell.variant),
-                   cell.mode == "clone", cell.colour_fraction, accesses);
-  });
-  std::vector<double> cycles;
-  cycles.reserve(timed.size());
-  for (const auto& t : timed) {
-    cycles.push_back(t.value);
-  }
+runner::CostCell Cell(const runner::GridCell& cell) {
+  const std::uint64_t accesses = bench::QuickMode() ? 60'000 : 320'000;
+  const double cycles = RunOnce(PlatformConfig(cell.platform), SplashKindByName(cell.variant),
+                                cell.mode == "clone", cell.colour_fraction, accesses);
+  return {.rounds = accesses, .metrics = {{"cycles", cycles}}};
+}
 
-  // Baseline (base mode, all colours) cycles per platform/benchmark.
-  std::map<std::string, double> base;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (cells[i].mode == "base" && cells[i].colour_fraction == 1.0) {
-      base[cells[i].platform + "/" + cells[i].variant] = cycles[i];
-    }
-  }
+// Slowdown of every cell against its benchmark's base run with all colours.
+void Slowdowns(std::vector<runner::SweepCellResult>& results) {
+  FillFromBaseline(
+      results,
+      [](runner::GridCell& cell) {
+        cell.mode = "base";
+        cell.colour_fraction = 1.0;
+        return true;
+      },
+      [](runner::CostCell& cell, const runner::CostCell& base) {
+        cell.metrics["slowdown"] = cell.metrics.at("cycles") / base.metrics.at("cycles") - 1.0;
+      });
+}
 
-  // Record every cell; collect slowdowns for the per-platform tables.
+void Report(const std::vector<runner::SweepCellResult>& results) {
+  // Slowdowns for the per-platform tables, the baselines themselves left out.
   std::map<std::string, std::map<std::string, double>> slowdowns;  // platform -> col -> geo
   std::map<std::string, std::map<std::string, std::string>> rows;  // platform/bench -> col
-  auto col_name = [](const runner::GridCell& cell) {
-    return Fmt("%.0f", cell.colour_fraction * 100.0) + "% " + cell.mode;
-  };
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const runner::GridCell& cell = cells[i];
-    double b = base.at(cell.platform + "/" + cell.variant);
-    double slowdown = cycles[i] / b - 1.0;
-    bench::BenchRecord rec;
-    rec.cell = cell.Name();
-    rec.rounds = accesses;
-    rec.wall_ns = timed[i].wall_ns;
-    rec.threads = ctx.pool.threads();
-    rec.metrics["cycles"] = cycles[i];
-    rec.metrics["slowdown"] = slowdown;
-    runner::ApplyContract(rec, timed[i].contract);
-    ctx.recorder.Add(std::move(rec));
+  for (const runner::SweepCellResult& r : results) {
+    const runner::GridCell& cell = r.cell;
     if (cell.mode == "base" && cell.colour_fraction == 1.0) {
-      continue;  // the baseline itself
+      continue;
     }
-    std::string col = col_name(cell);
+    const double slowdown = Metric(r, "slowdown");
+    std::string col = Fmt("%.0f", cell.colour_fraction * 100.0) + "% " + cell.mode;
     rows[cell.platform + "/" + cell.variant][col] = Fmt("%+.2f%%", slowdown * 100.0);
     auto& geo = slowdowns[cell.platform][col];
     geo = (geo == 0.0 ? 1.0 : geo) * (slowdown + 1.0);
   }
 
-  if (ctx.verbose) {
-    const std::vector<std::string> cols = {"75% base", "50% base", "100% clone", "75% clone",
-                                           "50% clone"};
-    for (const std::string& platform : grid.platforms) {
-      std::printf("\n--- %s ---\n", platform.c_str());
-      Table t({"benchmark", cols[0], cols[1], cols[2], cols[3], cols[4]});
-      for (const std::string& kind : kinds) {
-        std::vector<std::string> row{kind};
-        for (const std::string& col : cols) {
-          row.push_back(rows[platform + "/" + kind][col]);
-        }
-        t.AddRow(std::move(row));
-      }
-      std::vector<std::string> mean_row{"GEOMEAN"};
+  const std::vector<std::string> kinds = SplashNames();
+  const std::vector<std::string> cols = {"75% base", "50% base", "100% clone", "75% clone",
+                                         "50% clone"};
+  const double n = static_cast<double>(kinds.size());
+  for (const std::string& platform : {std::string(kHaswell), std::string(kSabre)}) {
+    std::printf("\n--- %s ---\n", platform.c_str());
+    Table t({"benchmark", cols[0], cols[1], cols[2], cols[3], cols[4]});
+    for (const std::string& kind : kinds) {
+      std::vector<std::string> row{kind};
       for (const std::string& col : cols) {
-        double g = std::pow(slowdowns[platform][col],
-                            1.0 / static_cast<double>(kinds.size())) -
-                   1.0;
-        mean_row.push_back(Fmt("%+.2f%%", g * 100.0));
+        row.push_back(rows[platform + "/" + kind][col]);
       }
-      t.AddRow(std::move(mean_row));
-      t.Print();
+      t.AddRow(std::move(row));
     }
-    std::printf(
-        "\nShape checks: slowdown grows as the colour share shrinks; the\n"
-        "large-working-set benchmarks (raytrace, fft, ocean) suffer most; the\n"
-        "cloned-kernel columns track the base columns closely.\n");
+    std::vector<std::string> mean_row{"GEOMEAN"};
+    for (const std::string& col : cols) {
+      double g = std::pow(slowdowns[platform][col], 1.0 / n) - 1.0;
+      mean_row.push_back(Fmt("%+.2f%%", g * 100.0));
+    }
+    t.AddRow(std::move(mean_row));
+    t.Print();
   }
+  std::printf(
+      "\nShape checks: slowdown grows as the colour share shrinks; the\n"
+      "large-working-set benchmarks (raytrace, fft, ocean) suffer most; the\n"
+      "cloned-kernel columns track the base columns closely.\n");
 }
 
 const RegisterChannel registrar{{
@@ -156,9 +140,11 @@ const RegisterChannel registrar{{
     .title = "Figure 7: Splash-2 slowdown from colouring and cloned kernels",
     .paper = "most benchmarks <2% even at 50% colours; raytrace worst (6.5% at "
              "50% Arm, 2.5% at 75%); cloning adds ~0 on top",
-    .kind = "cost",
     .contract = "all cells clean (full protection throughout)",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .derive = Slowdowns,
+    .report = Report,
 }};
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,9 @@
 #include "hw/machine.hpp"
 #include "kernel/kernel.hpp"
 #include "runner/quick.hpp"
+#include "runner/recorder.hpp"
 #include "scenarios/scenario.hpp"
+#include "scenarios/scenario_util.hpp"
 #include "scenarios/summary.hpp"
 
 namespace tp::scenarios {
@@ -149,40 +152,49 @@ std::vector<Micro> Benches() {
   return benches;
 }
 
-void Run(RunContext& ctx) {
-  Table t({"microbench", "ops", "ns/op"});
-  // ns/op is a host-speed measurement: run the benches serially so they do
-  // not contend with each other for cores.
+std::vector<runner::GridSpec> Grids() {
+  runner::GridSpec grid;
+  grid.variants.clear();
   for (const Micro& bench : Benches()) {
+    grid.variants.emplace_back(bench.name);
+  }
+  return {grid};
+}
+
+// ns/op is a host-speed measurement, timed around the bench loop alone.
+runner::CostCell Cell(const runner::GridCell& cell) {
+  for (const Micro& bench : Benches()) {
+    if (cell.variant != bench.name) {
+      continue;
+    }
     std::size_t n = bench::Scaled(bench.iterations, bench.iterations / 64);
     std::uint64_t t0 = bench::Recorder::NowNs();
-    hw::ContractCapture capture;
     bench.run(n);
-    hw::ContractTally contract = capture.Take();
     std::uint64_t wall = bench::Recorder::NowNs() - t0;
     double ns_per_op = static_cast<double>(wall) / static_cast<double>(n);
-    t.AddRow({bench.name, std::to_string(n), Fmt("%.1f", ns_per_op)});
-    bench::BenchRecord rec{.cell = bench.name,
-                           .rounds = n,
-                           .wall_ns = wall,
-                           .metrics = {{"ns_per_op", ns_per_op}}};
-    runner::ApplyContract(rec, contract);
-    ctx.recorder.Add(std::move(rec));
+    return {.rounds = n, .metrics = {{"ns_per_op", ns_per_op}}};
   }
-  if (ctx.verbose) {
-    std::printf("\n");
-    t.Print();
-    std::printf("\n(host simulation throughput, not simulated time)\n");
+  throw std::invalid_argument("unknown microbench: " + cell.variant);
+}
+
+void Report(const std::vector<runner::SweepCellResult>& results) {
+  Table t({"microbench", "ops", "ns/op"});
+  for (const runner::SweepCellResult& r : results) {
+    t.AddRow({r.cell.variant, std::to_string(r.rounds), Fmt("%.1f", Metric(r, "ns_per_op"))});
   }
+  std::printf("\n");
+  t.Print();
+  std::printf("\n(host simulation throughput, not simulated time)\n");
 }
 
 const RegisterChannel registrar{{
     .name = "microbench",
     .title = "Microbenchmarks: host throughput of the simulator's hot paths",
     .paper = "n/a (simulator implementation metric, not a paper figure)",
-    .kind = "cost",
     .contract = "all cells clean",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .report = Report,
 }};
 
 }  // namespace

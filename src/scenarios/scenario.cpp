@@ -13,23 +13,12 @@ void ChannelRegistry::Register(ChannelSpec spec) {
   if (Find(spec.name) != nullptr) {
     throw std::invalid_argument("duplicate channel name: " + spec.name);
   }
-  if (spec.is_channel()) {
-    if (spec.run) {
-      throw std::invalid_argument("channel '" + spec.name +
-                                  "' sets both cell_shard and a custom run body");
-    }
-    if (!spec.grids) {
-      throw std::invalid_argument("channel '" + spec.name + "' has no grids");
-    }
-  } else if (!spec.run) {
-    throw std::invalid_argument("channel '" + spec.name + "' has no body");
+  if (spec.is_channel() == static_cast<bool>(spec.cost_cell)) {
+    throw std::invalid_argument("channel '" + spec.name +
+                                "' needs exactly one of cell_shard and cost_cell");
   }
-  if (spec.kind.empty()) {
-    spec.kind = spec.is_channel() ? "channel" : "cost";
-  }
-  if (spec.kind != "channel" && spec.kind != "cost") {
-    throw std::invalid_argument("channel '" + spec.name + "' has unknown kind '" + spec.kind +
-                                "'");
+  if (!spec.grids) {
+    throw std::invalid_argument("channel '" + spec.name + "' has no grids");
   }
   specs_.push_back(std::move(spec));
 }

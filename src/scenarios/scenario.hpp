@@ -4,11 +4,11 @@
 // A ChannelSpec describes one figure/table reproduction: its name (the
 // recorder's bench key), the GridSpec(s) spanning its evaluation axes, and
 // the body that produces results. Channel-style scenarios supply a
-// per-(cell, shard) experiment closure and are expanded uniformly through
-// SweepEngine::RunChannelGrid — summary table, leakage tests and recording
-// are shared driver code, not per-driver boilerplate. Cost-style scenarios
-// (switch latency, IPC cycles, Splash slowdowns, ...) supply a custom body
-// that still runs on the shared pool and recorder.
+// per-(cell, shard) experiment closure expanded through
+// SweepEngine::RunChannelGrid; cost-style scenarios (switch latency, IPC
+// cycles, Splash slowdowns, ...) supply a per-cell body expanded through
+// SweepEngine::RunCostGrid. Crash isolation, recording and resume are
+// shared driver code for both, not per-scenario boilerplate.
 //
 // Specs self-register into the global registry from static initialisers
 // (`RegisterChannel` at namespace scope in each scenario file), so the
@@ -24,26 +24,14 @@
 #include <vector>
 
 #include "mi/leakage_test.hpp"
-#include "runner/recorder.hpp"
-#include "runner/runner.hpp"
 #include "runner/sweep.hpp"
 
 namespace tp::scenarios {
-
-// Everything a scenario body needs: the shared host-thread pool, a sweep
-// engine over it, and this scenario's recorder (bench name = spec name).
-struct RunContext {
-  const runner::ExperimentRunner& pool;
-  runner::SweepEngine& engine;
-  bench::Recorder& recorder;
-  bool verbose = true;  // print tables/matrices; recording always happens
-};
 
 struct ChannelSpec {
   std::string name;   // registry key and recorder bench name
   std::string title;  // one-line heading ("Figure 3: ...")
   std::string paper;  // the paper's numbers for this experiment
-  std::string kind;   // "channel" (MI cells, leak-gated) or "cost" (metrics)
   // What the taint-tracking contract checker proves for this scenario's
   // cells under TP_TAINT=1 (the `contract_clean` column of the README
   // table). Empty renders as "—".
@@ -58,20 +46,28 @@ struct ChannelSpec {
   runner::SweepEngine::CellShardFn cell_shard;
   mi::LeakageOptions leak_options;
 
-  // Optional extra reporting after the uniform sweep summary (channel
-  // matrices, per-symbol scatter tables, shape checks).
-  std::function<void(RunContext&, const std::vector<runner::SweepCellResult>&)> report;
+  // Cost scenarios: the per-cell body consumed by SweepEngine::RunCostGrid
+  // (set instead of cell_shard).
+  runner::SweepEngine::CostCellFn cost_cell;
+  // Optional cost-scenario step that fills in metrics comparing a cell with
+  // a baseline cell. Runs once over all of the spec's grids, before
+  // recording.
+  std::function<void(std::vector<runner::SweepCellResult>&)> derive;
 
-  // Cost scenarios: fully custom body (set instead of cell_shard).
-  std::function<void(RunContext&)> run;
+  // Optional reporting after the cells are recorded (tables, channel
+  // matrices, per-symbol scatter tables, shape checks).
+  std::function<void(const std::vector<runner::SweepCellResult>&)> report;
 
   bool is_channel() const { return static_cast<bool>(cell_shard); }
+  // "channel" (MI cells, leak-gated) or "cost" (metrics), from the body.
+  std::string kind() const { return is_channel() ? "channel" : "cost"; }
 };
 
 class ChannelRegistry {
  public:
   // Validates and adds a spec. Throws std::invalid_argument on an empty or
-  // duplicate name, a missing body, or a body/kind mismatch.
+  // duplicate name, missing grids, or not exactly one of cell_shard and
+  // cost_cell.
   void Register(ChannelSpec spec);
 
   const ChannelSpec* Find(std::string_view name) const;  // nullptr when unknown

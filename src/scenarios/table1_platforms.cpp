@@ -12,10 +12,24 @@
 namespace tp::scenarios {
 namespace {
 
-void PrintPlatform(RunContext& ctx, const std::string& platform) {
-  hw::MachineConfig mc = PlatformConfig(platform, /*cores=*/4);
-  std::uint64_t t0 = bench::Recorder::NowNs();
-  if (ctx.verbose) {
+std::vector<runner::GridSpec> Grids() {
+  runner::GridSpec grid;
+  grid.platforms = {kHaswell, kSabre};
+  return {grid};
+}
+
+// No domain ever switches here; the contract is vacuously clean, recorded
+// so taint-on runs carry the observable for every cell.
+runner::CostCell Cell(const runner::GridCell& cell) {
+  hw::MachineConfig mc = PlatformConfig(cell.platform, /*cores=*/4);
+  return {.metrics = {{"num_colours", static_cast<double>(core::NumColours(mc))},
+                      {"llc_colours", static_cast<double>(mc.llc.Colours())},
+                      {"cores", static_cast<double>(mc.num_cores)}}};
+}
+
+void Report(const std::vector<runner::SweepCellResult>& results) {
+  for (const runner::SweepCellResult& r : results) {
+    hw::MachineConfig mc = PlatformConfig(r.cell.platform, /*cores=*/4);
     std::printf("\n%s\n", mc.name.c_str());
     Table t({"property", "value"});
     t.AddRow({"clock", Fmt("%.1f GHz", mc.clock_ghz)});
@@ -52,30 +66,16 @@ void PrintPlatform(RunContext& ctx, const std::string& platform) {
                                                       : "manual (loads + jump chain)"});
     t.Print();
   }
-  bench::BenchRecord rec{
-      .cell = platform,
-      .wall_ns = bench::Recorder::NowNs() - t0,
-      .metrics = {{"num_colours", static_cast<double>(core::NumColours(mc))},
-                  {"llc_colours", static_cast<double>(mc.llc.Colours())},
-                  {"cores", static_cast<double>(mc.num_cores)}}};
-  // No domain ever switches here; the contract is vacuously clean, recorded
-  // so taint-on runs carry the observable for every cell.
-  runner::ApplyContract(rec, hw::ContractTally{});
-  ctx.recorder.Add(std::move(rec));
-}
-
-void Run(RunContext& ctx) {
-  PrintPlatform(ctx, kHaswell);
-  PrintPlatform(ctx, kSabre);
 }
 
 const RegisterChannel registrar{{
     .name = "table1_platforms",
     .title = "Table 1: hardware platforms (simulated)",
     .paper = "Haswell Core i7-4770 4x2 @3.4GHz; Sabre i.MX6Q Cortex A9 4x1 @0.8GHz",
-    .kind = "cost",
     .contract = "all cells clean",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .report = Report,
 }};
 
 }  // namespace

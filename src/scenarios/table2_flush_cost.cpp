@@ -44,12 +44,16 @@ class SweepProgram final : public kernel::UserProgram {
   std::uint64_t sweeps_ = 0;
 };
 
-struct CostCell {
-  double direct_us = 0.0;
-  double indirect_us = 0.0;
-};
+std::vector<runner::GridSpec> Grids() {
+  runner::GridSpec grid;
+  grid.platforms = {kHaswell, kSabre};
+  grid.variants = {"L1", "full"};
+  return {grid};
+}
 
-CostCell MeasureCell(const hw::MachineConfig& mc, bool full) {
+runner::CostCell Cell(const runner::GridCell& cell) {
+  const hw::MachineConfig mc = PlatformConfig(cell.platform);
+  const bool full = cell.variant == "full";
   hw::Machine machine(mc);
   kernel::KernelConfig kc;
   kc.timeslice_cycles = machine.MicrosToCycles(1e6);  // no preemption
@@ -78,52 +82,33 @@ CostCell MeasureCell(const hw::MachineConfig& mc, bool full) {
     kernel.StepCore(0);
   }
   hw::Cycles cold = prog.last_sweep();
-  CostCell cell;
-  cell.indirect_us = machine.CyclesToMicros(cold > steady ? cold - steady : 0);
-  cell.direct_us = machine.CyclesToMicros(direct);
-  return cell;
+  hw::Cycles refill = cold > steady ? cold - steady : 0;
+  return {.metrics = {{"direct_us", machine.CyclesToMicros(direct)},
+                      {"indirect_us", machine.CyclesToMicros(refill)}}};
 }
 
-void Run(RunContext& ctx) {
+void Report(const std::vector<runner::SweepCellResult>& results) {
   const std::map<std::string, const char*> paper = {
       {std::string(kHaswell) + "/L1", "26 / 1 / 27"},
       {std::string(kHaswell) + "/full", "270 / 250 / 520"},
       {std::string(kSabre) + "/L1", "20 / 25 / 45"},
       {std::string(kSabre) + "/full", "380 / 770 / 1150"},
   };
-  runner::GridSpec grid;
-  grid.platforms = {kHaswell, kSabre};
-  grid.variants = {"L1", "full"};
-  std::vector<runner::GridCell> cells = runner::ExpandGrid(grid);
-
-  auto costs = ctx.engine.MapCellsTimed(grid, [&](const runner::GridCell& cell) {
-    return MeasureCell(PlatformConfig(cell.platform), cell.variant == "full");
-  });
-
   Table t({"platform", "cache", "direct", "indirect", "total", "paper(d/i/t)"});
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    auto it = paper.find(cells[i].platform + "/" + cells[i].variant);
-    const CostCell& cost = costs[i].value;
-    t.AddRow({cells[i].platform, cells[i].variant == "full" ? "Full flush" : "L1 only",
-              Fmt("%.1f", cost.direct_us), Fmt("%.1f", cost.indirect_us),
-              Fmt("%.1f", cost.direct_us + cost.indirect_us),
+  for (const runner::SweepCellResult& r : results) {
+    auto it = paper.find(r.cell.Name());
+    const double direct = Metric(r, "direct_us");
+    const double indirect = Metric(r, "indirect_us");
+    t.AddRow({r.cell.platform, r.cell.variant == "full" ? "Full flush" : "L1 only",
+              Fmt("%.1f", direct), Fmt("%.1f", indirect), Fmt("%.1f", direct + indirect),
               it != paper.end() ? it->second : "-"});
-    bench::BenchRecord rec{.cell = cells[i].Name(),
-                           .wall_ns = costs[i].wall_ns,
-                           .threads = ctx.pool.threads(),
-                           .metrics = {{"direct_us", cost.direct_us},
-                                       {"indirect_us", cost.indirect_us}}};
-    runner::ApplyContract(rec, costs[i].contract);
-    ctx.recorder.Add(std::move(rec));
   }
-  if (ctx.verbose) {
-    std::printf("\n");
-    t.Print();
-    std::printf(
-        "\nShape checks: full >> L1 on both platforms; x86 manual L1 flush is\n"
-        "dominated by the serialised jump chain (would be ~1 us with hardware "
-        "support).\n");
-  }
+  std::printf("\n");
+  t.Print();
+  std::printf(
+      "\nShape checks: full >> L1 on both platforms; x86 manual L1 flush is\n"
+      "dominated by the serialised jump chain (would be ~1 us with hardware "
+      "support).\n");
 }
 
 const RegisterChannel registrar{{
@@ -132,9 +117,10 @@ const RegisterChannel registrar{{
     .paper = "x86 L1 dir 26 ind 1 tot 27; full 270/250/520. Arm L1 20/25/45; "
              "full 380/770/1150. (x86 L1 is the manual flush; ~1us with "
              "hardware support)",
-    .kind = "cost",
     .contract = "all cells clean",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .report = Report,
 }};
 
 }  // namespace

@@ -51,7 +51,7 @@ std::vector<runner::GridSpec> Grids() {
   return {x86, arm};
 }
 
-void Report(RunContext&, const std::vector<runner::SweepCellResult>& results) {
+void Report(const std::vector<runner::SweepCellResult>& results) {
   // Paper numbers (mb), raw / full flush / protected, keyed platform|cache.
   const std::map<std::string, std::string> paper = {
       {std::string(kHaswell) + "|L1-D", "4000 / 0.5 / 0.6"},
@@ -109,7 +109,6 @@ const RegisterChannel registrar{{
     .title = "Table 3: intra-core timing channels (mb), raw / full flush / protected",
     .paper = "all closed on both platforms except x86 L2: 50.5mb residual from "
              "the prefetcher state machine (6.4mb with the data prefetcher off)",
-    .kind = "channel",
     .contract = "full-flush and protected cells clean; raw dirty by design",
     .grids = Grids,
     .cell_shard = CellShard,

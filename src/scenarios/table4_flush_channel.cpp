@@ -41,7 +41,7 @@ std::vector<runner::GridSpec> Grids() {
   return {grid};
 }
 
-void Report(RunContext&, const std::vector<runner::SweepCellResult>& results) {
+void Report(const std::vector<runner::SweepCellResult>& results) {
   Table t({"platform", "timing", "no pad M (mb)", "protected M (M0) (mb)", "verdict",
            "pad (us)"});
   // Modes are the innermost axis: each observable's nopad / protected cells
@@ -74,7 +74,6 @@ const RegisterChannel registrar{{
     .title = "Table 4: cache-flush channel (mb) without and with time padding",
     .paper = "x86: 8.4/8.3mb -> 0.5/0.6mb (pad 58.8us); Arm: 1400/1400mb -> "
              "closed (pad 62.5us)",
-    .kind = "channel",
     .contract = "all cells clean (pure timing channel, no residue)",
     .grids = Grids,
     .cell_shard = CellShard,

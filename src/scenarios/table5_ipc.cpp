@@ -134,59 +134,52 @@ double MeasureIpc(const hw::MachineConfig& mc, const std::string& version,
   return round_trip / 2.0;
 }
 
-void Run(RunContext& ctx) {
-  std::size_t rounds = bench::Scaled(4000, 512);
+std::vector<runner::GridSpec> Grids() {
+  runner::GridSpec grid;
+  grid.platforms = {kHaswell, kSabre};
+  grid.variants = {"original", "colour-ready", "intra-colour", "inter-colour"};
+  return {grid};
+}
+
+runner::CostCell Cell(const runner::GridCell& cell) {
+  const std::size_t rounds = bench::Scaled(4000, 512);
+  const double cycles = MeasureIpc(PlatformConfig(cell.platform), cell.variant, rounds);
+  return {.rounds = rounds, .metrics = {{"ipc_cycles", cycles}}};
+}
+
+// Slowdown of each version against its platform's original kernel.
+void Slowdowns(std::vector<runner::SweepCellResult>& results) {
+  FillFromBaseline(
+      results,
+      [](runner::GridCell& cell) {
+        cell.variant = "original";
+        return true;
+      },
+      [](runner::CostCell& cell, const runner::CostCell& base) {
+        cell.metrics["slowdown_pct"] =
+            (cell.metrics.at("ipc_cycles") / base.metrics.at("ipc_cycles") - 1.0) * 100.0;
+      });
+}
+
+void Report(const std::vector<runner::SweepCellResult>& results) {
   const std::map<std::string, const char*> paper = {
       {kHaswell, "381 cyc; colour-ready +1%, intra 0%, inter -1%"},
       {kSabre, "344 cyc; colour-ready +14%, intra +15%, inter +13%"},
   };
-
-  runner::GridSpec grid;
-  grid.platforms = {kHaswell, kSabre};
-  grid.variants = {"original", "colour-ready", "intra-colour", "inter-colour"};
-  std::vector<runner::GridCell> cells = runner::ExpandGrid(grid);
-
-  auto timed = ctx.engine.MapCellsTimed(grid, [&](const runner::GridCell& cell) {
-    return MeasureIpc(PlatformConfig(cell.platform), cell.variant, rounds);
-  });
-  std::vector<double> cycles;
-  cycles.reserve(timed.size());
-  for (const auto& t : timed) {
-    cycles.push_back(t.value);
-  }
-
-  // Versions are the inner axis: each platform's four cells are
-  // consecutive, "original" first.
-  for (std::size_t p = 0; p < cells.size(); p += grid.variants.size()) {
-    const std::string& platform = cells[p].platform;
-    if (ctx.verbose) {
-      auto it = paper.find(platform);
-      std::printf("\n--- %s (paper: %s) ---\n", platform.c_str(),
-                  it != paper.end() ? it->second : "-");
-    }
+  for (const auto& [platform, numbers] : paper) {
+    std::printf("\n--- %s (paper: %s) ---\n", platform.c_str(), numbers);
     Table t({"version", "cycles", "slowdown"});
-    double base = cycles[p];
-    for (std::size_t i = p; i < p + grid.variants.size(); ++i) {
-      double slowdown = (cycles[i] / base - 1.0) * 100.0;
-      t.AddRow({cells[i].variant, Fmt("%.0f", cycles[i]), Fmt("%+.1f%%", slowdown)});
-      bench::BenchRecord rec{
-          .cell = cells[i].Name(),
-          .rounds = rounds,
-          .wall_ns = timed[i].wall_ns,
-          .threads = ctx.pool.threads(),
-          .metrics = {{"ipc_cycles", cycles[i]}, {"slowdown_pct", slowdown}}};
-      runner::ApplyContract(rec, timed[i].contract);
-      ctx.recorder.Add(std::move(rec));
+    for (const runner::SweepCellResult& r : results) {
+      if (r.cell.platform == platform) {
+        t.AddRow({r.cell.variant, Fmt("%.0f", Metric(r, "ipc_cycles")),
+                  Fmt("%+.1f%%", Metric(r, "slowdown_pct"))});
+      }
     }
-    if (ctx.verbose) {
-      t.Print();
-    }
+    t.Print();
   }
-  if (ctx.verbose) {
-    std::printf(
-        "\nShape check: clone support is (nearly) free on x86; on Arm the\n"
-        "non-global kernel mappings cost >10%% through L2-TLB conflict misses.\n");
-  }
+  std::printf(
+      "\nShape check: clone support is (nearly) free on x86; on Arm the\n"
+      "non-global kernel mappings cost >10%% through L2-TLB conflict misses.\n");
 }
 
 const RegisterChannel registrar{{
@@ -194,9 +187,11 @@ const RegisterChannel registrar{{
     .title = "Table 5: IPC microbenchmark performance and slowdown",
     .paper = "x86: 381 cycles, ~0-1% slowdown for all versions. Arm: 344 cycles, "
              "13-15% for clone-capable versions (2-way L2 TLB conflicts)",
-    .kind = "cost",
     .contract = "all cells clean",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .derive = Slowdowns,
+    .report = Report,
 }};
 
 }  // namespace

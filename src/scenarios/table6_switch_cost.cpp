@@ -9,6 +9,7 @@
 // the full flush.
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -108,64 +109,55 @@ double MeasureSwitch(const hw::MachineConfig& mc, core::Scenario scenario,
   return n > 0 ? total_us / static_cast<double>(n) : 0.0;
 }
 
-void Run(RunContext& ctx) {
-  std::size_t switches = bench::Scaled(200, 48);
-  const std::vector<std::string> receivers = {"Idle", "L1-D", "L1-I", "L2", "L3"};
-  const std::vector<std::string> modes = {"raw", "full flush", "protected"};
+constexpr const char* kReceivers[] = {"Idle", "L1-D", "L1-I", "L2", "L3"};
+constexpr const char* kModes[] = {"raw", "full flush", "protected"};
+
+// Per-platform grids: the Sabre has no L3 receiver.
+std::vector<runner::GridSpec> Grids() {
+  runner::GridSpec x86;
+  x86.platforms = {kHaswell};
+  x86.variants.assign(std::begin(kReceivers), std::end(kReceivers));
+  x86.modes.assign(std::begin(kModes), std::end(kModes));
+  runner::GridSpec arm = x86;
+  arm.platforms = {kSabre};
+  arm.variants = {"Idle", "L1-D", "L1-I", "L2"};
+  return {x86, arm};
+}
+
+runner::CostCell Cell(const runner::GridCell& cell) {
+  const std::size_t switches = bench::Scaled(200, 48);
+  const double switch_us = MeasureSwitch(PlatformConfig(cell.platform), ScenarioByName(cell.mode),
+                                         cell.variant, switches);
+  return {.rounds = switches, .metrics = {{"switch_us", switch_us}}};
+}
+
+void Report(const std::vector<runner::SweepCellResult>& results) {
   const std::map<std::string, const char*> paper = {
       {kHaswell, "raw 0.18..0.5 / full 271 / protected 30"},
       {kSabre, "raw 0.7..1.6 / full 414 / protected 27..31"},
   };
-
-  // Per-platform grids: the Sabre has no L3 receiver.
-  runner::GridSpec x86;
-  x86.platforms = {kHaswell};
-  x86.variants = receivers;
-  x86.modes = modes;
-  runner::GridSpec arm = x86;
-  arm.platforms = {kSabre};
-  arm.variants = {"Idle", "L1-D", "L1-I", "L2"};
-
-  for (const runner::GridSpec& grid : {x86, arm}) {
-    std::vector<runner::GridCell> cells = runner::ExpandGrid(grid);
-    auto costs = ctx.engine.MapCellsTimed(grid, [&](const runner::GridCell& cell) {
-      return MeasureSwitch(PlatformConfig(cell.platform), ScenarioByName(cell.mode),
-                           cell.variant, switches);
-    });
-
+  for (const auto& [platform, numbers] : paper) {
     std::map<std::string, double> by_key;  // variant|mode -> us
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      by_key[cells[i].variant + "|" + cells[i].mode] = costs[i].value;
-      bench::BenchRecord rec{.cell = cells[i].Name(),
-                             .rounds = switches,
-                             .wall_ns = costs[i].wall_ns,
-                             .threads = ctx.pool.threads(),
-                             .metrics = {{"switch_us", costs[i].value}}};
-      runner::ApplyContract(rec, costs[i].contract);
-      ctx.recorder.Add(std::move(rec));
-    }
-    if (ctx.verbose) {
-      const std::string& platform = grid.platforms.front();
-      auto it = paper.find(platform);
-      std::printf("\n--- %s (paper: %s) ---\n", platform.c_str(),
-                  it != paper.end() ? it->second : "-");
-      Table t({"mode", receivers[0], receivers[1], receivers[2], receivers[3], receivers[4]});
-      for (const std::string& mode : modes) {
-        std::vector<std::string> row{mode};
-        for (const std::string& receiver : receivers) {
-          auto cost = by_key.find(receiver + "|" + mode);
-          row.push_back(cost != by_key.end() ? Fmt("%.2f", cost->second) : "N/A");
-        }
-        t.AddRow(std::move(row));
+    for (const runner::SweepCellResult& r : results) {
+      if (r.cell.platform == platform) {
+        by_key[r.cell.variant + "|" + r.cell.mode] = Metric(r, "switch_us");
       }
-      t.Print();
     }
+    std::printf("\n--- %s (paper: %s) ---\n", platform.c_str(), numbers);
+    Table t({"mode", kReceivers[0], kReceivers[1], kReceivers[2], kReceivers[3], kReceivers[4]});
+    for (const char* mode : kModes) {
+      std::vector<std::string> row{mode};
+      for (const char* receiver : kReceivers) {
+        auto cost = by_key.find(std::string(receiver) + "|" + mode);
+        row.push_back(cost != by_key.end() ? Fmt("%.2f", cost->second) : "N/A");
+      }
+      t.AddRow(std::move(row));
+    }
+    t.Print();
   }
-  if (ctx.verbose) {
-    std::printf(
-        "\nShape checks: raw cost is small and workload-dependent; defended\n"
-        "costs are workload-independent; protected << full flush.\n");
-  }
+  std::printf(
+      "\nShape checks: raw cost is small and workload-dependent; defended\n"
+      "costs are workload-independent; protected << full flush.\n");
 }
 
 const RegisterChannel registrar{{
@@ -173,9 +165,10 @@ const RegisterChannel registrar{{
     .title = "Table 6: domain-switch cost (us), no padding, by receiver workload",
     .paper = "x86: raw 0.18-0.5, full 271, protected 30. Arm: raw 0.7-1.6, "
              "full 414, protected 27-31",
-    .kind = "cost",
     .contract = "full-flush and protected cells clean; raw dirty above trivial working sets",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .report = Report,
 }};
 
 }  // namespace

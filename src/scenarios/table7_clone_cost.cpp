@@ -14,6 +14,7 @@
 #include "hw/machine.hpp"
 #include "kernel/kernel.hpp"
 #include "runner/quick.hpp"
+#include "runner/runner.hpp"
 #include "scenarios/scenario.hpp"
 #include "scenarios/scenario_util.hpp"
 #include "scenarios/summary.hpp"
@@ -27,8 +28,7 @@ struct CloneCosts {
   double spawn_us = 0.0;
 };
 
-// One shard's worth of reps on a fresh machine; summed costs merge across
-// shards by total-reps division.
+// One shard's worth of reps on a fresh machine, summed.
 CloneCosts Measure(const hw::MachineConfig& mc, std::size_t reps) {
   CloneCosts costs;
   hw::Machine machine(mc);
@@ -67,84 +67,55 @@ CloneCosts Measure(const hw::MachineConfig& mc, std::size_t reps) {
     costs.spawn_us += machine.CyclesToMicros(cpu.now() - t0);
   }
 
-  return costs;  // summed; callers divide by total reps
+  return costs;
 }
 
-// Shards the reps across the pool (every shard boots its own machine) and
-// averages over the total.
-CloneCosts MeasureSharded(const hw::MachineConfig& mc, std::size_t reps,
-                          const runner::ExperimentRunner& pool, std::size_t* shards_out,
-                          hw::ContractTally* contract_out) {
-  runner::ShardPlan plan =
-      runner::PlanShards(reps, /*root_seed=*/0, /*min_shard_rounds=*/2);
-  if (shards_out != nullptr) {
-    *shards_out = plan.num_shards();
-  }
-  struct ShardOut {
-    CloneCosts costs;
-    hw::ContractTally contract;
-  };
-  std::vector<ShardOut> parts = pool.Map(plan.num_shards(), [&](std::size_t i) {
-    ShardOut out;
-    hw::ContractCapture capture;
-    out.costs = Measure(mc, plan.shard_rounds[i]);
-    out.contract = capture.Take();
-    return out;
-  });
+std::vector<runner::GridSpec> Grids() {
+  runner::GridSpec grid;
+  grid.platforms = {kHaswell, kSabre};
+  return {grid};
+}
+
+// The reps split into shards, each on a freshly booted machine, that run
+// in shard order: the sums, and so the averages over the total, are the
+// same on every host.
+runner::CostCell Cell(const runner::GridCell& cell) {
+  const std::size_t reps = bench::Scaled(24, 6);
+  const hw::MachineConfig mc = PlatformConfig(cell.platform, 4);
   CloneCosts total;
-  for (const ShardOut& shard : parts) {
-    const CloneCosts& part = shard.costs;
+  const runner::ShardPlan plan = runner::PlanShards(reps, /*root_seed=*/0, /*min_shard_rounds=*/2);
+  for (std::size_t shard_reps : plan.shard_rounds) {
+    const CloneCosts part = Measure(mc, shard_reps);
     total.clone_us += part.clone_us;
     total.destroy_us += part.destroy_us;
     total.spawn_us += part.spawn_us;
-    if (contract_out != nullptr) {
-      contract_out->Merge(shard.contract);
-    }
   }
-  total.clone_us /= static_cast<double>(reps);
-  total.destroy_us /= static_cast<double>(reps);
-  total.spawn_us /= static_cast<double>(reps);
-  return total;
+  const double n = static_cast<double>(reps);
+  return {.rounds = reps,
+          .metrics = {{"clone_us", total.clone_us / n},
+                      {"destroy_us", total.destroy_us / n},
+                      {"spawn_us", total.spawn_us / n}}};
 }
 
-void Run(RunContext& ctx) {
-  std::size_t reps = bench::Scaled(24, 6);
+void Report(const std::vector<runner::SweepCellResult>& results) {
   const std::map<std::string, const char*> paper = {
       {kHaswell, "79 / 0.6 / 257"},
       {kSabre, "608 / 67 / 4300"},
   };
   Table t({"platform", "clone", "destroy", "process-create",
            "paper clone/destroy/fork+exec"});
-  // Platforms run one after the other: each platform's reps shard across
-  // the whole pool already.
-  for (const std::string& platform : {std::string(kHaswell), std::string(kSabre)}) {
-    std::uint64_t t0 = bench::Recorder::NowNs();
-    std::size_t shards = 1;
-    hw::ContractTally contract;
-    CloneCosts c =
-        MeasureSharded(PlatformConfig(platform, 4), reps, ctx.pool, &shards, &contract);
-    auto it = paper.find(platform);
-    t.AddRow({platform, Fmt("%.1f", c.clone_us), Fmt("%.2f", c.destroy_us),
-              Fmt("%.1f", c.spawn_us), it != paper.end() ? it->second : "-"});
-    bench::BenchRecord rec{.cell = platform,
-                           .rounds = reps,
-                           .wall_ns = bench::Recorder::NowNs() - t0,
-                           .threads = ctx.pool.threads(),
-                           .shards = shards,
-                           .metrics = {{"clone_us", c.clone_us},
-                                       {"destroy_us", c.destroy_us},
-                                       {"spawn_us", c.spawn_us}}};
-    runner::ApplyContract(rec, contract);
-    ctx.recorder.Add(std::move(rec));
+  for (const runner::SweepCellResult& r : results) {
+    auto it = paper.find(r.cell.platform);
+    t.AddRow({r.cell.platform, Fmt("%.1f", Metric(r, "clone_us")),
+              Fmt("%.2f", Metric(r, "destroy_us")), Fmt("%.1f", Metric(r, "spawn_us")),
+              it != paper.end() ? it->second : "-"});
   }
-  if (ctx.verbose) {
-    std::printf("\n");
-    t.Print();
-    std::printf(
-        "\nShape checks: clone << process creation; destroy << clone.\n"
-        "(The process-creation comparator performs the eager map + image copy +\n"
-        "zeroing work of fork+exec on the same simulated hardware.)\n");
-  }
+  std::printf("\n");
+  t.Print();
+  std::printf(
+      "\nShape checks: clone << process creation; destroy << clone.\n"
+      "(The process-creation comparator performs the eager map + image copy +\n"
+      "zeroing work of fork+exec on the same simulated hardware.)\n");
 }
 
 const RegisterChannel registrar{{
@@ -152,9 +123,10 @@ const RegisterChannel registrar{{
     .title = "Table 7: kernel clone/destroy vs monolithic process creation (us)",
     .paper = "x86: clone 79, destroy 0.6, fork+exec 257. Arm: clone 608, "
              "destroy 67, fork+exec 4300",
-    .kind = "cost",
     .contract = "all cells clean",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .report = Report,
 }};
 
 }  // namespace

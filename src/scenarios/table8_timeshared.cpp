@@ -62,12 +62,6 @@ std::uint64_t RunTimeShared(const hw::MachineConfig& mc, workloads::SplashKind k
   return prog.accesses() - a0;
 }
 
-struct CellOut {
-  std::uint64_t accesses = 0;
-  std::uint64_t wall_ns = 0;
-  hw::ContractTally contract;
-};
-
 struct PlatformSummary {
   double worst = -1e9;
   double best = 1e9;
@@ -93,98 +87,78 @@ struct PlatformSummary {
   }
 };
 
-void Run(RunContext& ctx) {
-  std::size_t slices = bench::Scaled(24, 8);
-
-  std::vector<std::string> kinds;
-  for (workloads::SplashKind kind : workloads::AllSplashKinds()) {
-    kinds.emplace_back(workloads::SplashName(kind));
-  }
-
-  // Raw baselines: one per platform x benchmark (colours unused).
+// Raw baselines, one per platform x benchmark (colours unused), then the
+// protected runs: pad off/on at full and halved colour allocation.
+std::vector<runner::GridSpec> Grids() {
   runner::GridSpec base_grid;
   base_grid.platforms = {kHaswell, kSabre};
-  base_grid.variants = kinds;
+  base_grid.variants = SplashNames();
   base_grid.modes = {"raw"};
-
-  // Protected runs: pad off/on at full and halved colour allocation.
   runner::GridSpec prot_grid = base_grid;
   prot_grid.modes = {"nopad", "protected"};
   prot_grid.colour_fractions = {1.0, 0.5};
+  return {base_grid, prot_grid};
+}
 
-  auto run_cell = [&](const runner::GridCell& cell) {
-    CellOut out;
-    std::uint64_t t0 = bench::Recorder::NowNs();
-    hw::ContractCapture capture;
-    out.accesses = RunTimeShared(
-        PlatformConfig(cell.platform), SplashKindByName(cell.variant),
-        cell.mode == "raw" ? core::Scenario::kRaw : core::Scenario::kProtected,
-        cell.mode == "protected", cell.colour_fraction, slices);
-    out.contract = capture.Take();
-    out.wall_ns = bench::Recorder::NowNs() - t0;
-    return out;
-  };
-  std::vector<runner::GridCell> base_cells = runner::ExpandGrid(base_grid);
-  std::vector<runner::GridCell> prot_cells = runner::ExpandGrid(prot_grid);
-  std::vector<CellOut> base_out = ctx.engine.MapCells(base_grid, run_cell);
-  std::vector<CellOut> prot_out = ctx.engine.MapCells(prot_grid, run_cell);
+runner::CostCell Cell(const runner::GridCell& cell) {
+  const std::size_t slices = bench::Scaled(24, 8);
+  const std::uint64_t accesses = RunTimeShared(
+      PlatformConfig(cell.platform), SplashKindByName(cell.variant),
+      cell.mode == "raw" ? core::Scenario::kRaw : core::Scenario::kProtected,
+      cell.mode == "protected", cell.colour_fraction, slices);
+  return {.rounds = slices, .metrics = {{"accesses", static_cast<double>(accesses)}}};
+}
 
-  // Raw accesses per platform/benchmark, for the overhead ratios.
-  std::map<std::string, std::uint64_t> baseline;
-  for (std::size_t i = 0; i < base_cells.size(); ++i) {
-    baseline[base_cells[i].platform + "/" + base_cells[i].variant] = base_out[i].accesses;
-    bench::BenchRecord rec{
-        .cell = base_cells[i].Name(),
-        .rounds = slices,
-        .wall_ns = base_out[i].wall_ns,
-        .threads = ctx.pool.threads(),
-        .metrics = {{"accesses", static_cast<double>(base_out[i].accesses)}}};
-    runner::ApplyContract(rec, base_out[i].contract);
-    ctx.recorder.Add(std::move(rec));
-  }
+// Overhead of each protected run against its platform/benchmark raw run.
+void Overheads(std::vector<runner::SweepCellResult>& results) {
+  FillFromBaseline(
+      results,
+      [](runner::GridCell& cell) {
+        if (cell.mode == "raw") {
+          return false;
+        }
+        cell.mode = "raw";
+        cell.colour_fraction = 1.0;
+        return true;
+      },
+      [](runner::CostCell& cell, const runner::CostCell& base) {
+        cell.metrics["overhead"] = base.metrics.at("accesses") / cell.metrics.at("accesses") - 1.0;
+      });
+}
 
+void Report(const std::vector<runner::SweepCellResult>& results) {
   // platform -> mode/fraction summary tables keyed like "nopad cf=1".
   std::map<std::string, std::map<std::string, PlatformSummary>> summaries;
-  for (std::size_t i = 0; i < prot_cells.size(); ++i) {
-    const runner::GridCell& cell = prot_cells[i];
-    std::uint64_t base = baseline.at(cell.platform + "/" + cell.variant);
-    double over = static_cast<double>(base) / static_cast<double>(prot_out[i].accesses) - 1.0;
-    bench::BenchRecord rec{
-        .cell = cell.Name(),
-        .rounds = slices,
-        .wall_ns = prot_out[i].wall_ns,
-        .threads = ctx.pool.threads(),
-        .metrics = {{"overhead", over},
-                    {"accesses", static_cast<double>(prot_out[i].accesses)}}};
-    runner::ApplyContract(rec, prot_out[i].contract);
-    ctx.recorder.Add(std::move(rec));
-    summaries[cell.platform][cell.mode + Fmt(" cf=%.3g", cell.colour_fraction)].Fold(
-        cell.variant, over);
-  }
-
-  if (ctx.verbose) {
-    for (const auto& [platform, by_config] : summaries) {
-      std::printf("\n--- %s ---\n", platform.c_str());
-      for (const auto& [config, s] : by_config) {
-        std::printf("%-16s max %+.2f%% (%s), min %+.2f%% (%s), mean %+.2f%%\n",
-                    config.c_str(), s.worst * 100.0, s.worst_name.c_str(), s.best * 100.0,
-                    s.best_name.c_str(), s.Mean() * 100.0);
-      }
+  for (const runner::SweepCellResult& r : results) {
+    const runner::GridCell& cell = r.cell;
+    if (cell.mode != "raw") {
+      summaries[cell.platform][cell.mode + Fmt(" cf=%.3g", cell.colour_fraction)].Fold(
+          cell.variant, Metric(r, "overhead"));
     }
-    std::printf(
-        "\nShape checks: single-digit mean overhead; padding adds only a small\n"
-        "increment on top of flushing + colouring, and halving the colour\n"
-        "allocation keeps the cost bounded.\n");
   }
+  for (const auto& [platform, by_config] : summaries) {
+    std::printf("\n--- %s ---\n", platform.c_str());
+    for (const auto& [config, s] : by_config) {
+      std::printf("%-16s max %+.2f%% (%s), min %+.2f%% (%s), mean %+.2f%%\n",
+                  config.c_str(), s.worst * 100.0, s.worst_name.c_str(), s.best * 100.0,
+                  s.best_name.c_str(), s.Mean() * 100.0);
+    }
+  }
+  std::printf(
+      "\nShape checks: single-digit mean overhead; padding adds only a small\n"
+      "increment on top of flushing + colouring, and halving the colour\n"
+      "allocation keeps the cost bounded.\n");
 }
 
 const RegisterChannel registrar{{
     .name = "table8_timeshared",
     .title = "Table 8: time-shared Splash-2 under full time protection",
     .paper = "50% colours: x86 mean 2.76% (no pad) / 3.38% (pad); Arm 0.75% / 1.09%",
-    .kind = "cost",
     .contract = "protected and nopad cells clean; raw dirty by design",
-    .run = Run,
+    .grids = Grids,
+    .cost_cell = Cell,
+    .derive = Overheads,
+    .report = Report,
 }};
 
 }  // namespace

@@ -90,26 +90,6 @@ TEST(MergeObservationsTest, ConcatenatesInShardOrder) {
   EXPECT_DOUBLE_EQ(merged.outputs()[2], 3.0);
 }
 
-TEST(RunShardedCellsTest, GroupsResultsPerCellAtAnyThreadCount) {
-  std::vector<ShardPlan> plans = {PlanShards(32, 1), PlanShards(48, 2)};
-  auto fn = [](std::size_t cell, const Shard& shard) {
-    mi::Observations obs;
-    obs.Add(static_cast<int>(cell * 100 + shard.index),
-            static_cast<double>(shard.rounds));
-    return obs;
-  };
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    std::vector<mi::Observations> cells =
-        RunShardedCells(ExperimentRunner(threads), plans, fn);
-    ASSERT_EQ(cells.size(), 2u);
-    ASSERT_EQ(cells[0].size(), plans[0].num_shards());
-    ASSERT_EQ(cells[1].size(), plans[1].num_shards());
-    EXPECT_EQ(cells[0].inputs()[0], 0);
-    EXPECT_EQ(cells[1].inputs()[0], 100);
-    EXPECT_EQ(cells[1].inputs()[1], 101);
-  }
-}
-
 // The headline guarantee: a real sharded channel experiment produces
 // bit-identical per-shard streams, merged observations, and MI with 1, 2,
 // and 8 host threads.
@@ -118,20 +98,26 @@ TEST(RunnerDeterminism, ChannelExperimentIdenticalAcrossThreadCounts) {
   ShardPlan plan = PlanShards(64, test::StableSeed("runner-determinism"));
   ASSERT_GT(plan.num_shards(), 1u);
 
-  auto shard_fn = [&](const Shard& shard) {
-    return attacks::RunIntraCoreChannel(mc, core::Scenario::kRaw,
-                                        attacks::IntraCoreResource::kL1D, shard.rounds,
-                                        shard.seed);
+  // Each shard runs from its own plan-derived seed; the merge is in shard
+  // order whatever order the pool finishes them in.
+  auto run = [&](std::size_t threads) {
+    std::vector<mi::Observations> parts =
+        ExperimentRunner(threads).Map(plan.num_shards(), [&](std::size_t i) {
+          return attacks::RunIntraCoreChannel(mc, core::Scenario::kRaw,
+                                              attacks::IntraCoreResource::kL1D,
+                                              plan.shard_rounds[i], plan.SeedFor(i));
+        });
+    return MergeObservations(parts);
   };
 
-  mi::Observations base = RunSharded(ExperimentRunner(1), plan, shard_fn);
+  mi::Observations base = run(1);
   ASSERT_GT(base.size(), 0u);
   mi::LeakageOptions lopt;
   lopt.shuffles = 20;
   mi::LeakageResult base_mi = mi::TestLeakage(base, lopt);
 
   for (std::size_t threads : {2u, 8u}) {
-    mi::Observations obs = RunSharded(ExperimentRunner(threads), plan, shard_fn);
+    mi::Observations obs = run(threads);
     // Bit-identical streams, not just statistically close.
     ASSERT_EQ(obs.size(), base.size()) << threads << " threads";
     EXPECT_EQ(obs.inputs(), base.inputs()) << threads << " threads";

@@ -1,5 +1,6 @@
 // The grid sweep engine: cartesian expansion, coordinate-keyed seed
-// streams, thread-count invariance of whole-grid results, and recording.
+// streams, thread-count invariance of whole-grid results, crash isolation
+// of MI and cost cells, and recording.
 #include "runner/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -109,6 +111,14 @@ mi::Observations SyntheticShard(const GridCell& cell, const Shard& shard) {
   return obs;
 }
 
+// Synthetic cost cell: figures derived from the cell's coordinates alone.
+CostCell SyntheticCost(const GridCell& cell) {
+  return {.rounds = 10 + cell.index,
+          .samples = 3,
+          .metrics = {{"seed_low", static_cast<double>(cell.seed % 1000)},
+                      {"index", static_cast<double>(cell.index)}}};
+}
+
 TEST(SweepEngine, GridResultsAreThreadCountInvariant) {
   GridSpec spec;
   spec.root_seed = 0x5EED;
@@ -167,20 +177,6 @@ TEST(SweepEngine, RealKernelChannelGridIsThreadCountInvariant) {
   EXPECT_EQ(a[0].leakage.mi_bits, b[0].leakage.mi_bits);
 }
 
-TEST(SweepEngine, MapCellsDeliversCellsInGridOrder) {
-  GridSpec spec;
-  spec.platforms = {"p0", "p1"};
-  spec.variants = {"a", "b", "c"};
-  ExperimentRunner pool(4);
-  std::vector<std::string> names =
-      SweepEngine(pool).MapCells(spec, [](const GridCell& cell) { return cell.Name(); });
-  std::vector<GridCell> cells = ExpandGrid(spec);
-  ASSERT_EQ(names.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(names[i], cells[i].Name());
-  }
-}
-
 TEST(SweepEngine, ThrowingCellIsIsolatedAndOthersComplete) {
   faults::InstallFaultPlan({.site = "harness.cell_throw", .param = "quiet"});
   GridSpec spec;
@@ -190,7 +186,17 @@ TEST(SweepEngine, ThrowingCellIsIsolatedAndOthersComplete) {
   ExperimentRunner pool(2);
   std::vector<SweepCellResult> results =
       SweepEngine(pool).RunChannelGrid(spec, SyntheticShard);
+  std::vector<SweepCellResult> costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
   faults::ClearFaultPlan();
+  // A cost cell runs in the same harness: the poisoned cell fails alone.
+  ASSERT_EQ(costs.size(), 2u);
+  EXPECT_TRUE(costs[0].ok());
+  ASSERT_TRUE(costs[0].cost.has_value());
+  EXPECT_EQ(costs[0].cost->metrics.at("index"), 0.0);
+  EXPECT_EQ(costs[1].status, "failed");
+  EXPECT_NE(costs[1].error.find("harness.cell_throw"), std::string::npos);
+  EXPECT_FALSE(costs[1].cost.has_value());
+
   ASSERT_EQ(results.size(), 2u);
   const SweepCellResult* leaky = &results[0];
   const SweepCellResult* quiet = &results[1];
@@ -219,11 +225,15 @@ TEST(SweepEngine, StalledCellTripsTheWallTimeBudget) {
   options.cell_budget_ns = 40'000'000;  // 40 ms; the stall sleeps past it
   std::vector<SweepCellResult> results =
       SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, {}, options);
+  std::vector<SweepCellResult> costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
   faults::ClearFaultPlan();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_EQ(results[1].status, "timeout");
-  EXPECT_NE(results[1].error.find("budget"), std::string::npos);
+  for (const std::vector<SweepCellResult>* grid : {&results, &costs}) {
+    ASSERT_EQ(grid->size(), 2u);
+    EXPECT_TRUE((*grid)[0].ok());
+    EXPECT_EQ((*grid)[1].status, "timeout");
+    EXPECT_NE((*grid)[1].error.find("budget"), std::string::npos);
+  }
+  EXPECT_FALSE(costs[1].cost.has_value());
 }
 
 TEST(SweepEngine, SkipCellsRerunsOnlyTheRestBitIdentically) {
@@ -251,6 +261,17 @@ TEST(SweepEngine, SkipCellsRerunsOnlyTheRestBitIdentically) {
   EXPECT_EQ(rest[0].observations.inputs(), full[1].observations.inputs());
   EXPECT_EQ(rest[0].observations.outputs(), full[1].observations.outputs());
   EXPECT_EQ(rest[0].leakage.mi_bits, full[1].leakage.mi_bits);
+
+  // Cost grids honour the same skip set, and a rerun cell keeps its
+  // coordinates (and so its seed) from the full grid.
+  std::vector<SweepCellResult> full_costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
+  std::vector<SweepCellResult> rest_costs =
+      SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
+  ASSERT_EQ(full_costs.size(), 2u);
+  ASSERT_EQ(rest_costs.size(), 1u);
+  EXPECT_EQ(rest_costs[0].cell.Name(), full_costs[1].cell.Name());
+  ASSERT_TRUE(rest_costs[0].cost.has_value());
+  EXPECT_EQ(rest_costs[0].cost->metrics.at("seed_low"), full_costs[1].cost->metrics.at("seed_low"));
 }
 
 // Adaptive variant of SyntheticShard: the quiet mode emits a constant
@@ -440,6 +461,9 @@ TEST(RecordSweep, FailedCellRoundTripsThroughTheTrajectory) {
   setenv("TP_BENCH_JSON", path.c_str(), 1);
   setenv("TP_BENCH_LABEL", "crash-test", 1);
   faults::InstallFaultPlan({.site = "harness.cell_throw", .param = "quiet"});
+  GridSpec cost_spec;
+  cost_spec.platforms = {"cost"};
+  cost_spec.modes = {"leaky", "quiet"};
   {
     GridSpec spec;
     spec.rounds = 64;
@@ -448,6 +472,9 @@ TEST(RecordSweep, FailedCellRoundTripsThroughTheTrajectory) {
     ExperimentRunner pool(2);
     std::vector<SweepCellResult> results =
         SweepEngine(pool).RunChannelGrid(spec, SyntheticShard);
+    for (SweepCellResult& r : SweepEngine(pool).RunCostGrid(cost_spec, SyntheticCost)) {
+      results.push_back(std::move(r));
+    }
     bench::Recorder recorder("sweep_test");
     RecordSweep(recorder, pool, results);
   }
@@ -458,23 +485,35 @@ TEST(RecordSweep, FailedCellRoundTripsThroughTheTrajectory) {
   std::string error;
   std::optional<trajectory::Trajectory> t = trajectory::LoadTrajectory(path, &error);
   ASSERT_TRUE(t.has_value()) << error;
-  const trajectory::TrajectoryRecord* failed = nullptr;
-  const trajectory::TrajectoryRecord* healthy = nullptr;
+  std::map<std::string, const trajectory::TrajectoryRecord*> by_cell;
   for (const trajectory::TrajectoryRecord& r : t->records) {
-    if (r.cell == "p0/quiet") {
-      failed = &r;
-    } else if (r.cell == "p0/leaky") {
-      healthy = &r;
-    }
+    by_cell[r.cell] = &r;
   }
-  ASSERT_NE(failed, nullptr);
-  ASSERT_NE(healthy, nullptr);
+  for (const char* name : {"p0/quiet", "p0/leaky", "cost/quiet", "cost/leaky"}) {
+    ASSERT_EQ(by_cell.count(name), 1u) << name;
+  }
+  const trajectory::TrajectoryRecord* failed = by_cell["p0/quiet"];
+  const trajectory::TrajectoryRecord* healthy = by_cell["p0/leaky"];
   EXPECT_TRUE(healthy->cell_ok());
   EXPECT_TRUE(healthy->has_mi());
   EXPECT_FALSE(failed->cell_ok());
   EXPECT_EQ(failed->cell_status, "failed");
   EXPECT_NE(failed->cell_error.find("harness.cell_throw"), std::string::npos);
   EXPECT_FALSE(failed->has_mi());
+
+  // The failed cost cell records its status and no figures; the healthy
+  // one records exactly what its body returned.
+  const trajectory::TrajectoryRecord* failed_cost = by_cell["cost/quiet"];
+  const trajectory::TrajectoryRecord* healthy_cost = by_cell["cost/leaky"];
+  EXPECT_EQ(failed_cost->cell_status, "failed");
+  EXPECT_NE(failed_cost->cell_error.find("harness.cell_throw"), std::string::npos);
+  EXPECT_TRUE(failed_cost->metrics.empty());
+  EXPECT_TRUE(healthy_cost->cell_ok());
+  EXPECT_FALSE(healthy_cost->has_mi());
+  const CostCell expected = SyntheticCost(ExpandGrid(cost_spec)[0]);
+  EXPECT_EQ(healthy_cost->rounds, expected.rounds);
+  EXPECT_EQ(healthy_cost->samples, expected.samples);
+  EXPECT_EQ(healthy_cost->metrics, expected.metrics);
   std::remove(path.c_str());
 }
 
@@ -483,6 +522,9 @@ TEST(RecordSweep, WritesOneRecordPerCell) {
   std::remove(path.c_str());
   setenv("TP_BENCH_JSON", path.c_str(), 1);
   setenv("TP_BENCH_LABEL", "sweep-test", 1);
+  GridSpec cost_spec;
+  cost_spec.platforms = {"cost"};
+  cost_spec.modes = {"only"};
   {
     GridSpec spec;
     spec.rounds = 64;
@@ -491,6 +533,9 @@ TEST(RecordSweep, WritesOneRecordPerCell) {
     ExperimentRunner pool(2);
     std::vector<SweepCellResult> results =
         SweepEngine(pool).RunChannelGrid(spec, SyntheticShard);
+    for (SweepCellResult& r : SweepEngine(pool).RunCostGrid(cost_spec, SyntheticCost)) {
+      results.push_back(std::move(r));
+    }
     bench::Recorder recorder("sweep_test");
     RecordSweep(recorder, pool, results);
   }
@@ -503,6 +548,20 @@ TEST(RecordSweep, WritesOneRecordPerCell) {
   EXPECT_NE(text.find("\"mi_bits\""), std::string::npos);
   unsetenv("TP_BENCH_JSON");
   unsetenv("TP_BENCH_LABEL");
+
+  // The cost cell's record carries its body's figures and no MI.
+  std::string error;
+  std::optional<trajectory::Trajectory> t = trajectory::LoadTrajectory(path, &error);
+  ASSERT_TRUE(t.has_value()) << error;
+  ASSERT_EQ(t->records.size(), 4u);  // two MI cells, one cost cell, total
+  const trajectory::TrajectoryRecord& cost = t->records[2];
+  const CostCell expected = SyntheticCost(ExpandGrid(cost_spec)[0]);
+  EXPECT_EQ(cost.cell, "cost/only");
+  EXPECT_TRUE(cost.cell_ok());
+  EXPECT_FALSE(cost.has_mi());
+  EXPECT_EQ(cost.rounds, expected.rounds);
+  EXPECT_EQ(cost.samples, expected.samples);
+  EXPECT_EQ(cost.metrics, expected.metrics);
   std::remove(path.c_str());
 }
 

@@ -3,7 +3,6 @@
 // clean contract for every protected cell once the kernel is forced to the
 // maximal full flush, and (b) pin each deliberate ablation to the exact
 // structure whose mechanism it removed.
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -17,35 +16,11 @@
 #include "runner/runner.hpp"
 #include "runner/sweep.hpp"
 #include "scenarios/scenario.hpp"
+#include "support/test_support.hpp"
 #include "trajectory/diff.hpp"
 
 namespace tp::scenarios {
 namespace {
-
-// Pins TP_QUICK for the test body and restores the prior value (same guard
-// as determinism_test).
-class QuickModeGuard {
- public:
-  QuickModeGuard() {
-    const char* prev = std::getenv("TP_QUICK");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) {
-      prev_ = prev;
-    }
-    setenv("TP_QUICK", "1", 1);
-  }
-  ~QuickModeGuard() {
-    if (had_prev_) {
-      setenv("TP_QUICK", prev_.c_str(), 1);
-    } else {
-      unsetenv("TP_QUICK");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
 
 // Taint tracking plus an optional process-global kernel-config override,
 // both restored on scope exit.
@@ -76,7 +51,7 @@ std::vector<runner::SweepCellResult> RunAllGrids(const ChannelSpec& spec,
 }
 
 TEST(ContractScenarios, ProtectedCellsAreCleanUnderFullFlush) {
-  QuickModeGuard quick;
+  test::QuickModeGuard quick;
   TaintedRun tainted([](kernel::KernelConfig& kc) {
     kc.flush_mode = kernel::FlushMode::kFull;
   });
@@ -102,7 +77,7 @@ TEST(ContractScenarios, ProtectedCellsAreCleanUnderFullFlush) {
 }
 
 TEST(ContractScenarios, AblationCellsReportTheMechanismTheyRemove) {
-  QuickModeGuard quick;
+  test::QuickModeGuard quick;
   TaintedRun tainted;  // no override: run the ablations as shipped
   runner::ExperimentRunner pool(2);
   const ChannelSpec* spec = ChannelRegistry::Global().Find("ablation_mechanisms");

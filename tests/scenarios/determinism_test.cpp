@@ -5,7 +5,6 @@
 // --max-mi-delta 0 across thread counts — a hot-path "optimisation" that
 // perturbs any simulated state shows up here as an MI diff on the exact
 // channel it broke.
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -15,40 +14,15 @@
 #include "runner/runner.hpp"
 #include "runner/sweep.hpp"
 #include "scenarios/scenario.hpp"
+#include "support/test_support.hpp"
 
 namespace tp::scenarios {
 namespace {
 
-// Pins TP_QUICK for the test body and restores the prior value, so grid
-// scale never leaks into other tests in this binary (or their shuffle
-// order).
-class QuickModeGuard {
- public:
-  QuickModeGuard() {
-    const char* prev = std::getenv("TP_QUICK");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) {
-      prev_ = prev;
-    }
-    setenv("TP_QUICK", "1", 1);
-  }
-  ~QuickModeGuard() {
-    if (had_prev_) {
-      setenv("TP_QUICK", prev_.c_str(), 1);
-    } else {
-      unsetenv("TP_QUICK");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
 TEST(RegistryDeterminism, QuickGridMiBitIdenticalAtOneAndFourThreads) {
   // Quick-grid scale, exactly as the CI sweep runs (grids() reads TP_QUICK
   // at call time).
-  QuickModeGuard quick;
+  test::QuickModeGuard quick;
   ASSERT_TRUE(bench::QuickMode());
 
   runner::ExperimentRunner serial(1);
@@ -89,7 +63,7 @@ TEST(RegistryDeterminism, AdaptiveQuickGridStoppingBitIdenticalAtOneAndFourThrea
   // decision, executed rounds, observations prefix, MI/M0 and the CI
   // bounds must all be pure functions of the deterministic shard stream —
   // never of shard arrival order.
-  QuickModeGuard quick;
+  test::QuickModeGuard quick;
   ASSERT_TRUE(bench::QuickMode());
 
   runner::SweepOptions options;

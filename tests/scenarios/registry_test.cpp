@@ -1,16 +1,19 @@
 // Channel-registry semantics: duplicate/invalid spec rejection, --only
-// selection, the --list surfaces, and thread-count invariance of a newly
-// gridded channel (fig5) through the registry's own spec.
+// selection, the --list surfaces, the cells RunSpec returns for every cost
+// spec, and thread-count invariance of a newly gridded channel (fig5)
+// through the registry's own spec.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "faults/fault.hpp"
 #include "runner/runner.hpp"
 #include "runner/sweep.hpp"
 #include "scenarios/driver.hpp"
 #include "scenarios/scenario.hpp"
+#include "support/test_support.hpp"
 
 namespace tp::scenarios {
 namespace {
@@ -20,7 +23,8 @@ ChannelSpec CostSpec(std::string name) {
   spec.name = std::move(name);
   spec.title = "title";
   spec.paper = "paper";
-  spec.run = [](RunContext&) {};
+  spec.grids = [] { return std::vector<runner::GridSpec>{runner::GridSpec{}}; };
+  spec.cost_cell = [](const runner::GridCell&) { return runner::CostCell{}; };
   return spec;
 }
 
@@ -35,8 +39,8 @@ TEST(ChannelRegistry, RejectsInvalidSpecs) {
   ChannelRegistry registry;
   EXPECT_THROW(registry.Register(CostSpec("")), std::invalid_argument);
 
-  ChannelSpec no_body;
-  no_body.name = "no-body";
+  ChannelSpec no_body = CostSpec("no-body");
+  no_body.cost_cell = nullptr;
   EXPECT_THROW(registry.Register(no_body), std::invalid_argument);
 
   ChannelSpec no_grids;
@@ -46,16 +50,16 @@ TEST(ChannelRegistry, RejectsInvalidSpecs) {
   };
   EXPECT_THROW(registry.Register(no_grids), std::invalid_argument);
 
+  ChannelSpec cost_no_grids = CostSpec("cost-no-grids");
+  cost_no_grids.grids = nullptr;
+  EXPECT_THROW(registry.Register(cost_no_grids), std::invalid_argument);
+
+  // The body decides the kind, so a spec cannot carry both.
   ChannelSpec both = CostSpec("both-bodies");
-  both.grids = [] { return std::vector<runner::GridSpec>{}; };
   both.cell_shard = [](const runner::GridCell&, const runner::Shard&) {
     return mi::Observations{};
   };
   EXPECT_THROW(registry.Register(both), std::invalid_argument);
-
-  ChannelSpec bad_kind = CostSpec("bad-kind");
-  bad_kind.kind = "sideways";
-  EXPECT_THROW(registry.Register(bad_kind), std::invalid_argument);
 
   EXPECT_EQ(registry.size(), 0u);
 }
@@ -82,7 +86,7 @@ TEST(ChannelRegistry, AllIsNameSortedRegardlessOfRegistrationOrder) {
 TEST(ChannelRegistry, KindDefaultsFromBody) {
   ChannelRegistry registry;
   registry.Register(CostSpec("cost-spec"));
-  EXPECT_EQ(registry.Find("cost-spec")->kind, "cost");
+  EXPECT_EQ(registry.Find("cost-spec")->kind(), "cost");
 
   ChannelSpec channel;
   channel.name = "channel-spec";
@@ -91,7 +95,7 @@ TEST(ChannelRegistry, KindDefaultsFromBody) {
     return mi::Observations{};
   };
   registry.Register(channel);
-  EXPECT_EQ(registry.Find("channel-spec")->kind, "channel");
+  EXPECT_EQ(registry.Find("channel-spec")->kind(), "channel");
 }
 
 TEST(ChannelRegistry, GlobalHasAllBuiltinChannels) {
@@ -170,6 +174,58 @@ TEST(RunSpecTest, ChannelExpandingToNoCellsThrows) {
   };
   runner::ExperimentRunner pool(1);
   EXPECT_THROW(RunSpec(spec, pool, /*verbose=*/false), std::runtime_error);
+}
+
+// perfbench's copy of the cost cells and tp_bench --resume both rely on a
+// cost spec's results being exactly the cells of its grids, in order.
+TEST(RunSpecTest, CostSpecsReturnTheirGridCellsInOrder) {
+  test::QuickModeGuard quick;
+  runner::ExperimentRunner pool(4);
+  std::size_t cost_specs = 0;
+  for (const ChannelSpec* spec : ChannelRegistry::Global().All()) {
+    if (spec->is_channel()) {
+      continue;
+    }
+    SCOPED_TRACE(spec->name);
+    ++cost_specs;
+    std::vector<std::string> expected;
+    for (const runner::GridSpec& grid : spec->grids()) {
+      for (const runner::GridCell& cell : runner::ExpandGrid(grid)) {
+        expected.push_back(cell.Name());
+      }
+    }
+    std::vector<std::string> names;
+    for (const runner::SweepCellResult& r : RunSpec(*spec, pool, /*verbose=*/false)) {
+      EXPECT_TRUE(r.ok()) << r.cell.Name() << ": " << r.error;
+      EXPECT_TRUE(r.cost.has_value()) << r.cell.Name();
+      names.push_back(r.cell.Name());
+    }
+    EXPECT_EQ(names, expected);
+  }
+  EXPECT_EQ(cost_specs, 9u);
+}
+
+// A cross-cell ratio needs its baseline: when the baseline cell fails, the
+// cells comparing against it keep their own figures and leave the ratio out.
+TEST(RunSpecTest, FailedBaselineLeavesItsRatiosOut) {
+  test::QuickModeGuard quick;
+  const ChannelSpec* spec = ChannelRegistry::Global().Find("table5_ipc");
+  ASSERT_NE(spec, nullptr);
+  faults::InstallFaultPlan({.site = "harness.cell_throw", .param = "Sabre (Arm)/original"});
+  std::vector<runner::SweepCellResult> results =
+      RunSpec(*spec, runner::ExperimentRunner(2), /*verbose=*/false);
+  faults::ClearFaultPlan();
+  ASSERT_EQ(results.size(), 8u);
+  for (const runner::SweepCellResult& r : results) {
+    SCOPED_TRACE(r.cell.Name());
+    if (r.cell.Name() == "Sabre (Arm)/original") {
+      EXPECT_EQ(r.status, "failed");
+      continue;
+    }
+    ASSERT_TRUE(r.cost.has_value());
+    EXPECT_EQ(r.cost->metrics.count("ipc_cycles"), 1u);
+    EXPECT_EQ(r.cost->metrics.count("slowdown_pct"), r.cell.platform == "Sabre (Arm)" ? 0u : 1u);
+  }
 }
 
 // The PR-4 determinism contract for newly gridded channels: the fig5 flush

@@ -1,5 +1,7 @@
 #include "support/test_support.hpp"
 
+#include <cstdlib>
+
 #include "runner/sweep.hpp"
 
 namespace tp::test {
@@ -8,6 +10,23 @@ std::uint64_t StableSeed(const std::string& label) {
   // FNV-1a: stable across platforms and standard-library versions (unlike
   // std::hash), so recorded test behaviour is reproducible everywhere.
   return runner::Fnv1a64(label);
+}
+
+QuickModeGuard::QuickModeGuard() {
+  const char* prev = std::getenv("TP_QUICK");
+  had_prev_ = prev != nullptr;
+  if (had_prev_) {
+    prev_ = prev;
+  }
+  setenv("TP_QUICK", "1", 1);
+}
+
+QuickModeGuard::~QuickModeGuard() {
+  if (had_prev_) {
+    setenv("TP_QUICK", prev_.c_str(), 1);
+  } else {
+    unsetenv("TP_QUICK");
+  }
 }
 
 std::uint64_t DeterministicTest::seed() const {

@@ -35,6 +35,21 @@ class DeterministicTest : public ::testing::Test {
   std::mt19937_64 rng_{seed()};
 };
 
+// Pins TP_QUICK=1 for a test body and restores the prior value, so grid
+// scale never leaks into other tests in the binary (or their shuffle
+// order).
+class QuickModeGuard {
+ public:
+  QuickModeGuard();
+  ~QuickModeGuard();
+  QuickModeGuard(const QuickModeGuard&) = delete;
+  QuickModeGuard& operator=(const QuickModeGuard&) = delete;
+
+ private:
+  bool had_prev_ = false;
+  std::string prev_;
+};
+
 // Canonical small cache shape for unit tests that do not need Table 1
 // fidelity: 4 KiB, 64 B lines, 2-way.
 hw::CacheGeometry TinyCacheGeometry();
