@@ -33,7 +33,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -139,26 +138,17 @@ struct ResumePlan {
   bool rewrite = false;
 };
 
-// Scans the results file for the label and decides, per selected spec,
-// whether it is already fully recorded (skip), partially recorded or
+// Scans the results file's text for the label and decides, per selected
+// spec, whether it is already fully recorded (skip), partially recorded or
 // absent. A partially recorded channel spec keeps its ok cells and reruns
 // only the rest; a partially recorded cost spec is stripped and rerun
 // whole, since its cross-cell ratios need their baseline cells in the same
-// run. Returns nullopt with a message on unusable input.
+// run. Returns nullopt with `error` on unusable input.
 std::optional<ResumePlan> PlanResume(
-    const std::string& json_path, const std::string& label,
-    const std::vector<const tp::scenarios::ChannelSpec*>& selected) {
-  std::ifstream in(json_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "tp_bench: --resume: cannot open %s\n", json_path.c_str());
-    return std::nullopt;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  std::string error;
-  std::optional<std::vector<std::string>> raw =
-      tp::trajectory::SplitRecordTexts(text, &error);
+    const std::string& text, const std::string& label,
+    const std::vector<const tp::scenarios::ChannelSpec*>& selected, std::string* error) {
+  std::optional<std::vector<std::string>> raw = tp::trajectory::SplitRecordTexts(text, error);
   if (!raw) {
-    std::fprintf(stderr, "tp_bench: --resume: %s: %s\n", json_path.c_str(), error.c_str());
     return std::nullopt;
   }
 
@@ -220,24 +210,6 @@ std::optional<ResumePlan> PlanResume(
     }
   }
   return plan;
-}
-
-bool RewriteResults(const std::string& json_path, const std::vector<std::string>& kept) {
-  const std::string tmp = json_path + ".tmp.resume";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << tp::trajectory::JoinRecordTexts(kept);
-    if (!out) {
-      std::fprintf(stderr, "tp_bench: --resume: cannot write %s\n", tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), json_path.c_str()) != 0) {
-    std::fprintf(stderr, "tp_bench: --resume: cannot replace %s\n", json_path.c_str());
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 struct ChannelVerdict {
@@ -328,6 +300,12 @@ int main(int argc, char** argv) {
       if (v == nullptr) {
         return 2;
       }
+      // A positive whole number of milliseconds; anything else would reach
+      // the watchdog as "off" (0) or a centuries-long budget.
+      if (std::strspn(v, "0123456789") != std::strlen(v) || std::strtoull(v, nullptr, 10) == 0) {
+        std::fprintf(stderr, "tp_bench: --cell-budget-ms must be a positive integer\n%s", kUsage);
+        return 2;
+      }
       setenv("TP_CELL_BUDGET_MS", v, 1);
     } else if (arg == "--resume") {
       resume = true;
@@ -385,12 +363,25 @@ int main(int argc, char** argv) {
                    "(--json/--label or TP_BENCH_JSON/TP_BENCH_LABEL)\n");
       return 2;
     }
-    std::optional<ResumePlan> plan = PlanResume(json_path, label, selected);
-    if (!plan) {
-      return 2;
-    }
-    resume_plan = std::move(*plan);
-    if (resume_plan.rewrite && !RewriteResults(json_path, resume_plan.kept)) {
+    // Plan and strip the stale records in one locked read-edit-replace, so
+    // a concurrent writer's records are neither lost nor planned around.
+    std::string resume_error;
+    const bool planned = tp::trajectory::EditResultsFile(
+        json_path,
+        [&](std::string& text, std::string* error) {
+          std::optional<ResumePlan> plan = PlanResume(text, label, selected, error);
+          if (!plan) {
+            return false;
+          }
+          resume_plan = std::move(*plan);
+          if (resume_plan.rewrite) {
+            text = tp::trajectory::JoinRecordTexts(resume_plan.kept);
+          }
+          return true;
+        },
+        &resume_error);
+    if (!planned) {
+      std::fprintf(stderr, "tp_bench: --resume: %s: %s\n", json_path, resume_error.c_str());
       return 2;
     }
   }

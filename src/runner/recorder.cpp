@@ -1,21 +1,17 @@
 #include "runner/recorder.hpp"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "runner/quick.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace tp::bench {
 
@@ -126,6 +122,41 @@ std::string RecordToJson(const std::string& bench, const std::string& label,
   return os.str();
 }
 
+// `existing` with `records` appended inside its JSON array, spliced before
+// the trailing ']'; a missing or malformed document restarts as a fresh
+// array.
+std::string AppendRecords(const std::string& existing, const std::string& bench,
+                          const std::string& label, const std::vector<BenchRecord>& records) {
+  std::size_t open_bracket = existing.find_first_of('[');
+  std::size_t close = existing.find_last_of(']');
+  std::string prefix;
+  bool needs_comma = false;
+  if (open_bracket != std::string::npos && close != std::string::npos && open_bracket < close) {
+    prefix = existing.substr(0, close);
+    // A comma is needed unless the array is empty so far.
+    for (std::size_t i = open_bracket + 1; i < prefix.size(); ++i) {
+      if (!std::isspace(static_cast<unsigned char>(prefix[i]))) {
+        needs_comma = true;
+        break;
+      }
+    }
+    while (!prefix.empty() && std::isspace(static_cast<unsigned char>(prefix.back()))) {
+      prefix.pop_back();
+    }
+  } else {
+    prefix = "[";
+  }
+
+  std::string content = prefix;
+  for (const BenchRecord& r : records) {
+    content += needs_comma ? ",\n" : "\n";
+    content += RecordToJson(bench, label, r);
+    needs_comma = true;
+  }
+  content += "\n]\n";
+  return content;
+}
+
 }  // namespace
 
 Recorder::Recorder(std::string bench) : bench_(std::move(bench)) {
@@ -166,81 +197,18 @@ void Recorder::Flush() {
   if (!enabled() || pending_.empty()) {
     return;
   }
-  // Append into the existing JSON array by splicing before the trailing
-  // ']'; a missing or malformed file is restarted as a fresh array. An
-  // exclusive flock on a .lock sidecar serialises concurrent sweeps (the
-  // data file itself is replaced by rename, so a lock on its fd would not
-  // survive the swap).
-  int lock_fd = ::open((path_ + ".lock").c_str(), O_RDWR | O_CREAT, 0644);
-  if (lock_fd >= 0) {
-    ::flock(lock_fd, LOCK_EX);
-  }
-
-  std::string existing;
-  if (int fd = ::open(path_.c_str(), O_RDONLY); fd >= 0) {
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-      existing.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-  }
-  std::size_t open_bracket = existing.find_first_of('[');
-  std::size_t close = existing.find_last_of(']');
-  std::string prefix;
-  bool needs_comma = false;
-  if (open_bracket != std::string::npos && close != std::string::npos &&
-      open_bracket < close) {
-    prefix = existing.substr(0, close);
-    // A comma is needed unless the array is empty so far.
-    for (std::size_t i = open_bracket + 1; i < prefix.size(); ++i) {
-      if (!std::isspace(static_cast<unsigned char>(prefix[i]))) {
-        needs_comma = true;
-        break;
-      }
-    }
-    while (!prefix.empty() &&
-           std::isspace(static_cast<unsigned char>(prefix.back()))) {
-      prefix.pop_back();
-    }
-  } else {
-    prefix = "[";
-  }
-
-  std::string content = prefix;
-  for (const BenchRecord& r : pending_) {
-    content += needs_comma ? ",\n" : "\n";
-    content += RecordToJson(bench_, label_, r);
-    needs_comma = true;
-  }
-  content += "\n]\n";
-  // Atomic replace: write the whole updated array to a temp file in the
-  // same directory, fsync, then rename over the target. A crash at any
-  // point leaves either the old file or the new one, never a torn write.
-  const std::string tmp_path = path_ + ".tmp." + std::to_string(::getpid());
-  bool ok = false;
-  if (int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      fd >= 0) {
-    ok = true;
-    for (std::size_t off = 0; ok && off < content.size();) {
-      ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-      if (n <= 0) {
-        ok = false;
-        break;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    ok = ok && ::fsync(fd) == 0;
-    ::close(fd);
-    ok = ok && std::rename(tmp_path.c_str(), path_.c_str()) == 0;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "recorder: cannot write %s\n", path_.c_str());
-    ::unlink(tmp_path.c_str());
-  }
-  if (lock_fd >= 0) {
-    ::flock(lock_fd, LOCK_UN);
-    ::close(lock_fd);
+  // The shared read-edit-replace holds the results file's lock from read
+  // to rename, so concurrent sweeps, resumes and merges never lose each
+  // other's records.
+  std::string error;
+  if (!trajectory::EditResultsFile(
+          path_,
+          [&](std::string& text, std::string*) {
+            text = AppendRecords(text, bench_, label_, pending_);
+            return true;
+          },
+          &error)) {
+    std::fprintf(stderr, "recorder: %s\n", error.c_str());
   }
   pending_.clear();
 }

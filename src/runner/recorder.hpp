@@ -47,10 +47,11 @@
 // (TP_ADAPTIVE / tp_bench --adaptive), so a clean fixed-rounds run's
 // records are byte-compatible with earlier v3 writers.
 //
-// The file is written atomically: the updated array goes to a temp file in
-// the same directory which is then renamed over TP_BENCH_JSON, so a crash
-// mid-write can never corrupt a committed trajectory. Concurrent sweeps
-// serialise on a .lock sidecar.
+// The file is written atomically through trajectory::EditResultsFile: the
+// updated array goes to a temp file in the same directory which is then
+// renamed over TP_BENCH_JSON, so a crash mid-write can never corrupt a
+// committed trajectory. Concurrent sweeps, resumes and merges serialise on
+// its .lock sidecar.
 #ifndef TP_RUNNER_RECORDER_HPP_
 #define TP_RUNNER_RECORDER_HPP_
 
@@ -86,8 +87,8 @@ struct BenchRecord {
   // Adaptive sequential-stopping metadata (v3, emitted only when
   // `adaptive` — fixed-rounds records stay byte-identical to earlier
   // writers): executed vs budgeted rounds, the confidence interval on
-  // mi_bits, the configured significance and which estimator produced the
-  // interval ("bootstrap" or "analytic").
+  // mi_bits, the configured significance and the estimator that produced
+  // the interval (always "bootstrap").
   bool adaptive = false;
   std::size_t rounds_run = 0;
   std::size_t rounds_budget = 0;

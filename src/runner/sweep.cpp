@@ -10,10 +10,15 @@
 #include <thread>
 
 #include "faults/fault.hpp"
+#include "mi/interval.hpp"
 
 namespace tp::runner {
 
 namespace {
+
+// Sequential stopping checks no cell before this many shards have
+// accumulated: a 1-shard prefix is too noisy to bound usefully.
+constexpr std::size_t kMinCheckpointShards = 2;
 
 std::string FormatAxisValue(double v) {
   char buf[32];
@@ -120,13 +125,6 @@ Isolated RunIsolated(const GridCell& cell, CellState& state, std::uint64_t budge
   return out;
 }
 
-ShardOut RunShardIsolated(const GridCell& cell, const Shard& shard, CellState& state,
-                          std::uint64_t budget_ns, const SweepEngine::CellShardFn& fn) {
-  ShardOut out;
-  out.measured = RunIsolated(cell, state, budget_ns, [&] { out.obs = fn(cell, shard); });
-  return out;
-}
-
 // The grid's cells minus the ones the options skip.
 std::vector<GridCell> CellsToRun(const GridSpec& spec, const SweepOptions& options) {
   std::vector<GridCell> cells = ExpandGrid(spec);
@@ -136,207 +134,6 @@ std::vector<GridCell> CellsToRun(const GridSpec& spec, const SweepOptions& optio
     });
   }
   return cells;
-}
-
-// Sequential-stopping execution: shard-aligned waves with a barrier and a
-// deterministic checkpoint pass between waves. Wave w runs shard w of every
-// still-active cell; the checkpoint then asks, per cell, whether the
-// accumulated prefix already resolves the verdict. Every stopping input —
-// the prefix observations, the checkpoint seed (keyed on accumulated
-// rounds) and the evaluation order (cell index) — is a pure function of the
-// plan, so decisions are bit-identical at any TP_THREADS. Cells that never
-// stop consume their full plan in the same shard order as the fixed path
-// and therefore record bit-identical observations and MI.
-std::vector<SweepCellResult> RunAdaptiveGrid(
-    const ExperimentRunner& runner, const std::vector<GridCell>& cells,
-    const std::vector<ShardPlan>& plans, std::size_t spec_rounds,
-    const SweepEngine::CellShardFn& fn, const mi::LeakageOptions& leak_options,
-    std::uint64_t budget_ns, const AdaptiveOptions& adaptive) {
-  std::vector<CellState> states(cells.size());
-
-  struct Progress {
-    mi::StreamingMiEstimator stream;
-    std::size_t shards_done = 0;
-    std::size_t rounds_done = 0;
-    bool stopped = false;
-    bool has_interval = false;
-    mi::MiInterval interval;
-    bool has_leakage = false;
-    mi::LeakageResult leakage;
-  };
-  std::vector<Progress> progress;
-  progress.reserve(cells.size());
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    mi::StreamingOptions stream_options;
-    stream_options.mi = leak_options.mi;
-    stream_options.bootstrap_resamples = adaptive.bootstrap_resamples;
-    // Bonferroni across this cell's possible checkpoints, so the
-    // configured significance bounds the whole sequential procedure.
-    const std::size_t num_shards = plans[c].num_shards();
-    const std::size_t checkpoints = num_shards > adaptive.min_checkpoint_shards
-                                        ? num_shards - adaptive.min_checkpoint_shards
-                                        : 0;
-    stream_options.significance =
-        adaptive.significance /
-        static_cast<double>(std::max<std::size_t>(checkpoints, 1));
-    progress.push_back(Progress{mi::StreamingMiEstimator(stream_options)});
-  }
-
-  std::vector<SweepCellResult> results(cells.size());
-  std::size_t max_waves = 0;
-  for (const ShardPlan& plan : plans) {
-    max_waves = std::max(max_waves, plan.num_shards());
-  }
-
-  struct WaveTask {
-    std::size_t cell = 0;
-    Shard shard;
-  };
-  struct CheckOut {
-    mi::MiInterval interval;
-    mi::LeakageResult leakage;
-    int decision = 0;  // 0 continue, 1 stop (no leak), 2 stop (leak)
-    std::uint64_t wall_ns = 0;
-  };
-  // The checkpoint seed is keyed on the cell seed and *accumulated rounds*
-  // — never shard arrival order — so the bootstrap (and the decision) is a
-  // pure function of the deterministic data prefix.
-  auto checkpoint_seed = [&](std::size_t c) {
-    return SplitMix64(cells[c].seed ^
-                      SplitMix64(0xADA9717E5EEDull + progress[c].rounds_done));
-  };
-
-  for (std::size_t w = 0; w < max_waves; ++w) {
-    std::vector<WaveTask> tasks;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (!progress[c].stopped && w < plans[c].num_shards()) {
-        tasks.push_back({c, Shard{w, plans[c].SeedFor(w), plans[c].shard_rounds[w]}});
-      }
-    }
-    if (tasks.empty()) {
-      break;
-    }
-    std::vector<std::size_t> claim_order(tasks.size());
-    for (std::size_t i = 0; i < claim_order.size(); ++i) {
-      claim_order[i] = i;
-    }
-    std::stable_sort(claim_order.begin(), claim_order.end(),
-                     [&tasks](std::size_t a, std::size_t b) {
-                       return tasks[a].shard.rounds > tasks[b].shard.rounds;
-                     });
-    std::vector<ShardOut> outs =
-        runner.MapScheduled(tasks.size(), claim_order, [&](std::size_t i) {
-          const std::size_t c = tasks[i].cell;
-          return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn);
-        });
-    // Barrier reached: fold this wave into each cell's prefix, in cell
-    // order (outs are in task-index order regardless of thread count).
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const std::size_t c = tasks[i].cell;
-      results[c].wall_ns += outs[i].measured.wall_ns;
-      results[c].contract.Merge(outs[i].measured.contract);
-      if (states[c].code.load() == 0) {
-        progress[c].stream.IngestAll(outs[i].obs);
-        ++progress[c].shards_done;
-        progress[c].rounds_done += tasks[i].shard.rounds;
-      }
-    }
-    // Checkpoint pass over the cells that can still stop (never the last
-    // shard — a full-budget cell is the fixed path's bit-identical twin).
-    std::vector<std::size_t> eligible;
-    for (const WaveTask& task : tasks) {
-      const std::size_t c = task.cell;
-      if (states[c].code.load() == 0 && !progress[c].stopped &&
-          progress[c].shards_done >= adaptive.min_checkpoint_shards &&
-          progress[c].shards_done < plans[c].num_shards()) {
-        eligible.push_back(c);
-      }
-    }
-    std::vector<CheckOut> checks = runner.Map(eligible.size(), [&](std::size_t k) {
-      const std::size_t c = eligible[k];
-      CheckOut out;
-      std::uint64_t t0 = bench::Recorder::NowNs();
-      out.interval = progress[c].stream.KdeCheckpoint(checkpoint_seed(c));
-      // The CI resolves the verdict; the full shuffle test over the same
-      // prefix must then *agree* before the cell stops, so a recorded
-      // early verdict is always the real test's verdict on real data.
-      if (out.interval.ci_high < adaptive.threshold_bits) {
-        out.leakage = mi::TestLeakage(progress[c].stream.observations(), leak_options);
-        if (!out.leakage.leak) {
-          out.decision = 1;
-        }
-      } else if (out.interval.ci_low > adaptive.threshold_bits) {
-        out.leakage = mi::TestLeakage(progress[c].stream.observations(), leak_options);
-        // A leak stop must clear the shuffle baseline with the whole
-        // interval, not just the point estimate: M0 on a short prefix is
-        // large, and a noisy borderline cell whose full-budget verdict is
-        // "no leak" can transiently show M > M0 there.
-        if (out.leakage.leak && out.interval.ci_low > out.leakage.m0_bits) {
-          out.decision = 2;
-        }
-      }
-      out.wall_ns = bench::Recorder::NowNs() - t0;
-      return out;
-    });
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      const std::size_t c = eligible[k];
-      results[c].wall_ns += checks[k].wall_ns;
-      progress[c].interval = checks[k].interval;
-      progress[c].has_interval = true;
-      if (checks[k].decision != 0) {
-        progress[c].stopped = true;
-        progress[c].leakage = checks[k].leakage;
-        progress[c].has_leakage = true;
-      }
-    }
-  }
-
-  // Full-budget cells: the final leakage test (bit-identical to the fixed
-  // path — same observations, same options) plus a final recorded CI.
-  struct FinalOut {
-    mi::LeakageResult leakage;
-    mi::MiInterval interval;
-    std::uint64_t wall_ns = 0;
-  };
-  std::vector<FinalOut> finals = runner.Map(cells.size(), [&](std::size_t c) {
-    FinalOut out;
-    if (states[c].code.load() != 0 || progress[c].stopped) {
-      return out;
-    }
-    std::uint64_t t0 = bench::Recorder::NowNs();
-    out.leakage = mi::TestLeakage(progress[c].stream.observations(), leak_options);
-    out.interval = progress[c].stream.KdeCheckpoint(checkpoint_seed(c));
-    out.wall_ns = bench::Recorder::NowNs() - t0;
-    return out;
-  });
-
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    SweepCellResult& r = results[c];
-    r.cell = cells[c];
-    r.rounds = spec_rounds;
-    r.shards = plans[c].num_shards();
-    r.adaptive = true;
-    r.significance = adaptive.significance;
-    r.rounds_run = progress[c].rounds_done;
-    if (states[c].Failed(r)) {
-      continue;
-    }
-    if (!progress[c].stopped) {
-      r.wall_ns += finals[c].wall_ns;
-      progress[c].leakage = finals[c].leakage;
-      progress[c].interval = finals[c].interval;
-      progress[c].has_interval = true;
-    }
-    r.observations = progress[c].stream.observations();
-    r.leakage = progress[c].leakage;
-    r.stopped_early = progress[c].stopped;
-    if (progress[c].has_interval) {
-      r.mi_ci_low = progress[c].interval.ci_low;
-      r.mi_ci_high = progress[c].interval.ci_high;
-      r.ci_method = progress[c].interval.method;
-    }
-  }
-  return results;
 }
 
 // Copies a captured contract tally onto a record's contract_* fields. A
@@ -446,99 +243,191 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
     const SweepOptions& options) const {
   const std::vector<GridCell> cells = CellsToRun(spec, options);
   const std::uint64_t budget_ns = EffectiveCellBudgetNs(options);
+  const AdaptiveOptions adaptive = EffectiveAdaptive(options);
 
   std::vector<ShardPlan> plans;
   plans.reserve(cells.size());
-  for (const GridCell& cell : cells) {
-    plans.push_back(
-        PlanShards(spec.rounds, cell.seed, spec.min_shard_rounds, spec.max_shards));
-  }
-
-  // Opt-in sequential stopping takes the wave-based path; fixed rounds
-  // (the default) keep the flat-pool path below, bit-identical to every
-  // earlier release.
-  if (const AdaptiveOptions adaptive = EffectiveAdaptive(options); adaptive.enabled) {
-    return RunAdaptiveGrid(runner_, cells, plans, spec.rounds, fn, leak_options,
-                           budget_ns, adaptive);
-  }
-
-  // Flatten every (cell, shard) into one pool so a grid of small cells
-  // still keeps all host threads busy.
-  struct ShardTask {
-    std::size_t cell = 0;
-    Shard shard;
-  };
-  std::vector<ShardTask> tasks;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    for (std::size_t i = 0; i < plans[c].num_shards(); ++i) {
-      tasks.push_back({c, Shard{i, plans[c].SeedFor(i), plans[c].shard_rounds[i]}});
-    }
-  }
-  std::vector<CellState> states(cells.size());
-  // Longest-first claim order: shards with the most rounds are picked up
-  // first, so the round ranges of one slow cell spread across the pool
-  // instead of queueing behind the rest of the grid. Scheduling only —
-  // every shard's seed, rounds and result slot are fixed by the plan above,
-  // so the merged observations stay bit-identical at any TP_THREADS.
-  std::vector<std::size_t> claim_order(tasks.size());
-  for (std::size_t i = 0; i < claim_order.size(); ++i) {
-    claim_order[i] = i;
-  }
-  std::stable_sort(claim_order.begin(), claim_order.end(),
-                   [&tasks](std::size_t a, std::size_t b) {
-                     return tasks[a].shard.rounds > tasks[b].shard.rounds;
-                   });
-  std::vector<ShardOut> outs = runner_.MapScheduled(
-      tasks.size(), claim_order, [&](std::size_t i) {
-    const std::size_t c = tasks[i].cell;
-    return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn);
-  });
-
   std::vector<SweepCellResult> results(cells.size());
-  std::size_t next = 0;
+  std::size_t waves = adaptive.enabled ? 0 : 1;
   for (std::size_t c = 0; c < cells.size(); ++c) {
+    plans.push_back(
+        PlanShards(spec.rounds, cells[c].seed, spec.min_shard_rounds, spec.max_shards));
     SweepCellResult& r = results[c];
     r.cell = cells[c];
     r.rounds = spec.rounds;
-    r.rounds_run = spec.rounds;
     r.shards = plans[c].num_shards();
-    const bool failed = states[c].Failed(r);
-    std::vector<mi::Observations> parts;
-    parts.reserve(r.shards);
-    for (std::size_t i = 0; i < r.shards; ++i, ++next) {
-      if (!failed) {
-        parts.push_back(std::move(outs[next].obs));
-      }
-      r.wall_ns += outs[next].measured.wall_ns;
-      r.contract.Merge(outs[next].measured.contract);
+    if (adaptive.enabled) {
+      r.adaptive = true;
+      r.significance = adaptive.significance;
+      waves = std::max(waves, r.shards);
     }
-    if (!failed) {
-      r.observations = MergeObservations(parts);
+  }
+  std::vector<CellState> states(cells.size());
+  // Each cell's folded prefix: the shard outputs of every wave it came
+  // through healthy, in shard order.
+  std::vector<std::vector<mi::Observations>> parts(cells.size());
+
+  // The bootstrap CI over a cell's prefix. Its seed is keyed on the cell
+  // seed and *accumulated rounds* — never shard arrival order — so the
+  // interval, and every stopping decision, is a pure function of the
+  // deterministic data prefix. The significance is Bonferroni-corrected
+  // across the cell's possible checkpoints, so the configured level bounds
+  // the whole sequential procedure.
+  auto interval = [&](std::size_t c, const mi::Observations& prefix) {
+    const std::size_t shards = results[c].shards;
+    const std::size_t checkpoints =
+        shards > kMinCheckpointShards ? shards - kMinCheckpointShards : 1;
+    return mi::BootstrapInterval(
+        prefix, leak_options.mi, adaptive.significance / static_cast<double>(checkpoints),
+        adaptive.bootstrap_resamples,
+        SplitMix64(cells[c].seed ^ SplitMix64(0xADA9717E5EEDull + results[c].rounds_run)));
+  };
+  auto record_interval = [](SweepCellResult& r, const mi::MiInterval& ci) {
+    r.mi_ci_low = ci.ci_low;
+    r.mi_ci_high = ci.ci_high;
+    r.ci_method = "bootstrap";
+  };
+  // What a checkpoint or the final pass computed for one cell.
+  struct Check {
+    mi::MiInterval interval;
+    mi::LeakageResult leakage;
+    bool stop = false;
+    std::uint64_t wall_ns = 0;
+  };
+
+  // Fixed rounds run one wave holding every shard of every cell; sequential
+  // stopping runs wave w with shard w of every cell still active, then a
+  // checkpoint.
+  for (std::size_t w = 0; w < waves; ++w) {
+    struct ShardTask {
+      std::size_t cell = 0;
+      Shard shard;
+    };
+    std::vector<ShardTask> tasks;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      if (results[c].stopped_early) {
+        continue;
+      }
+      const std::size_t n = plans[c].num_shards();
+      const std::size_t end = adaptive.enabled ? std::min(w + 1, n) : n;
+      for (std::size_t i = adaptive.enabled ? w : 0; i < end; ++i) {
+        tasks.push_back({c, Shard{i, plans[c].SeedFor(i), plans[c].shard_rounds[i]}});
+      }
+    }
+    if (tasks.empty()) {
+      break;
+    }
+    // Longest-first claim order: shards with the most rounds are picked up
+    // first, so the round ranges of one slow cell spread across the pool
+    // instead of queueing behind the rest of the grid. Scheduling only —
+    // every shard's seed, rounds and result slot are fixed by the plan, so
+    // the merged observations stay bit-identical at any TP_THREADS.
+    std::vector<std::size_t> claim_order(tasks.size());
+    for (std::size_t i = 0; i < claim_order.size(); ++i) {
+      claim_order[i] = i;
+    }
+    std::stable_sort(claim_order.begin(), claim_order.end(),
+                     [&tasks](std::size_t a, std::size_t b) {
+                       return tasks[a].shard.rounds > tasks[b].shard.rounds;
+                     });
+    std::vector<ShardOut> outs =
+        runner_.MapScheduled(tasks.size(), claim_order, [&](std::size_t i) {
+          const std::size_t c = tasks[i].cell;
+          ShardOut out;
+          out.measured = RunIsolated(cells[c], states[c], budget_ns,
+                                     [&] { out.obs = fn(cells[c], tasks[i].shard); });
+          return out;
+        });
+    // Barrier reached: fold the wave into each cell's prefix in task order
+    // (outs are in task-index order regardless of thread count).
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      SweepCellResult& r = results[tasks[i].cell];
+      r.wall_ns += outs[i].measured.wall_ns;
+      r.contract.Merge(outs[i].measured.contract);
+      if (states[tasks[i].cell].code.load() == 0) {
+        parts[tasks[i].cell].push_back(std::move(outs[i].obs));
+        r.rounds_run += tasks[i].shard.rounds;
+      }
+    }
+    if (!adaptive.enabled) {
+      continue;
+    }
+    // Checkpoint pass over the healthy cells of this wave, never before
+    // kMinCheckpointShards and never after the last shard: a full-budget
+    // cell takes the final test below, as a fixed sweep does.
+    std::vector<std::size_t> eligible;
+    for (const ShardTask& task : tasks) {
+      const std::size_t done = parts[task.cell].size();
+      if (states[task.cell].code.load() == 0 && done >= kMinCheckpointShards &&
+          done < plans[task.cell].num_shards()) {
+        eligible.push_back(task.cell);
+      }
+    }
+    std::vector<Check> checks = runner_.Map(eligible.size(), [&](std::size_t k) {
+      const std::size_t c = eligible[k];
+      Check out;
+      const std::uint64_t t0 = bench::Recorder::NowNs();
+      const mi::Observations prefix = MergeObservations(parts[c]);
+      out.interval = interval(c, prefix);
+      // The CI resolves the verdict; the full shuffle test over the same
+      // prefix must then *agree* before the cell stops, so a recorded
+      // early verdict is always the real test's verdict on real data.
+      if (out.interval.ci_high < mi::kResolutionBits) {
+        out.leakage = mi::TestLeakage(prefix, leak_options);
+        out.stop = !out.leakage.leak;
+      } else if (out.interval.ci_low > mi::kResolutionBits) {
+        out.leakage = mi::TestLeakage(prefix, leak_options);
+        // A leak stop must clear the shuffle baseline with the whole
+        // interval, not just the point estimate: M0 on a short prefix is
+        // large, and a noisy borderline cell whose full-budget verdict is
+        // "no leak" can transiently show M > M0 there.
+        out.stop = out.leakage.leak && out.interval.ci_low > out.leakage.m0_bits;
+      }
+      out.wall_ns = bench::Recorder::NowNs() - t0;
+      return out;
+    });
+    for (std::size_t k = 0; k < eligible.size(); ++k) {
+      SweepCellResult& r = results[eligible[k]];
+      r.wall_ns += checks[k].wall_ns;
+      if (checks[k].stop) {
+        r.stopped_early = true;
+        r.leakage = checks[k].leakage;
+        record_interval(r, checks[k].interval);
+      }
     }
   }
 
-  // The per-cell leakage tests are independent too; fan them out and fold
-  // their work time into the owning cell. Non-ok cells have no
-  // observations to test.
-  struct LeakOut {
-    mi::LeakageResult leakage;
-    std::uint64_t wall_ns = 0;
-  };
-  std::vector<LeakOut> leaks = runner_.Map(results.size(), [&](std::size_t c) {
-    LeakOut out;
-    if (!results[c].ok()) {
+  // After the last wave: the leakage test for every healthy cell that did
+  // not stop early — the same observations and options as a fixed sweep,
+  // so a full-budget adaptive cell matches it bit for bit — plus its final
+  // interval under sequential stopping. Non-ok cells carry no observations.
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (!states[c].Failed(results[c])) {
+      results[c].observations = MergeObservations(parts[c]);
+    }
+  }
+  std::vector<Check> finals = runner_.Map(results.size(), [&](std::size_t c) {
+    Check out;
+    if (!results[c].ok() || results[c].stopped_early) {
       return out;
     }
-    std::uint64_t t0 = bench::Recorder::NowNs();
+    const std::uint64_t t0 = bench::Recorder::NowNs();
     out.leakage = mi::TestLeakage(results[c].observations, leak_options);
+    if (adaptive.enabled) {
+      out.interval = interval(c, results[c].observations);
+    }
     out.wall_ns = bench::Recorder::NowNs() - t0;
     return out;
   });
   for (std::size_t c = 0; c < results.size(); ++c) {
-    if (results[c].ok()) {
-      results[c].leakage = leaks[c].leakage;
+    SweepCellResult& r = results[c];
+    r.wall_ns += finals[c].wall_ns;
+    if (r.ok() && !r.stopped_early) {
+      r.leakage = finals[c].leakage;
+      if (adaptive.enabled) {
+        record_interval(r, finals[c].interval);
+      }
     }
-    results[c].wall_ns += leaks[c].wall_ns;
   }
   return results;
 }

@@ -8,10 +8,12 @@
 // reshuffling the seeds — and therefore the recorded observations and MI —
 // of pre-existing cells.
 //
-// SweepEngine fans every shard of every cell into one flat task pool on the
-// ExperimentRunner; the shard layout is a pure function of the spec, so a
-// grid's merged results are bit-identical at any TP_THREADS. MI cells and
-// cost cells run their bodies in the same crash-isolation harness.
+// SweepEngine runs MI grids as waves of shards on the ExperimentRunner:
+// fixed rounds are one wave holding every shard of every cell, sequential
+// stopping a wave per shard index. The shard layout is a pure function of
+// the spec, so a grid's merged results are bit-identical at any
+// TP_THREADS. MI cells and cost cells run their bodies in the same
+// crash-isolation harness.
 #ifndef TP_RUNNER_SWEEP_HPP_
 #define TP_RUNNER_SWEEP_HPP_
 
@@ -27,7 +29,6 @@
 #include "hw/taint.hpp"
 #include "mi/leakage_test.hpp"
 #include "mi/observations.hpp"
-#include "mi/streaming.hpp"
 #include "runner/recorder.hpp"
 #include "runner/runner.hpp"
 
@@ -97,7 +98,7 @@ struct SweepCellResult {
   mi::Observations observations;
   mi::LeakageResult leakage;
   std::size_t rounds = 0;      // budget (the spec's per-cell rounds)
-  std::size_t rounds_run = 0;  // executed (== rounds unless stopped early)
+  std::size_t rounds_run = 0;  // folded into the verdict (== rounds unless stopped or failed)
   std::size_t shards = 0;
   std::uint64_t wall_ns = 0;
   hw::ContractTally contract;  // merged over shards; all-zero when taint off
@@ -109,7 +110,7 @@ struct SweepCellResult {
   double mi_ci_low = std::numeric_limits<double>::quiet_NaN();
   double mi_ci_high = std::numeric_limits<double>::quiet_NaN();
   double significance = 0.0;  // configured overall level, not per-checkpoint
-  std::string ci_method;
+  std::string ci_method;      // "bootstrap" (mi::BootstrapInterval) when a CI is set
   // Crash-isolation outcome: "ok", "failed" (a shard body threw) or
   // "timeout" (the per-cell wall-time budget was exceeded). Non-ok cells
   // carry no observations/leakage; `error` holds the first failure message.
@@ -124,13 +125,13 @@ struct SweepCellResult {
 };
 
 // Sequential-stopping policy for channel sweeps. Off by default: fixed
-// rounds stay the baseline-diff mode, bit-identical to every earlier
-// release. When enabled, RunChannelGrid executes shard-aligned waves and
-// checks, after each wave, whether a cell's streaming confidence interval
-// has resolved its verdict against `threshold_bits`:
+// rounds stay the baseline-diff mode. When enabled, RunChannelGrid runs
+// one wave per shard index and checks, after each wave from the second
+// on, whether a cell's bootstrap confidence interval (mi/interval.hpp) has
+// resolved its verdict against the tool resolution mi::kResolutionBits:
 //
-//   ci_high < threshold            -> no leak, stop (nothing to find)
-//   ci_low  > threshold            -> candidate leak; confirmed by the full
+//   ci_high < resolution           -> no leak, stop (nothing to find)
+//   ci_low  > resolution           -> candidate leak; confirmed by the full
 //                                     shuffle test on the prefix, then stop
 //
 // Checkpoints are keyed on *accumulated rounds* (never shard arrival
@@ -138,19 +139,14 @@ struct SweepCellResult {
 // therefore the recorded observations, MI and CI — are bit-identical at
 // any TP_THREADS. The per-checkpoint significance is Bonferroni-corrected
 // across a cell's possible checkpoints so the configured level bounds the
-// whole sequential procedure.
+// whole sequential procedure. A cell that never stops runs its whole plan
+// and gets the fixed sweep's exact observations and MI.
 struct AdaptiveOptions {
   bool enabled = false;
   // Overall two-sided significance for the stopping decision (0.05 = 95%
   // CIs after correction). TP_ADAPTIVE_SIGNIFICANCE overrides.
   double significance = 0.05;
-  // The leak-resolution threshold the CI is tested against; defaults to
-  // the paper tool's 1-millibit resolution.
-  double threshold_bits = mi::kResolutionBits;
-  // No checkpoint before this many shards have accumulated (a 1-shard
-  // prefix is too noisy to bound usefully).
-  std::size_t min_checkpoint_shards = 2;
-  // Bootstrap resamples per KDE-path checkpoint.
+  // Bootstrap resamples per checkpoint interval.
   std::size_t bootstrap_resamples = 40;
 };
 
@@ -182,12 +178,12 @@ class SweepEngine {
 
   using CellShardFn = std::function<mi::Observations(const GridCell&, const Shard&)>;
 
-  // Channel sweeps: every shard of every cell joins one flat task pool;
-  // per-cell leakage tests then fan out over the same pool. Each shard body
-  // runs under the cell's ambient fault seed and inside a crash-isolation
-  // harness: an exception (or a tripped per-cell watchdog) marks that cell
-  // "failed"/"timeout" and the sweep keeps going — it never throws out of a
-  // single cell's failure.
+  // Channel sweeps: shards run in waves on the pool (one wave for fixed
+  // rounds); per-cell leakage tests then fan out over the same pool. Each
+  // shard body runs under the cell's ambient fault seed and inside a
+  // crash-isolation harness: an exception (or a tripped per-cell watchdog)
+  // marks that cell "failed"/"timeout" and the sweep keeps going — it never
+  // throws out of a single cell's failure.
   std::vector<SweepCellResult> RunChannelGrid(const GridSpec& spec, const CellShardFn& fn,
                                               const mi::LeakageOptions& leak_options = {},
                                               const SweepOptions& options = {}) const;

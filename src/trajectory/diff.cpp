@@ -138,7 +138,7 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
       result.missing_in_candidate.push_back(key);
       // A protected cell that vanished takes its leakage gating with it —
       // dropping or renaming one must refresh the baseline instead.
-      if (options.gate_missing_protected && IsProtectedCell(b->cell)) {
+      if (IsProtectedCell(b->cell)) {
         ++result.missing_protected;
       }
     }
@@ -217,7 +217,7 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
       } else if (d.cand_wall_ns > 0) {
         d.wall_ratio = std::numeric_limits<double>::infinity();
       }
-      bool wall_gated = std::max(d.base_wall_ns, d.cand_wall_ns) >= options.min_wall_ns;
+      bool wall_gated = std::max(d.base_wall_ns, d.cand_wall_ns) >= kMinGatedWallNs;
       // When the two sides executed different round counts (adaptive
       // candidate vs fixed baseline, or vice versa) the raw ratio mostly
       // measures the round deficit; gate on per-round cost instead so an
@@ -245,20 +245,19 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
           // point estimate overshoots where the full-budget baseline
           // converged lower, so it only counts as worse when even the CI
           // lower bound clears the baseline floor.
-          d.leak_regression = c->mi_ci_low > base_mi_floor + options.mi_eps_bits;
+          d.leak_regression = c->mi_ci_low > base_mi_floor + kMiEpsBits;
         } else {
           // An early-stopped *clean* protected cell claims "nothing to
           // find" on a partial budget — the claim must be proven by the
           // CI upper bound staying under both the baseline floor and the
           // leak-resolution threshold.
           d.leak_regression =
-              c->mi_ci_high > std::max(base_mi_floor, options.ci_leak_threshold_bits) +
-                                  options.mi_eps_bits;
+              c->mi_ci_high > std::max(base_mi_floor, kLeakResolutionBits) + kMiEpsBits;
         }
       } else {
         // Full budget (fixed, or adaptive that never stopped): identical
         // data to a fixed sweep, so the point rule applies unchanged.
-        d.leak_regression = c->mi_bits > base_mi_floor + options.mi_eps_bits;
+        d.leak_regression = c->mi_bits > base_mi_floor + kMiEpsBits;
       }
     }
     if (d.protected_mode && !d.leak_regression && b != nullptr && b->has_mi() &&
@@ -401,8 +400,6 @@ std::string ReportJson(const DiffOutcome& outcome) {
   out += "  \"baseline\": \"" + JsonEscape(r.baseline_label) + "\",\n";
   out += "  \"candidate\": \"" + JsonEscape(r.candidate_label) + "\",\n";
   out += "  \"options\": {\"max_wall_ratio\": " + FormatDouble(r.options.max_wall_ratio) +
-         ", \"min_wall_ns\": " + std::to_string(r.options.min_wall_ns) +
-         ", \"mi_eps_bits\": " + FormatDouble(r.options.mi_eps_bits) +
          ", \"require_cell_wall\": " +
          std::string(r.options.require_cell_wall ? "true" : "false") +
          ", \"require_contract\": " +
@@ -410,9 +407,7 @@ std::string ReportJson(const DiffOutcome& outcome) {
          ", \"require_cells\": " +
          std::string(r.options.require_cells ? "true" : "false") +
          ", \"require_verdict_match\": " +
-         std::string(r.options.require_verdict_match ? "true" : "false") +
-         ", \"ci_leak_threshold_bits\": " +
-         FormatDouble(r.options.ci_leak_threshold_bits) + "},\n";
+         std::string(r.options.require_verdict_match ? "true" : "false") + "},\n";
   // The at-a-glance totals CI jobs assert on (note the MI-cell rounds
   // subtotals: cost cells' huge round counts would drown the adaptive
   // savings in the whole-grid sums).

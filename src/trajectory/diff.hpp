@@ -8,12 +8,16 @@
 //    Cells the baseline already shows as leaky (the paper's residual x86 L2
 //    channel, deliberately crippled ablation cells) pass as long as they do
 //    not get worse; a protected cell absent from the baseline is held to
-//    MI = 0. Candidates recorded by an adaptive (early-stopped) sweep are
-//    gated on their confidence interval instead of the point estimate: a
-//    clean early stop must prove itself via mi_ci_high, a leaky early stop
-//    regresses only when even mi_ci_low clears the baseline floor.
+//    MI = 0, and a protected baseline cell absent from the candidate fails
+//    (dropping or renaming one must refresh the baseline in the same
+//    change, or leakage coverage would erode silently). Candidates recorded
+//    by an adaptive (early-stopped) sweep are gated on their confidence
+//    interval instead of the point estimate: a clean early stop must prove
+//    itself via mi_ci_high staying under the tool resolution
+//    (kLeakResolutionBits), a leaky early stop regresses only when even
+//    mi_ci_low clears the baseline floor.
 //  * wall-clock — candidate/baseline wall_ns beyond `max_wall_ratio` on
-//    cells expensive enough to time meaningfully (>= min_wall_ns).
+//    cells expensive enough to time meaningfully (>= kMinGatedWallNs).
 //
 //  * contract (opt-in, `require_contract`) — a protected cell whose
 //    candidate reports contract_clean=false where the baseline was clean
@@ -35,25 +39,22 @@
 
 namespace tp::trajectory {
 
+// Cells whose baseline and candidate wall_ns both fall below this are
+// never wall-gated (sub-50ms timings are host noise).
+inline constexpr std::uint64_t kMinGatedWallNs = 50'000'000;
+// Slack when comparing MI estimates (bit-identical reruns give exactly
+// equal values; the eps only guards float formatting).
+inline constexpr double kMiEpsBits = 1e-9;
+
 struct DiffOptions {
   // Fail when candidate wall_ns / baseline wall_ns exceeds this (1.25 =
   // 25% slower, the quick-mode default; raise when baseline and candidate
   // ran on different hardware).
   double max_wall_ratio = 1.25;
-  // Cells whose baseline and candidate wall_ns both fall below this are
-  // never wall-gated (sub-50ms timings are host noise).
-  std::uint64_t min_wall_ns = 50'000'000;
-  // Slack when comparing MI estimates (bit-identical reruns give exactly
-  // equal values; any positive eps only guards float formatting).
-  double mi_eps_bits = 1e-9;
   // When finite, ANY joined cell (protected or not) whose |MI delta|
   // exceeds this fails — 0 demands bit-identical MI, the CI
   // serial-vs-parallel sharding check. Disabled by default.
   double max_abs_mi_delta = std::numeric_limits<double>::infinity();
-  // Fail when a protected-mode baseline cell has no candidate counterpart:
-  // renaming or dropping a protected cell must refresh the baseline in the
-  // same change, or leakage coverage would erode silently.
-  bool gate_missing_protected = true;
   // Metric keys that gate protected cells like MI does: a candidate value
   // above the baseline's (or above 0 when the baseline lacks the key) is a
   // leak regression, and a key the baseline records but the candidate
@@ -62,7 +63,7 @@ struct DiffOptions {
   // LLC spy's activity_fraction.
   std::vector<std::string> leak_metric_keys = {"activity_fraction"};
   // Slack for leak-metric comparisons (fractions/counts, not bits — kept
-  // separate from mi_eps_bits so the two gates tune independently).
+  // separate from kMiEpsBits so the two gates tune independently).
   double leak_metric_eps = 1e-9;
   // Fail any joined cell whose baseline carries a wall_ns measurement but
   // whose candidate records none (wall_ns == 0): per-cell timing that
@@ -81,11 +82,6 @@ struct DiffOptions {
   // notes either way (and exempted from the leak/wall/contract gates — a
   // crashed cell has no observables to compare).
   bool require_cells = false;
-  // Leak-resolution threshold for CI-carrying candidates. A protected cell
-  // that stopped early with a clean verdict is gated on its CI *upper*
-  // bound: mi_ci_high must stay under max(baseline floor, this threshold).
-  // Matches the sweep's ~1-millibit tool resolution.
-  double ci_leak_threshold_bits = 0.001;
   // Fail any joined MI cell whose derived leak verdict (M > M0 and above
   // tool resolution) differs between baseline and candidate — the
   // adaptive-vs-fixed A/B check: early stopping may change MI point

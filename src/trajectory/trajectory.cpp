@@ -1,5 +1,9 @@
 #include "trajectory/trajectory.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -347,6 +351,79 @@ std::optional<Trajectory> LoadTrajectory(const std::string& path, std::string* e
     *error = path + ": " + *error;
   }
   return t;
+}
+
+namespace {
+
+// Writes `text` to a temp file beside `path`, fsyncs it and renames it
+// over `path`: a crash at any point leaves the old file or the new one,
+// never a torn write.
+bool ReplaceFile(const std::string& path, const std::string& text) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return false;
+  }
+  std::size_t off = 0;
+  while (off < text.size()) {
+    const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
+    if (n <= 0) {
+      break;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  bool ok = off == text.size() && ::fsync(fd) == 0;
+  ::close(fd);
+  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    ::unlink(tmp.c_str());
+  }
+  return ok;
+}
+
+// An open lock file; closing it releases its flock on every exit from
+// the holder's scope, a throwing edit included.
+class LockFile {
+ public:
+  explicit LockFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDWR | O_CREAT, 0644)) {}
+  LockFile(const LockFile&) = delete;
+  LockFile& operator=(const LockFile&) = delete;
+  ~LockFile() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+
+  bool Lock() { return fd_ >= 0 && ::flock(fd_, LOCK_EX) == 0; }
+
+ private:
+  int fd_;
+};
+
+}  // namespace
+
+bool EditResultsFile(const std::string& path, const ResultsEdit& edit, std::string* error) {
+  // The data file is replaced by rename, so a lock on its own fd would not
+  // survive the swap; writers serialise on a sidecar instead.
+  LockFile lock(path + ".lock");
+  if (!lock.Lock()) {
+    *error = "cannot lock " + path + ".lock";
+    return false;
+  }
+  std::string text;
+  if (std::ifstream in(path, std::ios::binary); in) {
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  const std::string before = text;
+  bool ok = edit(text, error);
+  if (ok && text != before && !ReplaceFile(path, text)) {
+    *error = "cannot write " + path;
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace tp::trajectory

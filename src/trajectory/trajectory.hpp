@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -28,6 +29,11 @@ namespace tp::trajectory {
 // against each other.
 inline constexpr int kMinSchemaVersion = 1;
 inline constexpr int kSchemaVersion = 3;
+
+// The ~1-millibit tool resolution below which an MI estimate counts as no
+// channel: the sweep's mi::kResolutionBits, restated here because this
+// library does not link the MI code (a test pins the two together).
+inline constexpr double kLeakResolutionBits = 0.001;
 
 struct TrajectoryRecord {
   int schema_version = 0;
@@ -82,7 +88,7 @@ struct TrajectoryRecord {
   // sweep applies (M > M0 and above the ~1-millibit tool resolution).
   // False when either estimate is absent.
   bool leaky() const {
-    return has_mi() && !std::isnan(m0_bits) && mi_bits > m0_bits && mi_bits > 0.001;
+    return has_mi() && !std::isnan(m0_bits) && mi_bits > m0_bits && mi_bits > kLeakResolutionBits;
   }
 };
 
@@ -116,6 +122,17 @@ std::optional<std::vector<std::string>> SplitRecordTexts(std::string_view json_t
 // Reassembles record texts into a results document (the Recorder's framing:
 // one record per line inside one array).
 std::string JoinRecordTexts(const std::vector<std::string>& records);
+
+// Read-edit-replace of a results file, the one way every writer (the
+// Recorder, tp_bench --resume, tp_results_merge) updates one. Holds an
+// exclusive flock on `<path>.lock` from the read to the rename, so
+// concurrent writers serialise instead of renaming over each other's
+// updates. `edit` gets the file's text (empty when the file does not
+// exist) and may change it; changed text goes to a temp file in the same
+// directory, is fsynced and renamed over `path`. An edit that returns
+// false aborts with its message in `error` and leaves the file untouched.
+using ResultsEdit = std::function<bool(std::string& text, std::string* error)>;
+bool EditResultsFile(const std::string& path, const ResultsEdit& edit, std::string* error);
 
 }  // namespace tp::trajectory
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -12,7 +13,9 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "attacks/channel_experiment.hpp"
 #include "attacks/kernel_channel.hpp"
@@ -177,101 +180,174 @@ TEST(SweepEngine, RealKernelChannelGridIsThreadCountInvariant) {
   EXPECT_EQ(a[0].leakage.mi_bits, b[0].leakage.mi_bits);
 }
 
+// The harness tests below run each MI grid under fixed rounds and under
+// sequential stopping. Their failures come from the cell bodies, not from
+// the harness.* fault sites: fault injection forces sequential stopping
+// off, which would quietly turn the second mode into the first.
+constexpr bool kAdaptiveModes[] = {false, true};
+
+// SyntheticShard with two failing cells: "quiet" throws from its first
+// shard, "late" from shard 2 on — under sequential stopping, after two
+// waves and a checkpoint have been folded into it.
+mi::Observations ThrowingShard(const GridCell& cell, const Shard& shard) {
+  if (cell.mode == "quiet" || (cell.mode == "late" && shard.index >= 2)) {
+    throw std::runtime_error(cell.mode + " shard threw");
+  }
+  return SyntheticShard(cell, shard);
+}
+
+// SyntheticShard whose "quiet" cell sleeps 15 ms per shard, so a 40 ms
+// cell budget trips by its third shard.
+mi::Observations StallingShard(const GridCell& cell, const Shard& shard) {
+  if (cell.mode == "quiet") {
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  }
+  return SyntheticShard(cell, shard);
+}
+
+// A crash-isolated MI cell carries its status and nothing else.
+void ExpectNoVerdict(const SweepCellResult& r) {
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.observations.size(), 0u);
+  EXPECT_FALSE(r.leakage.leak);
+  EXPECT_EQ(r.leakage.samples, 0u);
+  EXPECT_FALSE(r.stopped_early);
+  EXPECT_TRUE(std::isnan(r.mi_ci_low));
+  EXPECT_TRUE(std::isnan(r.mi_ci_high));
+}
+
 TEST(SweepEngine, ThrowingCellIsIsolatedAndOthersComplete) {
-  faults::InstallFaultPlan({.site = "harness.cell_throw", .param = "quiet"});
   GridSpec spec;
-  spec.rounds = 64;
+  spec.rounds = 64;  // 4 shards of 16
   spec.platforms = {"p0"};
-  spec.modes = {"leaky", "quiet"};
+  spec.modes = {"leaky", "quiet", "late"};
   ExperimentRunner pool(2);
-  std::vector<SweepCellResult> results =
-      SweepEngine(pool).RunChannelGrid(spec, SyntheticShard);
+
+  // A cost cell runs in the same harness: the cell poisoned through the
+  // harness.cell_throw site fails alone.
+  faults::InstallFaultPlan({.site = "harness.cell_throw", .param = "quiet"});
   std::vector<SweepCellResult> costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
   faults::ClearFaultPlan();
-  // A cost cell runs in the same harness: the poisoned cell fails alone.
-  ASSERT_EQ(costs.size(), 2u);
+  ASSERT_EQ(costs.size(), 3u);
   EXPECT_TRUE(costs[0].ok());
   ASSERT_TRUE(costs[0].cost.has_value());
   EXPECT_EQ(costs[0].cost->metrics.at("index"), 0.0);
   EXPECT_EQ(costs[1].status, "failed");
   EXPECT_NE(costs[1].error.find("harness.cell_throw"), std::string::npos);
   EXPECT_FALSE(costs[1].cost.has_value());
+  EXPECT_TRUE(costs[2].ok());
 
-  ASSERT_EQ(results.size(), 2u);
-  const SweepCellResult* leaky = &results[0];
-  const SweepCellResult* quiet = &results[1];
-  ASSERT_EQ(leaky->cell.mode, "leaky");
-  ASSERT_EQ(quiet->cell.mode, "quiet");
-  // The healthy cell still produced a full result...
-  EXPECT_TRUE(leaky->ok());
-  EXPECT_GT(leaky->observations.size(), 0u);
-  // ...while the poisoned one carries the failure instead of observations.
-  EXPECT_FALSE(quiet->ok());
-  EXPECT_EQ(quiet->status, "failed");
-  EXPECT_NE(quiet->error.find("harness.cell_throw"), std::string::npos);
-  EXPECT_EQ(quiet->observations.size(), 0u);
-  EXPECT_FALSE(quiet->leakage.leak);
-  EXPECT_EQ(quiet->leakage.samples, 0u);
+  for (bool adaptive : kAdaptiveModes) {
+    SCOPED_TRACE(adaptive ? "adaptive" : "fixed");
+    SweepOptions options;
+    options.adaptive.enabled = adaptive;
+    std::vector<SweepCellResult> results =
+        SweepEngine(pool).RunChannelGrid(spec, ThrowingShard, {}, options);
+    ASSERT_EQ(results.size(), 3u);
+    const SweepCellResult& leaky = results[0];
+    const SweepCellResult& quiet = results[1];
+    const SweepCellResult& late = results[2];
+    ASSERT_EQ(leaky.cell.mode, "leaky");
+    ASSERT_EQ(quiet.cell.mode, "quiet");
+    ASSERT_EQ(late.cell.mode, "late");
+    // The healthy cell still produced a full result...
+    EXPECT_TRUE(leaky.ok());
+    EXPECT_EQ(leaky.adaptive, adaptive);
+    EXPECT_GT(leaky.observations.size(), 0u);
+    EXPECT_TRUE(leaky.leakage.leak);
+    // ...while the poisoned ones carry the failure instead of observations,
+    // whether they failed in the first wave or after earlier waves (two of
+    // them under sequential stopping) were folded in.
+    EXPECT_EQ(quiet.status, "failed");
+    EXPECT_EQ(quiet.error, "quiet shard threw");
+    ExpectNoVerdict(quiet);
+    EXPECT_EQ(late.status, "failed");
+    EXPECT_EQ(late.error, "late shard threw");
+    EXPECT_EQ(late.rounds_run, adaptive ? 32u : 0u);
+    ExpectNoVerdict(late);
+  }
 }
 
 TEST(SweepEngine, StalledCellTripsTheWallTimeBudget) {
-  faults::InstallFaultPlan({.site = "harness.cell_stall", .param = "quiet"});
   GridSpec spec;
   spec.rounds = 64;
   spec.platforms = {"p0"};
   spec.modes = {"leaky", "quiet"};
   ExperimentRunner pool(2);
   SweepOptions options;
-  options.cell_budget_ns = 40'000'000;  // 40 ms; the stall sleeps past it
-  std::vector<SweepCellResult> results =
-      SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, {}, options);
+  options.cell_budget_ns = 40'000'000;  // 40 ms
+
+  // A cost cell stalled through the harness.cell_stall site sleeps past
+  // the budget.
+  faults::InstallFaultPlan({.site = "harness.cell_stall", .param = "quiet"});
   std::vector<SweepCellResult> costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
   faults::ClearFaultPlan();
-  for (const std::vector<SweepCellResult>* grid : {&results, &costs}) {
-    ASSERT_EQ(grid->size(), 2u);
-    EXPECT_TRUE((*grid)[0].ok());
-    EXPECT_EQ((*grid)[1].status, "timeout");
-    EXPECT_NE((*grid)[1].error.find("budget"), std::string::npos);
+  std::vector<std::vector<SweepCellResult>> grids = {costs};
+  for (bool adaptive : kAdaptiveModes) {
+    options.adaptive.enabled = adaptive;
+    grids.push_back(SweepEngine(pool).RunChannelGrid(spec, StallingShard, {}, options));
+  }
+  for (const std::vector<SweepCellResult>& grid : grids) {
+    ASSERT_EQ(grid.size(), 2u);
+    EXPECT_TRUE(grid[0].ok());
+    EXPECT_EQ(grid[1].status, "timeout");
+    EXPECT_NE(grid[1].error.find("budget"), std::string::npos);
   }
   EXPECT_FALSE(costs[1].cost.has_value());
+  EXPECT_FALSE(grids[1][0].adaptive);
+  EXPECT_TRUE(grids[2][0].adaptive);
+  ExpectNoVerdict(grids[1][1]);
+  ExpectNoVerdict(grids[2][1]);
 }
 
 TEST(SweepEngine, SkipCellsRerunsOnlyTheRestBitIdentically) {
-  GridSpec spec;
-  spec.root_seed = 0x5EED;
-  spec.rounds = 96;
-  spec.platforms = {"p0"};
-  spec.modes = {"leaky", "quiet"};
-  mi::LeakageOptions lopt;
-  lopt.shuffles = 20;
-  ExperimentRunner pool(2);
-  std::vector<SweepCellResult> full =
-      SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt);
-  ASSERT_EQ(full.size(), 2u);
+  for (bool adaptive : kAdaptiveModes) {
+    SCOPED_TRACE(adaptive ? "adaptive" : "fixed");
+    GridSpec spec;
+    spec.root_seed = 0x5EED;
+    spec.rounds = 96;
+    spec.platforms = {"p0"};
+    spec.modes = {"leaky", "quiet"};
+    mi::LeakageOptions lopt;
+    lopt.shuffles = 20;
+    ExperimentRunner pool(2);
+    SweepOptions options;
+    options.adaptive.enabled = adaptive;
+    std::vector<SweepCellResult> full =
+        SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
+    ASSERT_EQ(full.size(), 2u);
 
-  std::set<std::string> skip = {full[0].cell.Name()};
-  SweepOptions options;
-  options.skip_cells = &skip;
-  std::vector<SweepCellResult> rest =
-      SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].cell.Name(), full[1].cell.Name());
-  // The resume contract: a partial rerun reproduces the uninterrupted
-  // run's numbers exactly (coordinate-keyed seeds, not index-keyed).
-  EXPECT_EQ(rest[0].observations.inputs(), full[1].observations.inputs());
-  EXPECT_EQ(rest[0].observations.outputs(), full[1].observations.outputs());
-  EXPECT_EQ(rest[0].leakage.mi_bits, full[1].leakage.mi_bits);
+    std::set<std::string> skip = {full[0].cell.Name()};
+    options.skip_cells = &skip;
+    std::vector<SweepCellResult> rest =
+        SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(rest[0].cell.Name(), full[1].cell.Name());
+    EXPECT_EQ(rest[0].adaptive, adaptive);
+    // The resume contract: a partial rerun reproduces the uninterrupted
+    // run's numbers exactly (coordinate-keyed seeds, not index-keyed).
+    EXPECT_EQ(rest[0].rounds_run, full[1].rounds_run);
+    EXPECT_EQ(rest[0].stopped_early, full[1].stopped_early);
+    EXPECT_EQ(rest[0].observations.inputs(), full[1].observations.inputs());
+    EXPECT_EQ(rest[0].observations.outputs(), full[1].observations.outputs());
+    EXPECT_EQ(rest[0].leakage.mi_bits, full[1].leakage.mi_bits);
+    if (adaptive) {
+      EXPECT_EQ(rest[0].mi_ci_low, full[1].mi_ci_low);
+      EXPECT_EQ(rest[0].mi_ci_high, full[1].mi_ci_high);
+    }
 
-  // Cost grids honour the same skip set, and a rerun cell keeps its
-  // coordinates (and so its seed) from the full grid.
-  std::vector<SweepCellResult> full_costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
-  std::vector<SweepCellResult> rest_costs =
-      SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
-  ASSERT_EQ(full_costs.size(), 2u);
-  ASSERT_EQ(rest_costs.size(), 1u);
-  EXPECT_EQ(rest_costs[0].cell.Name(), full_costs[1].cell.Name());
-  ASSERT_TRUE(rest_costs[0].cost.has_value());
-  EXPECT_EQ(rest_costs[0].cost->metrics.at("seed_low"), full_costs[1].cost->metrics.at("seed_low"));
+    // Cost grids honour the same skip set, and a rerun cell keeps its
+    // coordinates (and so its seed) from the full grid.
+    std::vector<SweepCellResult> full_costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
+    std::vector<SweepCellResult> rest_costs =
+        SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
+    ASSERT_EQ(full_costs.size(), 2u);
+    ASSERT_EQ(rest_costs.size(), 1u);
+    EXPECT_EQ(rest_costs[0].cell.Name(), full_costs[1].cell.Name());
+    ASSERT_TRUE(rest_costs[0].cost.has_value());
+    EXPECT_EQ(rest_costs[0].cost->metrics.at("seed_low"),
+              full_costs[1].cost->metrics.at("seed_low"));
+  }
 }
 
 // Adaptive variant of SyntheticShard: the quiet mode emits a constant
@@ -317,7 +393,7 @@ TEST(SweepEngine, AdaptiveGridStopsEarlyAndKeepsVerdicts) {
     EXPECT_EQ(r.rounds, 128u);  // the budget is still recorded
     EXPECT_TRUE(r.stopped_early) << r.cell.Name();
     EXPECT_LT(r.rounds_run, r.rounds) << r.cell.Name();
-    EXPECT_GE(r.rounds_run, 32u);  // never before min_checkpoint_shards
+    EXPECT_GE(r.rounds_run, 32u);  // no checkpoint before the second shard
     EXPECT_FALSE(std::isnan(r.mi_ci_low));
     EXPECT_FALSE(std::isnan(r.mi_ci_high));
     EXPECT_LE(r.mi_ci_low, r.mi_ci_high);
@@ -398,14 +474,13 @@ TEST(SweepEngine, AdaptiveFullBudgetCellMatchesFixedSweep) {
       SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
   ASSERT_EQ(fixed.size(), 1u);
   ASSERT_EQ(adaptive.size(), 1u);
-  if (!adaptive[0].stopped_early) {
-    EXPECT_EQ(adaptive[0].rounds_run, fixed[0].rounds);
-    EXPECT_EQ(adaptive[0].observations.inputs(), fixed[0].observations.inputs());
-    EXPECT_EQ(adaptive[0].observations.outputs(), fixed[0].observations.outputs());
-    EXPECT_EQ(adaptive[0].leakage.mi_bits, fixed[0].leakage.mi_bits);
-    EXPECT_EQ(adaptive[0].leakage.m0_bits, fixed[0].leakage.m0_bits);
-  }
-  // Either way the adaptive run records an interval around its estimate.
+  ASSERT_FALSE(adaptive[0].stopped_early);
+  EXPECT_EQ(adaptive[0].rounds_run, fixed[0].rounds);
+  EXPECT_EQ(adaptive[0].observations.inputs(), fixed[0].observations.inputs());
+  EXPECT_EQ(adaptive[0].observations.outputs(), fixed[0].observations.outputs());
+  EXPECT_EQ(adaptive[0].leakage.mi_bits, fixed[0].leakage.mi_bits);
+  EXPECT_EQ(adaptive[0].leakage.m0_bits, fixed[0].leakage.m0_bits);
+  // The adaptive run also records its final interval around the estimate.
   EXPECT_TRUE(adaptive[0].adaptive);
   EXPECT_FALSE(std::isnan(adaptive[0].mi_ci_high));
 }

@@ -2,12 +2,23 @@
 // forgiving record parsing, and the leak/wall regression gate. The
 // overriding property: hand-edited BENCH_results.json input must never
 // crash the differ — it degrades to warnings or a load error.
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <thread>
 
+#include "mi/leakage_test.hpp"
 #include "trajectory/diff.hpp"
 #include "trajectory/json.hpp"
 #include "trajectory/trajectory.hpp"
@@ -381,7 +392,7 @@ TEST(Diff, TinyCellsAreNeverWallGated) {
   t.records.push_back(MakeRecord("cand", "x/raw", -1, 40'000'000));  // 40x slower but tiny
   DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_TRUE(o.ok());
-  // Crossing min_wall_ns on either side arms the gate.
+  // Crossing kMinGatedWallNs on either side arms the gate.
   t.records[1].wall_ns = 60'000'000;
   EXPECT_FALSE(DiffTrajectories(t, "base", "cand").ok());
 }
@@ -447,7 +458,7 @@ TEST(Diff, NothingComparableIsAnErrorNotAPass) {
   EXPECT_NE(o.error.find("no comparable cells"), std::string::npos);
 }
 
-TEST(Diff, MissingProtectedCellFailsUnlessAllowed) {
+TEST(Diff, MissingProtectedCellFails) {
   // Dropping or renaming a protected cell would silently remove its
   // leakage gating; the baseline must be refreshed instead.
   Trajectory t;
@@ -457,10 +468,6 @@ TEST(Diff, MissingProtectedCellFailsUnlessAllowed) {
   DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_FALSE(o.ok());
   EXPECT_EQ(o.result.missing_protected, 1u);
-
-  DiffOptions opt;
-  opt.gate_missing_protected = false;
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand", opt).ok());
 }
 
 TEST(Diff, ZeroBaselineWallStillGatesExpensiveCandidate) {
@@ -662,6 +669,60 @@ TEST(SplitRecords, RoundTripsRecordsByteForByte) {
   EXPECT_FALSE(SplitRecordTexts("[{\"a\": 1} {\"b\": 2}]", &error).has_value());
 }
 
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(ResultsFile, EditWaitsForTheLockThenEditsTheLatestContents) {
+  const std::string path = ::testing::TempDir() + "results_file_lock_test.json";
+  std::ofstream(path, std::ios::trunc) << "[\n{\"a\": 1}\n]\n";
+  // Another writer (a Recorder mid-flush) holds the lock...
+  const int lock_fd = ::open((path + ".lock").c_str(), O_RDWR | O_CREAT, 0644);
+  ASSERT_GE(lock_fd, 0);
+  ASSERT_EQ(::flock(lock_fd, LOCK_EX), 0);
+  std::atomic<bool> done{false};
+  std::string seen;
+  std::string error;
+  bool ok = false;
+  std::thread editor([&] {
+    ok = EditResultsFile(
+        path,
+        [&](std::string& text, std::string*) {
+          seen = text;
+          text += "edited\n";
+          return true;
+        },
+        &error);
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(done.load()) << "the edit ran while another writer held the lock";
+  // ...and replaces the file before releasing it.
+  std::ofstream(path, std::ios::trunc) << "[\n{\"b\": 2}\n]\n";
+  ::close(lock_fd);
+  editor.join();
+  EXPECT_TRUE(ok) << error;
+  EXPECT_EQ(seen, "[\n{\"b\": 2}\n]\n");
+  EXPECT_EQ(ReadText(path), "[\n{\"b\": 2}\n]\nedited\n");
+
+  // An edit that fails leaves the file untouched and reports why.
+  EXPECT_FALSE(EditResultsFile(
+      path,
+      [](std::string& text, std::string* why) {
+        text.clear();
+        *why = "refused";
+        return false;
+      },
+      &error));
+  EXPECT_EQ(error, "refused");
+  EXPECT_EQ(ReadText(path), "[\n{\"b\": 2}\n]\nedited\n");
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+}
+
 TEST(Diff, FailedCandidateCellIsNotedButNotGatedByDefault) {
   Trajectory t;
   t.records.push_back(MakeRecord("base", "x/protected", 0.0, 1e8));
@@ -844,6 +905,10 @@ TEST(Trajectory, NonFiniteCiBoundsCannotEnterViaJson) {
   EXPECT_EQ(t->records[0].mi_ci_high, 0.001);
 }
 
+TEST(Trajectory, LeakResolutionMatchesTheSweep) {
+  EXPECT_EQ(kLeakResolutionBits, mi::kResolutionBits);
+}
+
 TEST(Trajectory, LeakyRederivesTheSweepVerdict) {
   TrajectoryRecord r = MakeRecord("l", "c", 0.5, 0);
   r.m0_bits = 0.1;
@@ -1015,7 +1080,6 @@ TEST(Diff, ReportJsonCarriesSummaryBlock) {
   ASSERT_NE(opts, nullptr);
   ASSERT_NE(opts->Find("require_verdict_match"), nullptr);
   EXPECT_FALSE(opts->Find("require_verdict_match")->boolean);
-  EXPECT_EQ(opts->Find("ci_leak_threshold_bits")->number, 0.001);
 }
 
 }  // namespace

@@ -26,14 +26,8 @@ constexpr const char* kUsage =
     "  --report PATH    also write a machine-readable JSON report\n"
     "  --wall-ratio X   max candidate/baseline wall-clock ratio before a\n"
     "                   cell counts as regressed (default 1.25)\n"
-    "  --min-wall-ms N  only wall-gate cells at least this expensive on one\n"
-    "                   side (default 50)\n"
-    "  --mi-eps X       slack in bits for MI comparisons (default 1e-9)\n"
     "  --max-mi-delta X fail ANY joined cell whose |MI delta| exceeds X\n"
     "                   (0 demands bit-identical MI; off by default)\n"
-    "  --allow-missing-protected\n"
-    "                   do not fail when a protected baseline cell is\n"
-    "                   missing from the candidate\n"
     "  --require-wall   fail any joined cell whose baseline has a wall_ns\n"
     "                   measurement but whose candidate records none\n"
     "  --require-contract\n"
@@ -48,8 +42,6 @@ constexpr const char* kUsage =
     "                   between baseline and candidate (the adaptive-vs-\n"
     "                   fixed A/B gate: early stopping may shift MI point\n"
     "                   estimates, never verdicts)\n"
-    "  --ci-threshold X leak-resolution threshold in bits for CI-gated\n"
-    "                   early-stopped cells (default 0.001)\n"
     "  --list-labels    print the labels present in the file and exit\n"
     "  --quiet          suppress the per-cell table, print the verdict only\n"
     "\n"
@@ -109,26 +101,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         std::fprintf(stderr, "tp_bench_diff: --wall-ratio must be positive\n");
         return false;
       }
-    } else if (arg == "--min-wall-ms") {
-      const char* v = value();
-      if (v == nullptr) {
-        return false;
-      }
-      args->options.min_wall_ns = static_cast<std::uint64_t>(std::atof(v) * 1e6);
-    } else if (arg == "--mi-eps") {
-      const char* v = value();
-      if (v == nullptr) {
-        return false;
-      }
-      args->options.mi_eps_bits = std::atof(v);
     } else if (arg == "--max-mi-delta") {
       const char* v = value();
       if (v == nullptr) {
         return false;
       }
       args->options.max_abs_mi_delta = std::atof(v);
-    } else if (arg == "--allow-missing-protected") {
-      args->options.gate_missing_protected = false;
     } else if (arg == "--require-wall") {
       args->options.require_cell_wall = true;
     } else if (arg == "--require-contract") {
@@ -137,16 +115,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->options.require_cells = true;
     } else if (arg == "--require-verdicts") {
       args->options.require_verdict_match = true;
-    } else if (arg == "--ci-threshold") {
-      const char* v = value();
-      if (v == nullptr) {
-        return false;
-      }
-      args->options.ci_leak_threshold_bits = std::atof(v);
-      if (args->options.ci_leak_threshold_bits < 0.0) {
-        std::fprintf(stderr, "tp_bench_diff: --ci-threshold must be >= 0\n");
-        return false;
-      }
     } else if (arg == "--list-labels") {
       args->list_labels = true;
     } else if (arg == "--check-coverage") {

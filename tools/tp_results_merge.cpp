@@ -7,15 +7,16 @@
 // understand survive untouched). The merge refuses to run when any label in
 // SRC already exists in DEST — duplicate (bench, label, cell) records would
 // make the trajectory differ silently prefer one of them — and DEST is
-// replaced via temp-file + rename so a crash mid-merge can never leave a
-// truncated file. run_bench_sweep.sh records each sweep into a private temp
-// file and merges it here only after every channel passed, so a failed
-// sweep can never poison the committed results file.
+// replaced under the Recorder's lock via fsynced temp file + rename
+// (trajectory::EditResultsFile), so a crash mid-merge can never leave a
+// truncated file and a concurrent sweep never loses records.
+// run_bench_sweep.sh records each sweep into a private temp file and merges
+// it here only after every channel passed, so a failed sweep can never
+// poison the committed results file.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,54 +84,36 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<std::string> merged;
-  std::optional<std::string> dest_text = ReadFile(dest_path);
-  if (dest_text) {
-    std::optional<std::vector<std::string>> dest_records =
-        tp::trajectory::SplitRecordTexts(*dest_text, &error);
-    if (!dest_records) {
-      std::fprintf(stderr, "tp_results_merge: %s: %s\n", dest_path.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    std::optional<tp::trajectory::Trajectory> dest =
-        tp::trajectory::ParseTrajectory(*dest_text, &error);
-    if (!dest) {
-      std::fprintf(stderr, "tp_results_merge: %s: %s\n", dest_path.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    std::set<std::string> dest_labels;
-    for (const tp::trajectory::TrajectoryRecord& r : dest->records) {
-      dest_labels.insert(r.label);
-    }
-    for (const std::string& label : src->Labels()) {
-      if (dest_labels.count(label) != 0) {
-        std::fprintf(stderr,
-                     "tp_results_merge: label '%s' already present in %s — pick a "
-                     "fresh label or remove the old records\n",
-                     label.c_str(), dest_path.c_str());
-        return 1;
-      }
-    }
-    merged = std::move(*dest_records);
-  }
-  merged.insert(merged.end(), src_records->begin(), src_records->end());
-
-  const std::string out = tp::trajectory::JoinRecordTexts(merged);
-  const std::string tmp_path = dest_path + ".tmp.merge";
-  {
-    std::ofstream tmp(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!tmp || !(tmp << out) || !tmp.flush()) {
-      std::fprintf(stderr, "tp_results_merge: cannot write %s\n", tmp_path.c_str());
-      std::remove(tmp_path.c_str());
-      return 1;
-    }
-  }
-  if (std::rename(tmp_path.c_str(), dest_path.c_str()) != 0) {
-    std::fprintf(stderr, "tp_results_merge: rename %s -> %s failed\n",
-                 tmp_path.c_str(), dest_path.c_str());
-    std::remove(tmp_path.c_str());
+  // DEST is read, checked and replaced under its lock, so a Recorder
+  // flushing into it meanwhile can neither lose its records nor ours.
+  const bool merged = tp::trajectory::EditResultsFile(
+      dest_path,
+      [&](std::string& dest_text, std::string* error) {
+        std::vector<std::string> records;
+        if (!dest_text.empty()) {
+          std::optional<std::vector<std::string>> dest_records =
+              tp::trajectory::SplitRecordTexts(dest_text, error);
+          std::optional<tp::trajectory::Trajectory> dest =
+              dest_records ? tp::trajectory::ParseTrajectory(dest_text, error) : std::nullopt;
+          if (!dest) {
+            return false;
+          }
+          for (const std::string& label : src->Labels()) {
+            if (dest->HasLabel(label)) {
+              *error = "label '" + label +
+                       "' already present — pick a fresh label or remove the old records";
+              return false;
+            }
+          }
+          records = std::move(*dest_records);
+        }
+        records.insert(records.end(), src_records->begin(), src_records->end());
+        dest_text = tp::trajectory::JoinRecordTexts(records);
+        return true;
+      },
+      &error);
+  if (!merged) {
+    std::fprintf(stderr, "tp_results_merge: %s: %s\n", dest_path.c_str(), error.c_str());
     return 1;
   }
   std::printf("tp_results_merge: %zu record(s) from %s merged into %s\n",
