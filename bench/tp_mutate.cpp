@@ -34,6 +34,7 @@
 #include "runner/runner.hpp"
 #include "runner/sweep.hpp"
 #include "scenarios/scenario.hpp"
+#include "trajectory/json.hpp"
 
 namespace {
 
@@ -161,43 +162,23 @@ struct MatrixEntry {
   std::string mut_status;
 };
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 std::string MatrixJson(const std::vector<MatrixEntry>& entries) {
+  using tp::trajectory::JsonNumber;
+  using tp::trajectory::JsonQuote;
   std::string out = "[";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const MatrixEntry& e = entries[i];
-    char num[160];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"site\": \"" + JsonEscape(e.site) + "\", \"bench\": \"" +
-           JsonEscape(e.bench) + "\", \"cell\": \"" + JsonEscape(e.cell) + "\"";
+    out += "{\"site\": " + JsonQuote(e.site) + ", \"bench\": " + JsonQuote(e.bench) +
+           ", \"cell\": " + JsonQuote(e.cell);
     out += ", \"detected\": " + std::string(e.detected ? "true" : "false");
-    out += ", \"detector\": \"" + JsonEscape(e.detector) + "\"";
-    std::snprintf(num, sizeof(num),
-                  ", \"base_mi_bits\": %.6g, \"mutant_mi_bits\": %.6g"
-                  ", \"base_violations\": %llu, \"mutant_violations\": %llu",
-                  e.base_mi, e.mut_mi,
-                  static_cast<unsigned long long>(e.base_violations),
-                  static_cast<unsigned long long>(e.mut_violations));
-    out += num;
+    out += ", \"detector\": " + JsonQuote(e.detector);
+    out += ", \"base_mi_bits\": " + JsonNumber(e.base_mi);
+    out += ", \"mutant_mi_bits\": " + JsonNumber(e.mut_mi);
+    out += ", \"base_violations\": " + std::to_string(e.base_violations);
+    out += ", \"mutant_violations\": " + std::to_string(e.mut_violations);
     if (!e.mut_status.empty()) {
-      out += ", \"mutant_cell_status\": \"" + JsonEscape(e.mut_status) + "\"";
+      out += ", \"mutant_cell_status\": " + JsonQuote(e.mut_status);
     }
     out += "}";
   }

@@ -146,11 +146,6 @@ void ClearFaultPlan() {
 
 bool FaultInjectionEnabled() { return ActivePlan() != nullptr; }
 
-std::string ActiveFaultSite() {
-  std::shared_ptr<const FaultPlan> plan = ActivePlan();
-  return plan ? plan->site : std::string();
-}
-
 ScopedCellSeed::ScopedCellSeed(std::uint64_t seed) : prev_(t_cell_seed) {
   t_cell_seed = seed;
 }

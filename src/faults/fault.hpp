@@ -75,8 +75,6 @@ void ClearFaultPlan();
 // True iff a plan is active (the TP_INJECT environment variable installs
 // one on first query, so env-driven runs need no code change).
 bool FaultInjectionEnabled();
-// Name of the active site, "" when injection is off.
-std::string ActiveFaultSite();
 
 // Thread-local ambient cell seed, published by the sweep engine around
 // each shard so construct-time latches are coordinate-keyed.

@@ -75,20 +75,6 @@ SetAssociativeCache::SetAssociativeCache(std::string name, const CacheGeometry& 
   }
 }
 
-AccessRunResult SetAssociativeCache::AccessRun(VAddr base_for_index, PAddr base_for_tag,
-                                               std::size_t count, std::size_t stride_bytes,
-                                               bool write) {
-  AccessRunResult run;
-  for (std::size_t i = 0; i < count; ++i) {
-    const AccessResult r =
-        Access(base_for_index + i * stride_bytes, base_for_tag + i * stride_bytes, write);
-    run.hits += r.hit ? 1 : 0;
-    run.misses += r.hit ? 0 : 1;
-    run.writebacks += r.writeback ? 1 : 0;
-  }
-  return run;
-}
-
 bool SetAssociativeCache::Insert(VAddr addr_for_index, PAddr addr_for_tag, bool dirty) {
   const Decoded d = Decode(addr_for_index, addr_for_tag);
   if (int way = FindWay(d.set, d.tag); way >= 0) {
@@ -194,12 +180,6 @@ void SetAssociativeCache::DigestState(std::uint64_t& h) const {
   DigestVec(h, valid_);
   DigestVec(h, dirty_);
   taint_.DigestState(h);
-}
-
-void SetAssociativeCache::ResetStats() {
-  hits_ = 0;
-  misses_ = 0;
-  writebacks_ = 0;
 }
 
 }  // namespace tp::hw

@@ -67,13 +67,6 @@ struct AccessResult {
   std::uint64_t evicted_line_addr = 0;  // victim's line number (paddr / line_size)
 };
 
-// Hit/miss tallies of a batched access run (see AccessRun).
-struct AccessRunResult {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t writebacks = 0;
-};
-
 class SetAssociativeCache {
  public:
   SetAssociativeCache(std::string name, const CacheGeometry& geometry, Indexing indexing);
@@ -104,11 +97,6 @@ class SetAssociativeCache {
     }
     return MissFill(d, write);
   }
-
-  // Batched run over `count` addresses advancing both index and tag by
-  // `stride_bytes`: one decode-and-probe loop with no per-access dispatch.
-  AccessRunResult AccessRun(VAddr base_for_index, PAddr base_for_tag, std::size_t count,
-                            std::size_t stride_bytes, bool write);
 
   // Inserts a line without reporting timing (hardware prefetch fill).
   // Returns true if the fill evicted a dirty line.
@@ -177,7 +165,6 @@ class SetAssociativeCache {
   // stamps) into a batch-replay digest. The signature array is a pure
   // per-slot function of the tag array and is skipped.
   void DigestState(std::uint64_t& h) const;
-  void ResetStats();
 
   // Taint metadata (active only when taint tracking was enabled at
   // construction). The owner stamps every line this cache fills or touches

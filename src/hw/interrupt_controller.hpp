@@ -64,7 +64,6 @@ class InterruptController {
   void Ack(IrqLine line);
 
   bool IsRaised(IrqLine line) const { return Test(raised_, Checked(line)); }
-  bool IsMasked(IrqLine line) const { return Test(masked_, Checked(line)); }
   // Whether this single line would be delivered right now (same per-arch
   // rule as PendingDeliverable); used by the contract checker to spot a
   // partitioned-out domain's IRQ that could still fire.

@@ -88,7 +88,6 @@ class Machine {
   Cycles MicrosToCycles(double us) const {
     return static_cast<Cycles>(us * config_.clock_ghz * 1000.0);
   }
-  double CyclesToMillis(Cycles c) const { return CyclesToMicros(c) / 1000.0; }
 
   const MachineConfig& config() const { return config_; }
 

@@ -19,8 +19,6 @@ struct PerfCounters {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   std::uint64_t fetches = 0;
-
-  void Reset() { *this = PerfCounters{}; }
 };
 
 }  // namespace tp::hw

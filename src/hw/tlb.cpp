@@ -138,9 +138,4 @@ void Tlb::DigestState(std::uint64_t& h) const {
   taint_.DigestState(h);
 }
 
-void Tlb::ResetStats() {
-  hits_ = 0;
-  misses_ = 0;
-}
-
 }  // namespace tp::hw

@@ -74,7 +74,6 @@ class Tlb {
     hits_ += hits;
     misses_ += misses;
   }
-  void ResetStats();
 
   // Folds the behavioural state into a batch-replay digest (see cache.hpp).
   void DigestState(std::uint64_t& h) const;

@@ -361,7 +361,7 @@ void Kernel::FlushOnCoreState(hw::CoreId core) {
     if (!fault_flush_l1d_.FireOnce()) {
       cpu.ArchFlushL1D();
     }
-    if (!config_.skip_l1i_flush && !fault_flush_l1i_.FireOnce()) {
+    if (!fault_flush_l1i_.FireOnce()) {
       cpu.InvalidateL1I();
     }
     if (!fault_flush_tlb_.FireOnce()) {
@@ -382,7 +382,7 @@ void Kernel::FlushOnCoreState(hw::CoreId core) {
     if (!fault_flush_l1d_.FireOnce()) {
       ManualL1DFlush(core);
     }
-    if (!config_.skip_l1i_flush && !fault_flush_l1i_.FireOnce()) {
+    if (!fault_flush_l1i_.FireOnce()) {
       ManualL1IFlush(core);
     }
   }

@@ -52,10 +52,6 @@ struct KernelConfig {
   // "the situation was much worse" (paper §6.1). Clearing this models the
   // pre-update hardware for ablation studies.
   bool has_bp_flush = true;
-  // Test-only ablation: omit the L1-I part of the on-core flush (manual
-  // jump chain on x86, ICIALLU on Arm). Exists so the contract checker can
-  // be shown to catch a deliberately broken flush.
-  bool skip_l1i_flush = false;
   hw::Cycles timeslice_cycles = 1'000'000;
 
   // Boot-image geometry (defaults give the paper's ~200 KiB x86 image).

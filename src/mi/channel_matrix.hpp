@@ -20,7 +20,6 @@ class ChannelMatrix {
   std::size_t num_bins() const { return bins_; }
   // P(output bin | input index).
   double Probability(std::size_t input_index, std::size_t bin) const;
-  int InputSymbol(std::size_t input_index) const { return inputs_[input_index]; }
   double BinCenter(std::size_t bin) const;
 
   std::string ToCsv() const;

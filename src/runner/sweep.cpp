@@ -475,10 +475,9 @@ void RecordSweep(bench::Recorder& recorder, const ExperimentRunner& runner,
       record.mi_bits = r.leakage.mi_bits;
       record.m0_bits = r.leakage.m0_bits;
       if (r.adaptive) {
-        // Stopping metadata is emitted only for adaptive cells, so a
-        // fixed-rounds sweep's records stay byte-identical to earlier
-        // baselines (same pattern as the contract_* fields).
-        record.adaptive = true;
+        // Stopping metadata is set (stopped_early >= 0) only on adaptive
+        // cells, so a fixed-rounds sweep's records stay byte-identical to
+        // earlier baselines (same pattern as the contract_* fields).
         record.rounds_run = r.rounds_run;
         record.rounds_budget = r.rounds;
         record.stopped_early = r.stopped_early ? 1 : 0;

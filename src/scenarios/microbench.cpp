@@ -89,7 +89,9 @@ std::vector<Micro> Benches() {
   benches.push_back({"llc_decode_sweep", 1'000'000, [](std::size_t n) {
                        hw::SetAssociativeCache llc("LLC", hw::MachineConfig::Haswell(1).llc,
                                                    hw::Indexing::kPhysical);
-                       llc.AccessRun(0, 0, n, 64, false);
+                       for (std::size_t i = 0; i < n; ++i) {
+                         llc.Access(i * 64, i * 64, false);
+                       }
                      }});
 
   benches.push_back({"tlb_lookup_hit", 2'000'000, [](std::size_t n) {

@@ -1,8 +1,9 @@
 #include "trajectory/diff.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
+
+#include "trajectory/json.hpp"
 
 namespace tp::trajectory {
 
@@ -42,42 +43,6 @@ std::map<std::string, const TrajectoryRecord*> IndexLabel(const Trajectory& t,
   return index;
 }
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendStringArray(std::string& out, const char* name,
                        const std::vector<std::string>& items) {
   out += "  \"";
@@ -85,7 +50,7 @@ void AppendStringArray(std::string& out, const char* name,
   out += "\": [";
   for (std::size_t i = 0; i < items.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    out += "    \"" + JsonEscape(items[i]) + "\"";
+    out += "    " + JsonQuote(items[i]);
   }
   out += items.empty() ? "]" : "\n  ]";
 }
@@ -397,9 +362,9 @@ CoverageResult CheckCoverage(const Trajectory& trajectory, std::string_view labe
 std::string ReportJson(const DiffOutcome& outcome) {
   const DiffResult& r = outcome.result;
   std::string out = "{\n";
-  out += "  \"baseline\": \"" + JsonEscape(r.baseline_label) + "\",\n";
-  out += "  \"candidate\": \"" + JsonEscape(r.candidate_label) + "\",\n";
-  out += "  \"options\": {\"max_wall_ratio\": " + FormatDouble(r.options.max_wall_ratio) +
+  out += "  \"baseline\": " + JsonQuote(r.baseline_label) + ",\n";
+  out += "  \"candidate\": " + JsonQuote(r.candidate_label) + ",\n";
+  out += "  \"options\": {\"max_wall_ratio\": " + JsonNumber(r.options.max_wall_ratio) +
          ", \"require_cell_wall\": " +
          std::string(r.options.require_cell_wall ? "true" : "false") +
          ", \"require_contract\": " +
@@ -422,7 +387,7 @@ std::string ReportJson(const DiffOutcome& outcome) {
          ", \"cells_gated\": " + std::to_string(r.summary.cells_gated) +
          ", \"verdict_mismatches\": " + std::to_string(r.verdict_mismatches) + "},\n";
   if (!outcome.error.empty()) {
-    out += "  \"error\": \"" + JsonEscape(outcome.error) + "\",\n";
+    out += "  \"error\": " + JsonQuote(outcome.error) + ",\n";
   }
   out += "  \"ok\": " + std::string(outcome.ok() ? "true" : "false") + ",\n";
   out += "  \"leak_regressions\": " + std::to_string(r.leak_regressions) + ",\n";
@@ -443,20 +408,19 @@ std::string ReportJson(const DiffOutcome& outcome) {
   for (std::size_t i = 0; i < r.cells.size(); ++i) {
     const CellDiff& d = r.cells[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"bench\": \"" + JsonEscape(d.bench) + "\", \"cell\": \"" +
-           JsonEscape(d.cell) + "\"";
+    out += "    {\"bench\": " + JsonQuote(d.bench) + ", \"cell\": " + JsonQuote(d.cell);
     out += ", \"protected\": " + std::string(d.protected_mode ? "true" : "false");
     if (!std::isnan(d.base_mi)) {
-      out += ", \"base_mi_bits\": " + FormatDouble(d.base_mi);
+      out += ", \"base_mi_bits\": " + JsonNumber(d.base_mi);
     }
     if (!std::isnan(d.cand_mi)) {
-      out += ", \"cand_mi_bits\": " + FormatDouble(d.cand_mi);
+      out += ", \"cand_mi_bits\": " + JsonNumber(d.cand_mi);
     }
-    out += ", \"mi_delta_bits\": " + FormatDouble(d.mi_delta);
+    out += ", \"mi_delta_bits\": " + JsonNumber(d.mi_delta);
     out += ", \"base_wall_ns\": " + std::to_string(d.base_wall_ns);
     out += ", \"cand_wall_ns\": " + std::to_string(d.cand_wall_ns);
     out += ", \"wall_ratio\": " +
-           (std::isfinite(d.wall_ratio) ? FormatDouble(d.wall_ratio) : std::string("null"));
+           (std::isfinite(d.wall_ratio) ? JsonNumber(d.wall_ratio) : std::string("null"));
     out += ", \"leak_regression\": " + std::string(d.leak_regression ? "true" : "false");
     out += ", \"wall_regression\": " + std::string(d.wall_regression ? "true" : "false");
     out += ", \"mi_delta_regression\": " +
@@ -470,10 +434,10 @@ std::string ReportJson(const DiffOutcome& outcome) {
       out += ", \"cand_stopped_early\": true";
     }
     if (!std::isnan(d.cand_ci_low)) {
-      out += ", \"cand_mi_ci_low\": " + FormatDouble(d.cand_ci_low);
+      out += ", \"cand_mi_ci_low\": " + JsonNumber(d.cand_ci_low);
     }
     if (!std::isnan(d.cand_ci_high)) {
-      out += ", \"cand_mi_ci_high\": " + FormatDouble(d.cand_ci_high);
+      out += ", \"cand_mi_ci_high\": " + JsonNumber(d.cand_ci_high);
     }
     if (d.wall_normalized) {
       out += ", \"wall_normalized\": true";
@@ -491,7 +455,7 @@ std::string ReportJson(const DiffOutcome& outcome) {
       out += ", \"contract_regression\": true";
     }
     if (d.cand_status != "ok") {
-      out += ", \"cell_status\": \"" + JsonEscape(d.cand_status) + "\"";
+      out += ", \"cell_status\": " + JsonQuote(d.cand_status);
       out += ", \"cell_failure\": " + std::string(d.cell_failure ? "true" : "false");
     }
     out += "}";

@@ -300,4 +300,41 @@ std::optional<JsonValue> ParseJson(std::string_view text, std::string* error) {
   return Parser(text).Parse(error);
 }
 
+std::string JsonQuote(std::string_view s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+std::string JsonNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
 }  // namespace tp::trajectory

@@ -1,4 +1,6 @@
-// Minimal recursive-descent JSON reader for the trajectory tooling.
+// Minimal recursive-descent JSON reader for the trajectory tooling, plus
+// the two scalar formatters every JSON the repo writes shares (results
+// records, diff reports, the mutation matrix).
 //
 // The repo's own Recorder writes the files this parses, but tp_bench_diff
 // must also survive hand-edited input: parsing never throws, reports the
@@ -32,6 +34,13 @@ struct JsonValue {
 // Parses one JSON document (trailing whitespace allowed, nothing else).
 // Returns nullopt and fills `error` ("offset N: ...") on malformed input.
 std::optional<JsonValue> ParseJson(std::string_view text, std::string* error = nullptr);
+
+// `s` as a JSON string literal, quotes included: '"' and '\\' escaped,
+// newline and tab as \n and \t, other control bytes as \u00XX.
+std::string JsonQuote(std::string_view s);
+
+// `v` printed "%.6g", the precision of every number the repo records.
+std::string JsonNumber(double v);
 
 }  // namespace tp::trajectory
 

@@ -192,6 +192,70 @@ bool ParseRecord(const JsonValue& v, TrajectoryRecord& r, std::string* why) {
 
 }  // namespace
 
+std::string RecordJson(const TrajectoryRecord& r) {
+  auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
+  std::string out = "{\"schema_version\": " + std::to_string(r.schema_version);
+  out += ", \"bench\": " + JsonQuote(r.bench);
+  out += ", \"label\": " + JsonQuote(r.label);
+  out += ", \"cell\": " + JsonQuote(r.cell);
+  out += ", \"quick\": " + flag(r.quick);
+  out += ", \"host_cpus\": " + std::to_string(r.host_cpus);
+  out += ", \"threads\": " + std::to_string(r.threads);
+  out += ", \"shards\": " + std::to_string(r.shards);
+  out += ", \"rounds\": " + std::to_string(r.rounds);
+  out += ", \"samples\": " + std::to_string(r.samples);
+  if (r.has_mi()) {
+    out += ", \"mi_bits\": " + JsonNumber(r.mi_bits);
+  }
+  if (!std::isnan(r.m0_bits)) {
+    out += ", \"m0_bits\": " + JsonNumber(r.m0_bits);
+  }
+  out += ", \"wall_ns\": " + std::to_string(r.wall_ns);
+  out += ", \"unix_time\": " + std::to_string(r.unix_time);
+  if (!r.metrics.empty()) {
+    const char* sep = ", \"metrics\": {";
+    for (const auto& [key, value] : r.metrics) {
+      out += sep + JsonQuote(key) + ": " + JsonNumber(value);
+      sep = ", ";
+    }
+    out += "}";
+  }
+  if (r.has_contract()) {
+    out += ", \"contract_clean\": " + flag(r.contract_clean != 0);
+    out += ", \"contract_switches\": " + std::to_string(r.contract_switches);
+    out += ", \"contract_violations\": " + std::to_string(r.contract_violations);
+    out += ", \"contract_whitelisted\": " + std::to_string(r.contract_whitelisted);
+    if (!r.contract_first.empty()) {
+      out += ", \"contract_first\": " + JsonQuote(r.contract_first);
+    }
+  }
+  if (!r.cell_ok()) {
+    out += ", \"cell_status\": " + JsonQuote(r.cell_status);
+    if (!r.cell_error.empty()) {
+      out += ", \"cell_error\": " + JsonQuote(r.cell_error);
+    }
+  }
+  if (r.is_adaptive()) {
+    out += ", \"rounds_run\": " + std::to_string(r.rounds_run);
+    out += ", \"rounds_budget\": " + std::to_string(r.rounds_budget);
+    out += ", \"stopped_early\": " + flag(r.stopped_early > 0);
+    if (!std::isnan(r.mi_ci_low)) {
+      out += ", \"mi_ci_low\": " + JsonNumber(r.mi_ci_low);
+    }
+    if (r.has_ci()) {
+      out += ", \"mi_ci_high\": " + JsonNumber(r.mi_ci_high);
+    }
+    if (r.significance > 0.0) {
+      out += ", \"significance\": " + JsonNumber(r.significance);
+    }
+    if (!r.ci_method.empty()) {
+      out += ", \"ci_method\": " + JsonQuote(r.ci_method);
+    }
+  }
+  out += "}";
+  return out;
+}
+
 std::vector<std::string> Trajectory::Labels() const {
   std::vector<std::string> labels;
   for (const TrajectoryRecord& r : records) {

@@ -20,13 +20,12 @@
 
 namespace tp::trajectory {
 
-// The schema range this tooling understands (see BUILDING.md and
-// runner/recorder.hpp, which writes the current version). v1 records carry
-// amortised wall_ns on cost-grid cells; v2 wall_ns is always a per-cell
-// measurement; v3 adds the optional contract_* observables of taint-on
-// runs. Every version loads into the same record type (absent contract
-// fields stay at their "not recorded" defaults), so all versions diff
-// against each other.
+// The schema range this tooling understands (see BUILDING.md; RecordJson
+// writes the current version). v1 records carry amortised wall_ns on
+// cost-grid cells; v2 wall_ns is always a per-cell measurement; v3 adds
+// the optional contract_* observables of taint-on runs. Every version
+// loads into the same record type (absent contract fields stay at their
+// "not recorded" defaults), so all versions diff against each other.
 inline constexpr int kMinSchemaVersion = 1;
 inline constexpr int kSchemaVersion = 3;
 
@@ -35,21 +34,22 @@ inline constexpr int kSchemaVersion = 3;
 // library does not link the MI code (a test pins the two together).
 inline constexpr double kLeakResolutionBits = 0.001;
 
+// One results record: what the Recorder writes (RecordJson) and what the
+// loader reads back (ParseTrajectory). The field order lets callers build
+// a record with designated initializers ({.cell, .rounds, .samples, ...});
+// the Recorder stamps bench, label and the run context when it flushes.
 struct TrajectoryRecord {
-  int schema_version = 0;
+  int schema_version = kSchemaVersion;
   std::string bench;
   std::string label;
   std::string cell;
-  bool quick = false;
-  std::size_t host_cpus = 0;
-  std::size_t threads = 1;
-  std::size_t shards = 1;
   std::size_t rounds = 0;
   std::size_t samples = 0;
   double mi_bits = std::numeric_limits<double>::quiet_NaN();
   double m0_bits = std::numeric_limits<double>::quiet_NaN();
   std::uint64_t wall_ns = 0;
-  std::int64_t unix_time = 0;
+  std::size_t threads = 1;
+  std::size_t shards = 1;
   std::map<std::string, double> metrics;
   // Contract-checker observables (v3); contract_clean -1 = not recorded
   // (pre-v3 file or taint tracking off), 0 = dirty, 1 = clean.
@@ -73,6 +73,10 @@ struct TrajectoryRecord {
   double mi_ci_high = std::numeric_limits<double>::quiet_NaN();
   double significance = 0.0;
   std::string ci_method;
+  // Run context: TP_QUICK, host hardware concurrency, record time.
+  bool quick = false;
+  std::size_t host_cpus = 0;
+  std::int64_t unix_time = 0;
 
   bool has_mi() const { return !std::isnan(mi_bits); }
   bool has_contract() const { return contract_clean >= 0; }
@@ -101,6 +105,12 @@ struct Trajectory {
   bool HasLabel(std::string_view label) const;
 };
 
+// The record as one line of a results file, in the schema's field order:
+// mi_bits/m0_bits only when set, metrics only when non-empty, contract_*
+// only when has_contract(), cell_status/cell_error only when !cell_ok(),
+// and the adaptive block only when is_adaptive().
+std::string RecordJson(const TrajectoryRecord& r);
+
 // Parses the JSON text of a results file. Never throws; unparseable
 // *records* become warnings. Returns nullopt with `error` only when the
 // document itself is not a JSON array.
@@ -119,8 +129,9 @@ std::optional<Trajectory> LoadTrajectory(const std::string& path, std::string* e
 std::optional<std::vector<std::string>> SplitRecordTexts(std::string_view json_text,
                                                          std::string* error = nullptr);
 
-// Reassembles record texts into a results document (the Recorder's framing:
-// one record per line inside one array).
+// Reassembles record texts into a results document: one record per line
+// inside one array. Join(Split(text)) is `text` for every file this
+// framing wrote, so appending keeps the earlier records as a byte prefix.
 std::string JoinRecordTexts(const std::vector<std::string>& records);
 
 // Read-edit-replace of a results file, the one way every writer (the

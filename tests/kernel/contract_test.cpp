@@ -157,9 +157,11 @@ TEST_F(ContractTest, FullFlushSatisfiesTheContractOnX86) {
 }
 
 TEST_F(ContractTest, SkippedL1IFlushIsReportedExactly) {
-  hw::ContractTally t = RunTimeShared(
-      hw::MachineConfig::Sabre(1), core::Scenario::kProtected,
-      [](kernel::KernelConfig& kc) { kc.skip_l1i_flush = true; });
+  // The flush.l1i fault drops the L1-I part of the on-core flush (ICIALLU
+  // on Arm) from a seeded early switch onward.
+  faults::InstallFaultPlan({.site = "flush.l1i"});
+  hw::ContractTally t = RunTimeShared(hw::MachineConfig::Sabre(1), core::Scenario::kProtected);
+  faults::ClearFaultPlan();
   EXPECT_FALSE(t.clean());
   ASSERT_TRUE(t.has_first);
   EXPECT_EQ(t.first.structure, "L1-I") << FirstOf(t);

@@ -2,8 +2,8 @@
 // not deadlock the next Flush (flock is released by the kernel when the
 // holder dies; an unlocked leftover file is just a file), an orphaned
 // temp file from a crashed writer must never corrupt BENCH_results.json,
-// and a malformed existing file is restarted as a fresh array rather than
-// propagated.
+// and a malformed or truncated existing file is left untouched rather
+// than replaced by a fresh array.
 #include <unistd.h>
 
 #include <cstdlib>
@@ -101,24 +101,28 @@ TEST_F(RecorderCrashTest, OrphanedTempFileNeverCorruptsResults) {
   EXPECT_TRUE(std::filesystem::exists(path_ + ".tmp.99999"));
 }
 
-TEST_F(RecorderCrashTest, MalformedExistingFileRestartsAsFreshArray) {
-  std::ofstream(path_) << "not json at all";
-
+TEST_F(RecorderCrashTest, MalformedExistingFileIsLeftUntouched) {
+  // A results file cut in half (a partial copy, a full disk) is not an
+  // array the Recorder can append to; replacing it would throw away every
+  // record before the cut.
   {
     Recorder recorder("crash_test");
-    BenchRecord r;
-    r.cell = "recovered";
-    recorder.Add(std::move(r));
-    recorder.Flush();
+    recorder.Add({.cell = "earlier"});
   }
-
-  std::string error;
-  const auto parsed = ParseResults(&error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_EQ(parsed->type, trajectory::JsonValue::Type::kArray);
-  // "recovered" plus the destructor's "total" record.
-  ASSERT_EQ(parsed->array.size(), 2u);
-  EXPECT_NE(ReadFile().find("recovered"), std::string::npos);
+  const std::string whole = ReadFile();
+  const std::string truncated = whole.substr(0, whole.size() / 2);
+  for (const std::string& malformed : {std::string("not json at all"), truncated}) {
+    std::ofstream(path_) << malformed;
+    ::testing::internal::CaptureStderr();
+    {
+      Recorder recorder("crash_test");
+      recorder.Add({.cell = "dropped"});
+      recorder.Flush();
+    }
+    const std::string stderr_text = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ReadFile(), malformed);
+    EXPECT_NE(stderr_text.find(path_), std::string::npos) << stderr_text;
+  }
 }
 
 TEST_F(RecorderCrashTest, DestructorFlushAppendsTotalRecord) {

@@ -1,5 +1,6 @@
 // The bench Recorder: JSON array creation, cross-process append, schema
-// fields, and the TP_BENCH_JSON enable switch.
+// fields, malformed files left untouched, and the TP_BENCH_JSON enable
+// switch.
 #include "runner/recorder.hpp"
 
 #include <unistd.h>
@@ -127,7 +128,9 @@ TEST_F(RecorderTest, AppendsAcrossRecorders) {
   EXPECT_EQ(Count(text, "},"), 3u);
 }
 
-TEST_F(RecorderTest, RecoversFromMalformedFile) {
+// A file that is not a JSON array of records may still be someone's
+// data: the Recorder drops its own records rather than replace it.
+TEST_F(RecorderTest, LeavesMalformedFileUntouched) {
   {
     std::ofstream out(path_);
     out << "not json at all";
@@ -136,13 +139,10 @@ TEST_F(RecorderTest, RecoversFromMalformedFile) {
     Recorder r("bench_c");
     r.Add({.cell = "c"});
   }
-  std::string text = ReadFile();
-  EXPECT_EQ(text.front(), '[');
-  EXPECT_EQ(Count(text, "\"schema_version\""), 2u);
-  EXPECT_EQ(text.find("not json"), std::string::npos);
+  EXPECT_EQ(ReadFile(), "not json at all");
 }
 
-TEST_F(RecorderTest, RestartsWhenFileHasCloseBracketButNoOpen) {
+TEST_F(RecorderTest, LeavesFileWithCloseBracketButNoOpenUntouched) {
   {
     std::ofstream out(path_);
     out << "oops]";
@@ -151,9 +151,20 @@ TEST_F(RecorderTest, RestartsWhenFileHasCloseBracketButNoOpen) {
     Recorder r("bench_d");
     r.Add({.cell = "d"});
   }
+  EXPECT_EQ(ReadFile(), "oops]");
+}
+
+TEST_F(RecorderTest, StartsAFreshArrayInAnEmptyFile) {
+  {
+    std::ofstream out(path_);
+    out << "\n";
+  }
+  {
+    Recorder r("bench_e");
+    r.Add({.cell = "e"});
+  }
   std::string text = ReadFile();
   EXPECT_EQ(text.front(), '[');
-  EXPECT_EQ(text.find("oops"), std::string::npos);
   EXPECT_EQ(Count(text, "\"schema_version\""), 2u);
 }
 

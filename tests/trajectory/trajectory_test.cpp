@@ -98,6 +98,94 @@ TEST(Trajectory, ParsesFullRecord) {
   EXPECT_TRUE(t->warnings.empty());
 }
 
+// The writer and the reader are one schema: every field, optional blocks
+// included, comes back from RecordJson -> ParseTrajectory unchanged.
+TEST(Trajectory, RecordJsonRoundTripsEveryField) {
+  TrajectoryRecord r;
+  r.schema_version = 2;
+  r.bench = "fig\"3\\kernel";
+  r.label = "run\tlabel";
+  r.cell = "Haswell (x86)/L2\n/protected";
+  r.rounds = 150;
+  r.samples = 142;
+  r.mi_bits = 0.5;
+  r.m0_bits = 0.0625;
+  r.wall_ns = 123456789;
+  r.threads = 4;
+  r.shards = 8;
+  r.metrics = {{"switch_us", 29.8}, {"odd \"key\"", -2.5}};
+  r.contract_clean = 0;
+  r.contract_switches = 128;
+  r.contract_violations = 3;
+  r.contract_whitelisted = 4;
+  r.contract_first = "L1-I set 5 \x01";
+  r.cell_status = "timeout";
+  r.cell_error = "budget \"40 ms\" exceeded";
+  r.rounds_run = 32;
+  r.rounds_budget = 112;
+  r.stopped_early = 1;
+  r.mi_ci_low = 0.25;
+  r.mi_ci_high = 0.75;
+  r.significance = 0.05;
+  r.ci_method = "bootstrap";
+  r.quick = true;
+  r.host_cpus = 16;
+  r.unix_time = 1753430000;
+
+  const std::string text = RecordJson(r);
+  EXPECT_EQ(text,
+            R"({"schema_version": 2, "bench": "fig\"3\\kernel", "label": "run\tlabel", )"
+            R"("cell": "Haswell (x86)/L2\n/protected", "quick": true, "host_cpus": 16, )"
+            R"("threads": 4, "shards": 8, "rounds": 150, "samples": 142, "mi_bits": 0.5, )"
+            R"("m0_bits": 0.0625, "wall_ns": 123456789, "unix_time": 1753430000, )"
+            R"("metrics": {"odd \"key\"": -2.5, "switch_us": 29.8}, "contract_clean": false, )"
+            R"("contract_switches": 128, "contract_violations": 3, "contract_whitelisted": 4, )"
+            R"("contract_first": "L1-I set 5 \u0001", "cell_status": "timeout", )"
+            R"("cell_error": "budget \"40 ms\" exceeded", "rounds_run": 32, )"
+            R"("rounds_budget": 112, "stopped_early": true, "mi_ci_low": 0.25, )"
+            R"("mi_ci_high": 0.75, "significance": 0.05, "ci_method": "bootstrap"})");
+  std::optional<Trajectory> t = ParseTrajectory("[" + text + "]");
+  ASSERT_TRUE(t.has_value());
+  ASSERT_EQ(t->records.size(), 1u) << text;
+  const TrajectoryRecord& p = t->records[0];
+  EXPECT_EQ(p.schema_version, r.schema_version);
+  EXPECT_EQ(p.bench, r.bench);
+  EXPECT_EQ(p.label, r.label);
+  EXPECT_EQ(p.cell, r.cell);
+  EXPECT_EQ(p.rounds, r.rounds);
+  EXPECT_EQ(p.samples, r.samples);
+  EXPECT_EQ(p.mi_bits, r.mi_bits);
+  EXPECT_EQ(p.m0_bits, r.m0_bits);
+  EXPECT_EQ(p.wall_ns, r.wall_ns);
+  EXPECT_EQ(p.threads, r.threads);
+  EXPECT_EQ(p.shards, r.shards);
+  EXPECT_EQ(p.metrics, r.metrics);
+  EXPECT_EQ(p.contract_clean, r.contract_clean);
+  EXPECT_EQ(p.contract_switches, r.contract_switches);
+  EXPECT_EQ(p.contract_violations, r.contract_violations);
+  EXPECT_EQ(p.contract_whitelisted, r.contract_whitelisted);
+  EXPECT_EQ(p.contract_first, r.contract_first);
+  EXPECT_EQ(p.cell_status, r.cell_status);
+  EXPECT_EQ(p.cell_error, r.cell_error);
+  EXPECT_EQ(p.rounds_run, r.rounds_run);
+  EXPECT_EQ(p.rounds_budget, r.rounds_budget);
+  EXPECT_EQ(p.stopped_early, r.stopped_early);
+  EXPECT_EQ(p.mi_ci_low, r.mi_ci_low);
+  EXPECT_EQ(p.mi_ci_high, r.mi_ci_high);
+  EXPECT_EQ(p.significance, r.significance);
+  EXPECT_EQ(p.ci_method, r.ci_method);
+  EXPECT_EQ(p.quick, r.quick);
+  EXPECT_EQ(p.host_cpus, r.host_cpus);
+  EXPECT_EQ(p.unix_time, r.unix_time);
+
+  // A default record writes none of the optional blocks: no MI, metrics,
+  // contract, cell status or adaptive fields.
+  EXPECT_EQ(RecordJson(TrajectoryRecord{}),
+            R"({"schema_version": 3, "bench": "", "label": "", "cell": "", "quick": false, )"
+            R"("host_cpus": 0, "threads": 1, "shards": 1, "rounds": 0, "samples": 0, )"
+            R"("wall_ns": 0, "unix_time": 0})");
+}
+
 TEST(Trajectory, MiAbsentMeansNaN) {
   // Built with += : GCC 12's -Wrestrict misanalyses `"[" + Rec("") + "]"`
   // here (bogus "may overlap" at PTRDIFF_MAX offsets) under -Werror.
