@@ -28,11 +28,7 @@ kernel::CapIdx DomainManager::CloneKernelFromPool(const std::set<std::size_t>& c
     throw std::runtime_error("DomainManager: cannot retype Kernel_Memory");
   }
 
-  const kernel::KernelConfig& kc = kernel_.config();
-  std::size_t idle_bytes = kernel_.machine().num_cores() * 1024;
-  std::size_t needed =
-      kc.text_bytes + kc.data_bytes + kc.stack_bytes + kc.pt_bytes + idle_bytes;
-  std::size_t pages = (needed + hw::kPageSize - 1) / hw::kPageSize;
+  std::size_t pages = (kernel_.ImageBytes() + hw::kPageSize - 1) / hw::kPageSize;
   for (std::size_t p = 0; p < pages; ++p) {
     std::optional<kernel::CapIdx> frame = pool_.TakeFrame(colours);
     if (!frame.has_value()) {

@@ -43,34 +43,6 @@ std::uint64_t Raw(const FuzzCase& c, std::size_t i, std::uint64_t fallback) {
 
 std::string U(std::uint64_t v) { return std::to_string(v); }
 
-// Mirror of the test-support FlatTranslationContext (src/ must not depend
-// on tests/): identity-ish paging for hw-level targets.
-class FlatContext final : public hw::TranslationContext {
- public:
-  explicit FlatContext(hw::Asid asid) : asid_(asid) {}
-
-  std::optional<hw::Translation> Translate(hw::VAddr vaddr) const override {
-    if (hw::IsKernelAddress(vaddr)) {
-      return hw::Translation{hw::PageAlignDown(hw::PaddrOfKernelVaddr(vaddr)), false};
-    }
-    return hw::Translation{hw::PageAlignDown(vaddr) + 0x100000, false};
-  }
-  void WalkPath(hw::VAddr vaddr, std::vector<hw::PAddr>& out) const override {
-    for (std::size_t level = 0; level < 2; ++level) {
-      out.push_back(0x7000000 + level * hw::kPageSize + (hw::PageNumber(vaddr) % 512) * 8);
-    }
-  }
-  hw::Asid asid() const override { return asid_; }
-
- private:
-  hw::Asid asid_;
-};
-
-void InstallFlat(hw::Core& core, const FlatContext& ctx) {
-  core.SetUserContext(&ctx);
-  core.SetKernelContext(&ctx, /*kernel_global=*/true);
-}
-
 // Taint tracking is a process-global construct-time latch; each target pins
 // it (off for the behavioural A/B targets, on for the taint target) so a
 // case replays identically under any ambient TP_TAINT.
@@ -271,13 +243,6 @@ OracleResult RunSoa(const FuzzCase& c) {
     }
   }
 
-  if (soa->hits() != ref.hits() || soa->misses() != ref.misses() ||
-      soa->writebacks() != ref.writebacks()) {
-    return OracleResult::Violation(
-        "soa final counter mismatch: soa " + U(soa->hits()) + "/" + U(soa->misses()) + "/" +
-        U(soa->writebacks()) + " vs ref " + U(ref.hits()) + "/" + U(ref.misses()) + "/" +
-        U(ref.writebacks()));
-  }
   if (soa->ValidLineCount() != ref.ValidLineCount() ||
       soa->DirtyLineCount() != ref.DirtyLineCount() ||
       tlb->ValidCount() != ref_tlb.ValidCount()) {
@@ -446,38 +411,6 @@ void ExecStep(hw::Core& core, const ProgramData& p, std::uint64_t op, bool eleme
   }
 }
 
-// Per-structure hit/miss/writeback snapshot, in the order
-// l1i l1d l2 llc itlb dtlb l2tlb.
-struct StructSnap {
-  std::uint64_t v[7][3] = {};
-};
-
-constexpr const char* kStructNames[7] = {"l1i", "l1d", "l2", "llc", "itlb", "dtlb", "l2tlb"};
-
-StructSnap TakeStructSnap(hw::Machine& machine) {
-  hw::Core& core = machine.core(0);
-  StructSnap s;
-  auto cache = [&](int j, hw::SetAssociativeCache* ch) {
-    if (ch != nullptr) {
-      s.v[j][0] = ch->hits();
-      s.v[j][1] = ch->misses();
-      s.v[j][2] = ch->writebacks();
-    }
-  };
-  cache(0, &core.l1i());
-  cache(1, &core.l1d());
-  cache(2, core.l2());
-  cache(3, &machine.llc());
-  auto tlb = [&](int j, hw::Tlb& t) {
-    s.v[j][0] = t.hits();
-    s.v[j][1] = t.misses();
-  };
-  tlb(4, core.itlb());
-  tlb(5, core.dtlb());
-  tlb(6, core.l2tlb());
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // replay: batch replay vs TP_NO_REPLAY vs per-op dispatch
 // ---------------------------------------------------------------------------
@@ -486,15 +419,14 @@ struct RunOut {
   hw::Cycles cycles = 0;
   std::uint64_t digest = 0;
   hw::PerfCounters counters{};
-  StructSnap stats;
 };
 
 RunOut RunProgram(const hw::MachineConfig& mc, std::size_t rounds, const ProgramData& prog,
                   const std::vector<std::uint64_t>& ops, bool elementwise) {
   hw::Machine machine(mc);
-  FlatContext ctx(1);
+  hw::FlatTranslationContext ctx(1);
   hw::Core& core = machine.core(0);
-  InstallFlat(core, ctx);
+  hw::InstallFlatContext(core, ctx);
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::uint64_t op : ops) {
       ExecStep(core, prog, op, elementwise);
@@ -504,7 +436,6 @@ RunOut RunProgram(const hw::MachineConfig& mc, std::size_t rounds, const Program
   out.cycles = core.now();
   out.digest = machine.StateDigest();
   out.counters = core.counters();
-  out.stats = TakeStructSnap(machine);
   return out;
 }
 
@@ -534,15 +465,6 @@ std::string DiffRuns(const RunOut& a, const RunOut& b, const char* label) {
   for (const auto& f : counters) {
     if (f.x != f.y) {
       return field(f.name, f.x, f.y);
-    }
-  }
-  for (int j = 0; j < 7; ++j) {
-    for (int k = 0; k < 3; ++k) {
-      if (a.stats.v[j][k] != b.stats.v[j][k]) {
-        static constexpr const char* kStat[3] = {"hits", "misses", "writebacks"};
-        return field((std::string(kStructNames[j]) + " " + kStat[k]).c_str(), a.stats.v[j][k],
-                     b.stats.v[j][k]);
-      }
     }
   }
   return "";

@@ -5,11 +5,11 @@
 // Targets and the invariants they check:
 //   soa         — SoA cache/TLB vs the retained AoS reference models:
 //                 per-op bit-equivalence (hit/fill/writeback/victim) and
-//                 final counters over random geometries and op mixes, plus
+//                 final occupancy over random geometries and op mixes, plus
 //                 Validate()/constructor agreement on invalid geometries.
 //   replay      — one program, three executions: batch replay on (default),
 //                 TP_NO_REPLAY, and per-op dispatch must agree on cycles,
-//                 every perf counter, per-structure stats and StateDigest.
+//                 every perf counter and StateDigest.
 //   taint       — a randomized multi-domain time-shared system under a
 //                 contract-honouring scenario must tally clean, and every
 //                 TaintMap's incremental ForeignCount/FindForeign must match

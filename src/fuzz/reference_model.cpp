@@ -37,7 +37,6 @@ AccessResult ReferenceCache::Access(VAddr addr_for_index, PAddr addr_for_tag, bo
     if (line.valid && line.tag == tag) {
       line.lru = ++lru_clock_;
       line.dirty = line.dirty || write;
-      ++hits_;
       result.hit = true;
       return result;
     }
@@ -49,14 +48,12 @@ AccessResult ReferenceCache::Access(VAddr addr_for_index, PAddr addr_for_tag, bo
       victim_lru = line.lru;
     }
   }
-  ++misses_;
   Line& line = lines_[victim];
   if (line.valid) {
     result.evicted_valid = true;
     result.evicted_line_addr = line.tag;
     if (line.dirty) {
       result.writeback = true;
-      ++writebacks_;
     }
   }
   line.tag = tag;
@@ -88,9 +85,6 @@ bool ReferenceCache::Insert(VAddr addr_for_index, PAddr addr_for_tag, bool dirty
   }
   Line& line = lines_[victim];
   bool evicted_dirty = line.valid && line.dirty;
-  if (evicted_dirty) {
-    ++writebacks_;
-  }
   line.tag = tag;
   line.valid = true;
   line.dirty = dirty;
@@ -148,7 +142,6 @@ std::size_t ReferenceCache::FlushAll() {
     line.valid = false;
     line.dirty = false;
   }
-  writebacks_ += dirty;
   return dirty;
 }
 

@@ -3,7 +3,7 @@
 // retained verbatim as differential oracles. The production
 // structure-of-arrays rebuild must be observation-for-observation identical
 // to these on any access stream (same hit/miss verdicts, same victims, same
-// write-backs, same counters). Shared by the cache-equivalence unit test
+// write-backs, same occupancy). Shared by the cache-equivalence unit test
 // and the tp_fuzz soa target, which drives the pair over randomized
 // geometries and op streams.
 #ifndef TP_FUZZ_REFERENCE_MODEL_HPP_
@@ -36,10 +36,6 @@ class ReferenceCache {
   std::size_t DirtyLineCount() const;
   std::size_t ValidLineCount() const;
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t writebacks() const { return writebacks_; }
-
  private:
   struct Line {
     std::uint64_t tag = 0;
@@ -58,9 +54,6 @@ class ReferenceCache {
   std::size_t sets_per_slice_ = 1;
   std::vector<Line> lines_;
   std::uint64_t lru_clock_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t writebacks_ = 0;
 };
 
 class ReferenceTlb {

@@ -47,13 +47,11 @@ std::size_t BranchPredictor::PhtIndex(VAddr pc) const {
 }
 
 BranchResult BranchPredictor::Branch(VAddr pc, VAddr target, bool taken, bool conditional) {
-  ++branches_;
   BranchResult result;
 
   if (!enabled_) {
     result.mispredicted = true;
     result.penalty = geometry_.mispredict_penalty;
-    ++mispredicts_;
     return result;
   }
 
@@ -120,7 +118,6 @@ BranchResult BranchPredictor::Branch(VAddr pc, VAddr target, bool taken, bool co
   if (direction_wrong || target_wrong) {
     result.mispredicted = true;
     result.penalty = geometry_.mispredict_penalty;
-    ++mispredicts_;
   }
   return result;
 }
@@ -151,11 +148,6 @@ std::size_t BranchPredictor::BtbValidCount() const {
     }
   }
   return n;
-}
-
-void BranchPredictor::ResetStats() {
-  mispredicts_ = 0;
-  branches_ = 0;
 }
 
 }  // namespace tp::hw

@@ -58,9 +58,6 @@ class BranchPredictor {
   bool enabled() const { return enabled_; }
 
   std::size_t BtbValidCount() const;
-  std::uint64_t mispredicts() const { return mispredicts_; }
-  std::uint64_t branches() const { return branches_; }
-  void ResetStats();
 
   const BranchPredictorGeometry& geometry() const { return geometry_; }
 
@@ -89,8 +86,6 @@ class BranchPredictor {
   std::vector<std::uint8_t> pht_;  // 2-bit saturating counters
   std::uint64_t ghr_ = 0;          // global history register
   std::uint64_t lru_clock_ = 0;
-  std::uint64_t mispredicts_ = 0;
-  std::uint64_t branches_ = 0;
   bool enabled_ = true;
 
   TaintMap btb_taint_;

@@ -93,7 +93,6 @@ bool SetAssociativeCache::Insert(VAddr addr_for_index, PAddr addr_for_tag, bool 
   const std::uint64_t bit = std::uint64_t{1} << victim;
   const bool evicted_dirty = (valid_[d.set] & bit) != 0 && (dirty_[d.set] & bit) != 0;
   if (evicted_dirty) {
-    ++writebacks_;
     dirty_[d.set] &= ~bit;
     --dirty_count_;
   }
@@ -155,7 +154,6 @@ std::size_t SetAssociativeCache::FlushAll() {
   std::fill(dirty_.begin(), dirty_.end(), 0);
   valid_count_ = 0;
   dirty_count_ = 0;
-  writebacks_ += dirty;
   if (taint_.on()) {
     taint_.ClearAll();
   }

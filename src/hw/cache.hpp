@@ -83,7 +83,6 @@ class SetAssociativeCache {
       if (write) {
         SetDirty(d.set, static_cast<unsigned>(way));
       }
-      ++hits_;
       if (taint_.on()) {
         // Retag on hit: the line now reflects this owner's activity at
         // *this* level only (a deterministic L1 re-touch must not launder
@@ -148,18 +147,6 @@ class SetAssociativeCache {
   std::size_t ColourOf(PAddr paddr) const {
     return PageNumber(paddr) % geometry_.Colours();
   }
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  // Batch-replay accounting (Core::AccessBatch): credits the stats an
-  // elided fixpoint replay would have recorded. State is already at the
-  // batch's fixpoint, so only the counters move.
-  void AddReplayStats(std::uint64_t hits, std::uint64_t misses, std::uint64_t writebacks) {
-    hits_ += hits;
-    misses_ += misses;
-    writebacks_ += writebacks;
-  }
-  std::uint64_t writebacks() const { return writebacks_; }
 
   // Folds the behavioural state (tags, LRU ages, valid/dirty masks, taint
   // stamps) into a batch-replay digest. The signature array is a pure
@@ -301,7 +288,6 @@ class SetAssociativeCache {
   }
 
   AccessResult MissFill(const Decoded& d, bool write) {
-    ++misses_;
     AccessResult result;
     const unsigned victim = PickVictim(d.set);
     const std::uint64_t bit = std::uint64_t{1} << victim;
@@ -310,7 +296,6 @@ class SetAssociativeCache {
       result.evicted_line_addr = tags_[d.set * ways_ + victim];
       if ((dirty_[d.set] & bit) != 0) {
         result.writeback = true;
-        ++writebacks_;
         dirty_[d.set] &= ~bit;
         --dirty_count_;
       }
@@ -354,9 +339,6 @@ class SetAssociativeCache {
   std::vector<std::uint64_t> dirty_;  // per-set way bitmask
   std::size_t valid_count_ = 0;
   std::size_t dirty_count_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t writebacks_ = 0;
 
   TaintMap taint_;
   TaintTag taint_owner_ = 0;

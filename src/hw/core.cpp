@@ -86,6 +86,11 @@ int Core::StaleTranslationMemo() const {
 
 const Latencies& Core::lat() const { return machine_->config().lat; }
 
+void InstallFlatContext(Core& core, const FlatTranslationContext& ctx, bool kernel_global) {
+  core.SetUserContext(&ctx);
+  core.SetKernelContext(&ctx, kernel_global);
+}
+
 void Core::SetUserContext(const TranslationContext* user_ctx) {
   user_ctx_ = user_ctx;
   user_gen_ = user_ctx != nullptr ? user_ctx->generation() : &kStaticTranslationGeneration;
@@ -132,10 +137,10 @@ Translation Core::TranslateCharged(VAddr vaddr, bool instruction, Cycles& cost) 
 
   Tlb& tlb = instruction ? *itlb_ : *dtlb_;
   if (!tlb.Lookup(vpn, asid)) {
+    ++counters_.tlb_misses;
     if (l2tlb_->Lookup(vpn, asid)) {
       cost += lat().l2_tlb_hit;
     } else {
-      ++counters_.tlb_misses;
       ++counters_.page_walks;
       walk_scratch_.clear();
       ctx->WalkPath(vaddr, walk_scratch_);
@@ -370,7 +375,7 @@ Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
     }
   }
   machine_->BumpStateGen();
-  const StatSnapshot before = TakeStats();
+  const PerfCounters before = counters_;
   const Cycles base = lat().base_op;
   Cycles total = 0;
   for (VAddr va : vaddrs) {
@@ -387,7 +392,7 @@ Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
   }
   memo.deltas = DiffStats(before, total);
   const ReplayDeltas& d = memo.deltas;
-  if (d.itlb.misses + d.dtlb.misses + d.l1i.misses + d.l1d.misses == 0) {
+  if (d.tlb_misses + d.l1i_misses + d.l1d_misses == 0) {
     // All-hit run: fixpoint by the analytic argument, no digest needed (no
     // miss anywhere implies no fill, insert, writeback, walk or prefetch
     // train; promotes and dirty/taint writes are idempotent).
@@ -405,48 +410,14 @@ Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
   return total;
 }
 
-Core::StatSnapshot Core::TakeStats() const {
-  StatSnapshot s;
-  s.c[0] = counters_.l1d_misses;
-  s.c[1] = counters_.l1i_misses;
-  s.c[2] = counters_.l2_misses;
-  s.c[3] = counters_.llc_misses;
-  s.c[4] = counters_.tlb_misses;
-  s.c[5] = counters_.page_walks;
-  const SetAssociativeCache* caches[4] = {l1i_.get(), l1d_.get(), l2_.get(),
-                                          &machine_->llc()};
-  for (int i = 0; i < 4; ++i) {
-    if (caches[i] != nullptr) {
-      s.s[i] = StructStats{caches[i]->hits(), caches[i]->misses(),
-                           caches[i]->writebacks()};
-    } else {
-      s.s[i] = StructStats{};
-    }
-  }
-  const Tlb* tlbs[3] = {itlb_.get(), dtlb_.get(), l2tlb_.get()};
-  for (int i = 0; i < 3; ++i) {
-    s.s[4 + i] = StructStats{tlbs[i]->hits(), tlbs[i]->misses(), 0};
-  }
-  return s;
-}
-
-Core::ReplayDeltas Core::DiffStats(const StatSnapshot& before, Cycles total) const {
-  const StatSnapshot after = TakeStats();
-  ReplayDeltas d;
-  d.l1d_misses = after.c[0] - before.c[0];
-  d.l1i_misses = after.c[1] - before.c[1];
-  d.l2_misses = after.c[2] - before.c[2];
-  d.llc_misses = after.c[3] - before.c[3];
-  d.tlb_misses = after.c[4] - before.c[4];
-  d.page_walks = after.c[5] - before.c[5];
-  StructStats* out[7] = {&d.l1i, &d.l1d, &d.l2, &d.llc, &d.itlb, &d.dtlb, &d.l2tlb};
-  for (int i = 0; i < 7; ++i) {
-    out[i]->hits = after.s[i].hits - before.s[i].hits;
-    out[i]->misses = after.s[i].misses - before.s[i].misses;
-    out[i]->writebacks = after.s[i].writebacks - before.s[i].writebacks;
-  }
-  d.total = total;
-  return d;
+Core::ReplayDeltas Core::DiffStats(const PerfCounters& before, Cycles total) const {
+  return ReplayDeltas{.l1d_misses = counters_.l1d_misses - before.l1d_misses,
+                      .l1i_misses = counters_.l1i_misses - before.l1i_misses,
+                      .l2_misses = counters_.l2_misses - before.l2_misses,
+                      .llc_misses = counters_.llc_misses - before.llc_misses,
+                      .tlb_misses = counters_.tlb_misses - before.tlb_misses,
+                      .page_walks = counters_.page_walks - before.page_walks,
+                      .total = total};
 }
 
 void Core::ApplyReplay(const ReplayDeltas& d) {
@@ -456,15 +427,6 @@ void Core::ApplyReplay(const ReplayDeltas& d) {
   counters_.llc_misses += d.llc_misses;
   counters_.tlb_misses += d.tlb_misses;
   counters_.page_walks += d.page_walks;
-  l1i_->AddReplayStats(d.l1i.hits, d.l1i.misses, d.l1i.writebacks);
-  l1d_->AddReplayStats(d.l1d.hits, d.l1d.misses, d.l1d.writebacks);
-  if (l2_ != nullptr) {
-    l2_->AddReplayStats(d.l2.hits, d.l2.misses, d.l2.writebacks);
-  }
-  machine_->llc().AddReplayStats(d.llc.hits, d.llc.misses, d.llc.writebacks);
-  itlb_->AddReplayStats(d.itlb.hits, d.itlb.misses);
-  dtlb_->AddReplayStats(d.dtlb.hits, d.dtlb.misses);
-  l2tlb_->AddReplayStats(d.l2tlb.hits, d.l2tlb.misses);
   cycles_ += d.total;
 }
 

@@ -222,17 +222,12 @@ class Core {
   const std::uint64_t* kernel_gen_ = &kStaticTranslationGeneration;
 
   // Counter movement of one steady-state batch run, applied wholesale when
-  // the run is replayed instead of re-simulated. Covers every statistic a
-  // batched access can advance: the core's perf counters, the hit/miss/
-  // writeback tallies of each cache the run (or its page walks and prefetch
-  // fills) touches, and the TLB tallies. State changes need no record — a
-  // replay only fires at a proven fixpoint, where the live run would leave
-  // every tag, age, dirty bit and taint stamp exactly as it found them.
-  struct StructStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t writebacks = 0;
-  };
+  // the run is replayed instead of re-simulated: the perf counters a
+  // batched access can advance besides the read/write/fetch counts (which
+  // the batch adds up front), and the cycles. State changes need no record
+  // — a replay only fires at a proven fixpoint, where the live run would
+  // leave every tag, age, dirty bit and taint stamp exactly as it found
+  // them.
   struct ReplayDeltas {
     std::uint64_t l1d_misses = 0;
     std::uint64_t l1i_misses = 0;
@@ -240,18 +235,10 @@ class Core {
     std::uint64_t llc_misses = 0;
     std::uint64_t tlb_misses = 0;
     std::uint64_t page_walks = 0;
-    StructStats l1i, l1d, l2, llc;
-    StructStats itlb, dtlb, l2tlb;  // writebacks unused
     Cycles total = 0;
   };
-  // Counter snapshot bracketing a live run; DiffStats turns two of these
-  // into the ReplayDeltas above.
-  struct StatSnapshot {
-    std::uint64_t c[6];       // perf-counter fields, DiffStats order
-    StructStats s[7];         // l1i l1d l2 llc itlb dtlb l2tlb
-  };
-  StatSnapshot TakeStats() const;
-  ReplayDeltas DiffStats(const StatSnapshot& before, Cycles total) const;
+  // Deltas of a live run from the counters it started at.
+  ReplayDeltas DiffStats(const PerfCounters& before, Cycles total) const;
   void ApplyReplay(const ReplayDeltas& d);
 
   // Batch replay memo (see AccessBatch): a batch re-run from the exact

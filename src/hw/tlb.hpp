@@ -46,13 +46,11 @@ class Tlb {
     const int way = FindEntry(set, vpn, asid);
     if (way >= 0) {
       Promote(set, static_cast<unsigned>(way));
-      ++hits_;
       if (taint_.on()) {
         taint_.Tag(set * ways_ + static_cast<std::size_t>(way), taint_owner_, 0);
       }
       return true;
     }
-    ++misses_;
     return false;
   }
 
@@ -65,15 +63,6 @@ class Tlb {
   std::size_t ValidCount() const { return valid_count_; }
   const TlbGeometry& geometry() const { return geometry_; }
   const std::string& name() const { return name_; }
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  // Batch-replay accounting (Core::AccessBatch): credits the stats an
-  // elided fixpoint replay would have recorded (see cache.hpp).
-  void AddReplayStats(std::uint64_t hits, std::uint64_t misses) {
-    hits_ += hits;
-    misses_ += misses;
-  }
 
   // Folds the behavioural state into a batch-replay digest (see cache.hpp).
   void DigestState(std::uint64_t& h) const;
@@ -152,8 +141,6 @@ class Tlb {
   std::vector<std::uint64_t> valid_;  // per-set way bitmask
   std::vector<std::uint64_t> global_;  // per-set way bitmask
   std::size_t valid_count_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 
   TaintMap taint_;
   TaintTag taint_owner_ = 0;

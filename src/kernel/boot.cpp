@@ -5,18 +5,23 @@
 
 namespace tp::kernel {
 
+std::size_t Kernel::ImageBytes() const {
+  return kKernelTextBytes + kKernelDataBytes + kKernelStackBytes + kKernelPtBytes +
+         machine_.num_cores() * kIdleTcbBytes;
+}
+
 ObjId Kernel::CreateKernelImageObject(hw::PAddr base, bool boot_image) {
   KernelImageObj img;
   img.image_id = next_image_id_++;
   img.text_off = 0;
-  img.text_size = config_.text_bytes;
-  img.data_off = img.text_off + config_.text_bytes;
-  img.data_size = config_.data_bytes;
-  img.stack_off = img.data_off + config_.data_bytes;
-  img.stack_size = config_.stack_bytes;
-  img.pt_off = img.stack_off + config_.stack_bytes;
-  img.pt_size = config_.pt_bytes;
-  std::size_t total = img.pt_off + img.pt_size + machine_.num_cores() * 1024;
+  img.text_size = kKernelTextBytes;
+  img.data_off = img.text_off + kKernelTextBytes;
+  img.data_size = kKernelDataBytes;
+  img.stack_off = img.data_off + kKernelDataBytes;
+  img.stack_size = kKernelStackBytes;
+  img.pt_off = img.stack_off + kKernelStackBytes;
+  img.pt_size = kKernelPtBytes;
+  const std::size_t total = ImageBytes();
   for (std::size_t off = 0; off < total; off += hw::kPageSize) {
     img.frames.push_back(base + off);  // boot image: physically contiguous
   }
@@ -31,12 +36,7 @@ void Kernel::Boot() {
   const hw::MachineConfig& mc = machine_.config();
 
   // --- physical layout -----------------------------------------------------
-  std::size_t image_bytes =
-      config_.text_bytes + config_.data_bytes + config_.stack_bytes + config_.pt_bytes;
-  image_bytes += machine_.num_cores() * 1024;  // boot idle-thread TCBs
-  image_bytes = hw::PageAlignUp(image_bytes);
-
-  hw::PAddr shared_base = image_bytes;
+  hw::PAddr shared_base = hw::PageAlignUp(ImageBytes());
   std::size_t shared_bytes = hw::PageAlignUp(SharedDataLayout::kTotal);
 
   flush_buffer_base_ = shared_base + shared_bytes;
@@ -56,7 +56,7 @@ void Kernel::Boot() {
   std::size_t idle_off = boot.pt_off + boot.pt_size;
   for (std::size_t c = 0; c < machine_.num_cores(); ++c) {
     boot.idle_threads.push_back(CreateIdleThread(
-        boot_image_, boot.PaddrOf(idle_off + c * 1024), static_cast<hw::CoreId>(c)));
+        boot_image_, boot.PaddrOf(idle_off + c * kIdleTcbBytes), static_cast<hw::CoreId>(c)));
   }
   domain_image_[0] = boot_image_;
 

@@ -53,13 +53,16 @@ struct KernelConfig {
   // pre-update hardware for ablation studies.
   bool has_bp_flush = true;
   hw::Cycles timeslice_cycles = 1'000'000;
-
-  // Boot-image geometry (defaults give the paper's ~200 KiB x86 image).
-  std::size_t text_bytes = 128 * 1024;
-  std::size_t data_bytes = 32 * 1024;   // replicated globals
-  std::size_t stack_bytes = 16 * 1024;
-  std::size_t pt_bytes = 16 * 1024;     // per-image kernel page tables
 };
+
+// Kernel image sections, the paper's ~200 KiB x86 image: text, replicated
+// globals, stack and per-image kernel page tables. Every image lays them
+// out back to back, followed by one idle-thread TCB per core.
+inline constexpr std::size_t kKernelTextBytes = 128 * 1024;
+inline constexpr std::size_t kKernelDataBytes = 32 * 1024;
+inline constexpr std::size_t kKernelStackBytes = 16 * 1024;
+inline constexpr std::size_t kKernelPtBytes = 16 * 1024;
+inline constexpr std::size_t kIdleTcbBytes = 1024;
 
 // Physical layout of the one region every kernel image shares: the §4.1
 // list. Everything else is per-image.
@@ -119,6 +122,9 @@ class Kernel {
   ObjectTable& objects() { return objects_; }
   Scheduler& scheduler() { return scheduler_; }
   const SharedDataLayout& shared_data() const { return shared_data_; }
+  // Bytes one kernel image occupies: its sections plus the idle TCBs. A
+  // clone needs Kernel_Memory of at least this size.
+  std::size_t ImageBytes() const;
 
   // --- object-invocation syscalls (init/runtime; charged to `core`) -------
 

@@ -53,10 +53,7 @@ SyscallResult Kernel::KernelClone(hw::CoreId core, CSpace& cspace, CapIdx dest_i
     return r;
   }
 
-  std::size_t idle_bytes = machine_.num_cores() * 1024;
-  std::size_t needed =
-      src.text_size + src.data_size + src.stack_size + src.pt_size + idle_bytes;
-  if (mem.size_bytes() < needed) {
+  if (mem.size_bytes() < ImageBytes()) {
     r.error = SyscallError::kInsufficientMemory;
     SyscallExit(core);
     return r;
@@ -102,8 +99,8 @@ SyscallResult Kernel::KernelClone(hw::CoreId core, CSpace& cspace, CapIdx dest_i
   std::size_t idle_off = dst.pt_off + dst.pt_size;
   dst.idle_threads.clear();
   for (std::size_t c = 0; c < machine_.num_cores(); ++c) {
-    dst.idle_threads.push_back(CreateIdleThread(dcap->obj, dst.PaddrOf(idle_off + c * 1024),
-                                                static_cast<hw::CoreId>(c)));
+    dst.idle_threads.push_back(CreateIdleThread(
+        dcap->obj, dst.PaddrOf(idle_off + c * kIdleTcbBytes), static_cast<hw::CoreId>(c)));
   }
 
   dst.parent = scap->obj;

@@ -32,7 +32,7 @@ double EstimateMi(const Observations& obs, const MiOptions& options) {
   // Pad the support so Gaussian tails are integrated.
   double max_h = 0.0;
   for (const auto& [input, ys] : by_input) {
-    max_h = std::max(max_h, SilvermanBandwidth(ys) * options.bandwidth_scale);
+    max_h = std::max(max_h, SilvermanBandwidth(ys));
   }
   double pad = std::max(3.0 * max_h, (hi - lo) * 0.05);
   std::vector<double> grid = MakeGrid(lo - pad, hi + pad, options.grid_points);
@@ -44,7 +44,7 @@ double EstimateMi(const Observations& obs, const MiOptions& options) {
   std::vector<std::vector<double>> cond;
   cond.reserve(k);
   for (const auto& [input, ys] : by_input) {
-    double h = SilvermanBandwidth(ys) * options.bandwidth_scale;
+    double h = SilvermanBandwidth(ys);
     cond.push_back(KdeOnGrid(ys, grid, h));
   }
 

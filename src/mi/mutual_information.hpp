@@ -13,7 +13,6 @@ namespace tp::mi {
 
 struct MiOptions {
   std::size_t grid_points = 512;
-  double bandwidth_scale = 1.0;
 };
 
 // M: mutual information (bits per input symbol) between a uniform

@@ -6,7 +6,6 @@
 // cells are wall-gated like every other channel.
 #include <cstdio>
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,25 +22,6 @@
 namespace tp::scenarios {
 namespace {
 
-class FlatContext final : public hw::TranslationContext {
- public:
-  explicit FlatContext(hw::Asid asid) : asid_(asid) {}
-  std::optional<hw::Translation> Translate(hw::VAddr vaddr) const override {
-    if (hw::IsKernelAddress(vaddr)) {
-      return hw::Translation{hw::PageAlignDown(hw::PaddrOfKernelVaddr(vaddr)), false};
-    }
-    return hw::Translation{hw::PageAlignDown(vaddr) + 0x100000, false};
-  }
-  void WalkPath(hw::VAddr vaddr, std::vector<hw::PAddr>& out) const override {
-    out.push_back(0x7000000 + (hw::PageNumber(vaddr) % 512) * 8);
-    out.push_back(0x7001000 + (hw::PageNumber(vaddr) % 512) * 8);
-  }
-  hw::Asid asid() const override { return asid_; }
-
- private:
-  hw::Asid asid_;
-};
-
 struct Micro {
   const char* name;
   std::size_t iterations;                       // full-mode count
@@ -53,9 +33,8 @@ std::vector<Micro> Benches() {
 
   benches.push_back({"cache_access_hit", 1'000'000, [](std::size_t n) {
                        hw::Machine m(hw::MachineConfig::Haswell(1));
-                       FlatContext ctx(1);
-                       m.core(0).SetUserContext(&ctx);
-                       m.core(0).SetKernelContext(&ctx, true);
+                       hw::FlatTranslationContext ctx(1);
+                       hw::InstallFlatContext(m.core(0), ctx);
                        m.core(0).Access(0x1000, hw::AccessKind::kRead);
                        for (std::size_t i = 0; i < n; ++i) {
                          m.core(0).Access(0x1000, hw::AccessKind::kRead);
@@ -64,9 +43,8 @@ std::vector<Micro> Benches() {
 
   benches.push_back({"cache_access_miss_stream", 400'000, [](std::size_t n) {
                        hw::Machine m(hw::MachineConfig::Haswell(1));
-                       FlatContext ctx(1);
-                       m.core(0).SetUserContext(&ctx);
-                       m.core(0).SetKernelContext(&ctx, true);
+                       hw::FlatTranslationContext ctx(1);
+                       hw::InstallFlatContext(m.core(0), ctx);
                        hw::VAddr va = 0;
                        for (std::size_t i = 0; i < n; ++i) {
                          m.core(0).Access(va, hw::AccessKind::kRead);
@@ -104,9 +82,8 @@ std::vector<Micro> Benches() {
 
   benches.push_back({"tlb_flush", 200'000, [](std::size_t n) {
                        hw::Machine m(hw::MachineConfig::Haswell(1));
-                       FlatContext ctx(1);
-                       m.core(0).SetUserContext(&ctx);
-                       m.core(0).SetKernelContext(&ctx, true);
+                       hw::FlatTranslationContext ctx(1);
+                       hw::InstallFlatContext(m.core(0), ctx);
                        for (std::size_t i = 0; i < n; ++i) {
                          m.core(0).Access(0x5000, hw::AccessKind::kRead);
                          m.core(0).FlushTlbAll();

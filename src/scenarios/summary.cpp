@@ -74,8 +74,7 @@ void PrintSweepResults(const std::vector<runner::SweepCellResult>& results) {
   for (const runner::SweepCellResult& r : results) {
     std::string ci = "-";
     if (r.adaptive && !std::isnan(r.mi_ci_high)) {
-      ci = "[" + Fmt("%.1f", r.mi_ci_low * 1000.0) + ", " +
-           Fmt("%.1f", r.mi_ci_high * 1000.0) + "]";
+      ci = Fmt("[%.1f, ", r.mi_ci_low * 1000.0) + Fmt("%.1f]", r.mi_ci_high * 1000.0);
     }
     std::string verdict = r.leakage.leak ? "CHANNEL" : "no channel";
     if (r.stopped_early) {

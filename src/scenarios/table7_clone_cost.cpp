@@ -40,8 +40,7 @@ CloneCosts Measure(const hw::MachineConfig& mc, std::size_t reps) {
   kernel::CapIdx untyped = kernel.boot_info().untyped;
   hw::Core& cpu = machine.core(0);
 
-  std::size_t kmem_bytes = kc.text_bytes + kc.data_bytes + kc.stack_bytes + kc.pt_bytes +
-                           machine.num_cores() * 1024 + hw::kPageSize;
+  std::size_t kmem_bytes = kernel.ImageBytes() + hw::kPageSize;
 
   for (std::size_t i = 0; i < reps; ++i) {
     kernel::CapIdx dest = 0;

@@ -11,8 +11,8 @@ namespace {
 
 std::string Key(const TrajectoryRecord& r) { return r.bench + "/" + r.cell; }
 
-bool HasLeakMetric(const TrajectoryRecord& r, const DiffOptions& options) {
-  for (const std::string& key : options.leak_metric_keys) {
+bool HasLeakMetric(const TrajectoryRecord& r) {
+  for (const char* key : kLeakMetricKeys) {
     if (r.metrics.find(key) != r.metrics.end()) {
       return true;
     }
@@ -117,7 +117,7 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
       // A *protected* cell new to the trajectory is still leak-gated: it
       // must enter with zero MI (or zero on every leak-metric key), or the
       // gate never sees it regress.
-      if (!(IsProtectedCell(c->cell) && (c->has_mi() || HasLeakMetric(*c, options)))) {
+      if (!(IsProtectedCell(c->cell) && (c->has_mi() || HasLeakMetric(*c)))) {
         continue;
       }
     }
@@ -234,11 +234,11 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
       d.leak_regression = true;
     }
     if (d.protected_mode && !d.leak_regression) {
-      // Non-MI leak observables: gate the configured metric keys the same
-      // way (baseline value, or 0 when the cell/key is new, is the floor).
+      // Non-MI leak observables: gate kLeakMetricKeys the same way
+      // (baseline value, or 0 when the cell/key is new, is the floor).
       // A key the baseline records but the candidate dropped fails too —
       // removing the observable would silently disarm the gate.
-      for (const std::string& metric : options.leak_metric_keys) {
+      for (const std::string metric : kLeakMetricKeys) {
         auto cm = c->metrics.find(metric);
         const double* base_value = nullptr;
         if (b != nullptr) {
@@ -256,7 +256,7 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
           continue;
         }
         double floor = base_value != nullptr ? *base_value : 0.0;
-        if (cm->second > floor + options.leak_metric_eps) {
+        if (cm->second > floor + kLeakMetricEps) {
           d.leak_regression = true;
           break;
         }

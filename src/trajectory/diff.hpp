@@ -45,6 +45,16 @@ inline constexpr std::uint64_t kMinGatedWallNs = 50'000'000;
 // Slack when comparing MI estimates (bit-identical reruns give exactly
 // equal values; the eps only guards float formatting).
 inline constexpr double kMiEpsBits = 1e-9;
+// Metric keys that gate protected cells like MI does: a candidate value
+// above the baseline's (or above 0 when the baseline lacks the key) is a
+// leak regression, and a key the baseline records but the candidate
+// dropped fails too (removing the observable would disarm the gate).
+// Covers channels whose observable is not an MI estimate — e.g. the fig4
+// LLC spy's activity_fraction.
+inline constexpr const char* kLeakMetricKeys[] = {"activity_fraction"};
+// Slack for leak-metric comparisons (fractions/counts, not bits — kept
+// separate from kMiEpsBits so the two gates tune independently).
+inline constexpr double kLeakMetricEps = 1e-9;
 
 struct DiffOptions {
   // Fail when candidate wall_ns / baseline wall_ns exceeds this (1.25 =
@@ -55,16 +65,6 @@ struct DiffOptions {
   // exceeds this fails — 0 demands bit-identical MI, the CI
   // serial-vs-parallel sharding check. Disabled by default.
   double max_abs_mi_delta = std::numeric_limits<double>::infinity();
-  // Metric keys that gate protected cells like MI does: a candidate value
-  // above the baseline's (or above 0 when the baseline lacks the key) is a
-  // leak regression, and a key the baseline records but the candidate
-  // dropped fails too (removing the observable would disarm the gate).
-  // Covers channels whose observable is not an MI estimate — e.g. the fig4
-  // LLC spy's activity_fraction.
-  std::vector<std::string> leak_metric_keys = {"activity_fraction"};
-  // Slack for leak-metric comparisons (fractions/counts, not bits — kept
-  // separate from kMiEpsBits so the two gates tune independently).
-  double leak_metric_eps = 1e-9;
   // Fail any joined cell whose baseline carries a wall_ns measurement but
   // whose candidate records none (wall_ns == 0): per-cell timing that
   // silently vanishes would exempt the cell from every future wall gate.

@@ -17,13 +17,9 @@
 #include "hw/core.hpp"
 #include "hw/machine.hpp"
 #include "hw/taint.hpp"
-#include "support/test_support.hpp"
 
 namespace tp::hw {
 namespace {
-
-using test::FlatTranslationContext;
-using test::InstallFlatContext;
 
 // A probe-shaped op stream: a strided sweep (prime), a re-walk (probe, all
 // hits at steady state — the batch the replay memo elides), and a few

@@ -87,15 +87,5 @@ TEST(BranchPredictor, DisabledAlwaysPaysPenalty) {
   }
 }
 
-TEST(BranchPredictor, StatsCount) {
-  BranchPredictor bp(SmallBp());
-  bp.Branch(0x10, 0x20, true, true);
-  bp.Branch(0x10, 0x20, true, true);
-  EXPECT_EQ(bp.branches(), 2u);
-  EXPECT_GE(bp.mispredicts(), 1u);
-  bp.ResetStats();
-  EXPECT_EQ(bp.branches(), 0u);
-}
-
 }  // namespace
 }  // namespace tp::hw

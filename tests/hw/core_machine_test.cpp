@@ -4,12 +4,9 @@
 
 #include "hw/core.hpp"
 #include "hw/machine.hpp"
-#include "support/test_support.hpp"
 
 namespace tp::hw {
 namespace {
-
-using test::FlatTranslationContext;
 
 class CoreTest : public ::testing::Test {
  protected:
@@ -54,10 +51,33 @@ TEST_F(CoreTest, TlbMissTriggersPageWalkThroughCaches) {
   EXPECT_EQ(core.counters().page_walks, walks + 1);
 }
 
+// The PMU TLB-miss event counts first-level (D-TLB) misses; only an L2 TLB
+// miss walks.
+TEST_F(CoreTest, TlbMissCountsFirstLevelMissesAndL2TlbMissesWalk) {
+  Core& core = machine_.core(0);
+  const TlbGeometry& dtlb = machine_.config().dtlb;
+  const VAddr page = 0x10 * kPageSize;
+  core.Access(page, AccessKind::kRead);
+  // As many pages as the D-TLB set has ways, all in `page`'s D-TLB set but
+  // in other L2 TLB sets: `page` leaves the D-TLB and stays in the L2 TLB.
+  for (std::size_t k = 1; k <= dtlb.associativity; ++k) {
+    core.Access(page + k * dtlb.Sets() * kPageSize, AccessKind::kRead);
+  }
+  PerfCounters before = core.counters();
+  core.Access(page, AccessKind::kRead);
+  EXPECT_EQ(core.counters().tlb_misses, before.tlb_misses + 1);
+  EXPECT_EQ(core.counters().page_walks, before.page_walks);
+
+  before = core.counters();
+  core.Access(0x400 * kPageSize, AccessKind::kRead);  // cold page
+  EXPECT_EQ(core.counters().tlb_misses, before.tlb_misses + 1);
+  EXPECT_EQ(core.counters().page_walks, before.page_walks + 1);
+}
+
 TEST_F(CoreTest, WritesDirtyL1AndFlushIsMoreExpensiveOnArm) {
   Machine arm(MachineConfig::Sabre(1));
   FlatTranslationContext ctx(1);
-  test::InstallFlatContext(arm.core(0), ctx);
+  InstallFlatContext(arm.core(0), ctx);
   Core& core = arm.core(0);
 
   Cycles clean_flush = core.ArchFlushL1D();

@@ -3,14 +3,13 @@
 
 #include "hw/core.hpp"
 #include "hw/machine.hpp"
-#include "support/test_support.hpp"
 
 namespace tp::hw {
 namespace {
 
 // The suite's canonical flat context: one-level walks out of a dedicated
 // page-table region.
-class IdentityContext : public test::FlatTranslationContext {
+class IdentityContext : public FlatTranslationContext {
  public:
   explicit IdentityContext(Asid asid)
       : FlatTranslationContext(

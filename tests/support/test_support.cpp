@@ -48,12 +48,6 @@ kernel::KernelConfig TestKernelConfig(bool clone_support, hw::Cycles timeslice_c
   return c;
 }
 
-void InstallFlatContext(hw::Core& core, const FlatTranslationContext& ctx,
-                        bool kernel_global) {
-  core.SetUserContext(&ctx);
-  core.SetKernelContext(&ctx, kernel_global);
-}
-
 namespace {
 hw::MachineConfig WithCores(hw::MachineConfig config, std::size_t cores) {
   config.num_cores = cores;

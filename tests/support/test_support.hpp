@@ -58,44 +58,6 @@ hw::CacheGeometry TinyCacheGeometry();
 kernel::KernelConfig TestKernelConfig(bool clone_support = false,
                                       hw::Cycles timeslice_cycles = 200'000);
 
-// Identity-ish translation context for hw-level tests that exercise the
-// access path without booting a kernel (previously duplicated per suite as
-// FlatContext / IdentityContext).
-class FlatTranslationContext : public hw::TranslationContext {
- public:
-  struct Options {
-    hw::PAddr user_offset = 0x100000;  // paddr = page(vaddr) + offset
-    hw::PAddr pt_base = 0x7000000;     // page-table frames for WalkPath
-    std::size_t walk_levels = 2;
-  };
-
-  explicit FlatTranslationContext(hw::Asid asid) : FlatTranslationContext(asid, Options()) {}
-  FlatTranslationContext(hw::Asid asid, Options options) : asid_(asid), options_(options) {}
-
-  std::optional<hw::Translation> Translate(hw::VAddr vaddr) const override {
-    if (hw::IsKernelAddress(vaddr)) {
-      return hw::Translation{hw::PageAlignDown(hw::PaddrOfKernelVaddr(vaddr)), false};
-    }
-    return hw::Translation{hw::PageAlignDown(vaddr) + options_.user_offset, false};
-  }
-  void WalkPath(hw::VAddr vaddr, std::vector<hw::PAddr>& out) const override {
-    for (std::size_t level = 0; level < options_.walk_levels; ++level) {
-      out.push_back(options_.pt_base + level * hw::kPageSize +
-                    (hw::PageNumber(vaddr) % 512) * 8);
-    }
-  }
-  hw::Asid asid() const override { return asid_; }
-
- private:
-  hw::Asid asid_;
-  Options options_;
-};
-
-// Installs a FlatTranslationContext as both user and kernel context on a
-// core — the two-line preamble of most hw-layer tests.
-void InstallFlatContext(hw::Core& core, const FlatTranslationContext& ctx,
-                        bool kernel_global = true);
-
 // A booted machine + kernel pair, the common preamble of kernel-level tests.
 struct BootedSystem {
   explicit BootedSystem(std::size_t cores = 1, bool clone_support = false,

@@ -447,16 +447,6 @@ TEST(Diff, VanishedLeakMetricKeyInProtectedCellFails) {
   EXPECT_NE(o.result.notes[0].find("vanished"), std::string::npos);
 }
 
-TEST(Diff, LeakMetricKeysAreConfigurable) {
-  Trajectory t;
-  t.records.push_back(MakeRecord("base", "x/protected", -1, 1e8));
-  t.records.push_back(MakeRecord("cand", "x/protected", -1, 1e8));
-  t.records[1].metrics["activity_fraction"] = 0.5;
-  DiffOptions opt;
-  opt.leak_metric_keys = {};  // gating disabled
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand", opt).ok());
-}
-
 TEST(Diff, WallRegressionBeyondThresholdFails) {
   Trajectory t;
   t.records.push_back(MakeRecord("base", "total", -1, 1'000'000'000));
