@@ -4,6 +4,7 @@ namespace tp::fuzz {
 
 using hw::AccessResult;
 using hw::Asid;
+using hw::BranchResult;
 using hw::Indexing;
 using hw::PAddr;
 using hw::VAddr;
@@ -237,6 +238,95 @@ std::size_t ReferenceTlb::ValidCount() const {
   std::size_t n = 0;
   for (const Entry& e : entries_) {
     n += e.valid ? 1 : 0;
+  }
+  return n;
+}
+
+std::size_t ReferenceBranchPredictor::BtbSetBase(VAddr pc) const {
+  std::size_t sets = geometry_.btb_entries / geometry_.btb_associativity;
+  return ((pc >> 2) % sets) * geometry_.btb_associativity;
+}
+
+std::size_t ReferenceBranchPredictor::PhtIndex(VAddr pc) const {
+  std::uint64_t history_mask = (std::uint64_t{1} << geometry_.history_bits) - 1;
+  return static_cast<std::size_t>(((pc >> 2) ^ (ghr_ & history_mask)) % geometry_.pht_entries);
+}
+
+BranchResult ReferenceBranchPredictor::Branch(VAddr pc, VAddr target, bool taken,
+                                              bool conditional) {
+  BranchResult result;
+
+  bool predicted_taken = true;
+  if (conditional) {
+    std::size_t idx = PhtIndex(pc);
+    predicted_taken = pht_[idx] >= 2;
+    if (taken && pht_[idx] < 3) {
+      ++pht_[idx];
+    } else if (!taken && pht_[idx] > 0) {
+      --pht_[idx];
+    }
+    std::uint64_t history_mask = (std::uint64_t{1} << geometry_.history_bits) - 1;
+    ghr_ = ((ghr_ << 1) | (taken ? 1 : 0)) & history_mask;
+  }
+
+  bool target_hit = false;
+  std::size_t base = BtbSetBase(pc);
+  std::uint64_t tag = pc >> 2;
+  std::size_t victim = base;
+  std::uint64_t victim_lru = ~std::uint64_t{0};
+  for (std::size_t way = 0; way < geometry_.btb_associativity; ++way) {
+    BtbEntry& e = btb_[base + way];
+    if (e.valid && e.tag == tag) {
+      target_hit = e.target == target;
+      e.lru = ++lru_clock_;
+      if (taken) {
+        e.target = target;
+      }
+      victim = static_cast<std::size_t>(-1);
+      break;
+    }
+    if (!e.valid) {
+      victim = base + way;
+      victim_lru = 0;
+    } else if (e.lru < victim_lru) {
+      victim = base + way;
+      victim_lru = e.lru;
+    }
+  }
+  if (taken && victim != static_cast<std::size_t>(-1)) {
+    BtbEntry& e = btb_[victim];
+    e.tag = tag;
+    e.target = target;
+    e.valid = true;
+    e.lru = ++lru_clock_;
+  }
+
+  bool direction_wrong = conditional && (predicted_taken != taken);
+  bool target_wrong = taken && !target_hit;
+  if (direction_wrong || target_wrong) {
+    result.mispredicted = true;
+    result.penalty = geometry_.mispredict_penalty;
+  }
+  return result;
+}
+
+void ReferenceBranchPredictor::FlushBtb() {
+  for (BtbEntry& e : btb_) {
+    e.valid = false;
+  }
+}
+
+void ReferenceBranchPredictor::FlushHistory() {
+  ghr_ = 0;
+  pht_.assign(pht_.size(), 1);
+}
+
+std::size_t ReferenceBranchPredictor::BtbValidCount() const {
+  std::size_t n = 0;
+  for (const BtbEntry& e : btb_) {
+    if (e.valid) {
+      ++n;
+    }
   }
   return n;
 }

@@ -1,17 +1,20 @@
-// Reference (array-of-structs) cache and TLB models: the pre-SoA
-// implementations — global 64-bit LRU clock, full-way linear scans —
-// retained verbatim as differential oracles. The production
-// structure-of-arrays rebuild must be observation-for-observation identical
-// to these on any access stream (same hit/miss verdicts, same victims, same
-// write-backs, same occupancy). Shared by the cache-equivalence unit test
-// and the tp_fuzz soa target, which drives the pair over randomized
-// geometries and op streams.
+// Reference (array-of-structs) cache, TLB and branch-predictor models: the
+// pre-SoA implementations — global 64-bit LRU clock, full-way linear
+// scans — retained verbatim as differential oracles. The production
+// structure-of-arrays rebuild over hw::WaySets must be
+// observation-for-observation identical to these on any access stream
+// (same hit/miss verdicts, same victims, same write-backs, same occupancy,
+// same BranchResults). Shared by the cache-equivalence unit test
+// (tests/hw/cache_equivalence_test.cpp, which also drives the BTB
+// reference) and the tp_fuzz soa target, which drives the cache and TLB
+// pairs over randomized geometries and op streams.
 #ifndef TP_FUZZ_REFERENCE_MODEL_HPP_
 #define TP_FUZZ_REFERENCE_MODEL_HPP_
 
 #include <cstdint>
 #include <vector>
 
+#include "hw/branch_predictor.hpp"
 #include "hw/cache.hpp"
 #include "hw/tlb.hpp"
 #include "hw/types.hpp"
@@ -86,6 +89,39 @@ class ReferenceTlb {
   hw::TlbGeometry geometry_;
   std::size_t sets_ = 1;
   std::vector<Entry> entries_;
+  std::uint64_t lru_clock_ = 0;
+};
+
+// Gshare PHT plus an array-of-structs BTB with a global LRU clock (no
+// taint metadata and no disable switch: neither changes a BranchResult).
+class ReferenceBranchPredictor {
+ public:
+  explicit ReferenceBranchPredictor(const hw::BranchPredictorGeometry& geometry)
+      : geometry_(geometry) {
+    btb_.resize(geometry_.btb_entries);
+    pht_.assign(geometry_.pht_entries, 1);  // weakly not-taken
+  }
+
+  hw::BranchResult Branch(hw::VAddr pc, hw::VAddr target, bool taken, bool conditional);
+  void FlushBtb();
+  void FlushHistory();
+  std::size_t BtbValidCount() const;
+
+ private:
+  struct BtbEntry {
+    std::uint64_t tag = 0;
+    hw::VAddr target = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+  };
+
+  std::size_t BtbSetBase(hw::VAddr pc) const;
+  std::size_t PhtIndex(hw::VAddr pc) const;
+
+  hw::BranchPredictorGeometry geometry_;
+  std::vector<BtbEntry> btb_;
+  std::vector<std::uint8_t> pht_;  // 2-bit saturating counters
+  std::uint64_t ghr_ = 0;          // global history register
   std::uint64_t lru_clock_ = 0;
 };
 

@@ -6,8 +6,9 @@
 namespace tp::hw {
 
 std::string BranchPredictorGeometry::Validate() const {
-  if (btb_associativity == 0) {
-    return "btb_associativity must be nonzero";
+  // One bit per way in the BTB's packed valid mask (see way_sets.hpp).
+  if (btb_associativity < 1 || btb_associativity > 64) {
+    return "btb_associativity must be 1..64";
   }
   if (btb_entries == 0 || btb_entries % btb_associativity != 0) {
     return "btb_entries must be a nonzero multiple of btb_associativity";
@@ -26,19 +27,14 @@ BranchPredictor::BranchPredictor(const BranchPredictorGeometry& geometry) : geom
   if (std::string err = geometry_.Validate(); !err.empty()) {
     throw std::invalid_argument("BranchPredictor: " + err);
   }
-  btb_.resize(geometry_.btb_entries);
+  btb_sets_ = geometry_.btb_entries / geometry_.btb_associativity;
+  btb_tags_.resize(geometry_.btb_entries);
+  btb_targets_.resize(geometry_.btb_entries);
+  btb_ = WaySets(btb_sets_, geometry_.btb_associativity, 1);
   pht_.assign(geometry_.pht_entries, 1);  // weakly not-taken
   if (TaintTrackingEnabled()) {
-    btb_taint_.Enable(geometry_.btb_entries, 1);
     pht_taint_.Enable(geometry_.pht_entries, 1);
   }
-}
-
-std::size_t BranchPredictor::BtbSetBase(VAddr pc) const {
-  std::size_t sets = geometry_.btb_entries / geometry_.btb_associativity;
-  // Branch instructions are rarely line-aligned; index on the instruction
-  // address directly (low bits carry information, as in real BTBs).
-  return ((pc >> 2) % sets) * geometry_.btb_associativity;
 }
 
 std::size_t BranchPredictor::PhtIndex(VAddr pc) const {
@@ -74,43 +70,29 @@ BranchResult BranchPredictor::Branch(VAddr pc, VAddr target, bool taken, bool co
     }
   }
 
-  // Target prediction via the BTB (only needed for taken branches).
+  // Target prediction via the BTB (only needed for taken branches). Branch
+  // instructions are rarely line-aligned; index on the instruction address
+  // directly (low bits carry information, as in real BTBs).
+  const std::uint64_t tag = pc >> 2;
+  const std::size_t set = static_cast<std::size_t>(tag % btb_sets_);
+  const std::size_t base = set * geometry_.btb_associativity;
+  const std::uint8_t sig = WaySets::Signature(tag);
+  const int hit = btb_.Find(set, sig, [&](unsigned way) { return btb_tags_[base + way] == tag; });
   bool target_hit = false;
-  std::size_t base = BtbSetBase(pc);
-  std::uint64_t tag = pc >> 2;
-  std::size_t victim = base;
-  std::uint64_t victim_lru = ~std::uint64_t{0};
-  for (std::size_t way = 0; way < geometry_.btb_associativity; ++way) {
-    BtbEntry& e = btb_[base + way];
-    if (e.valid && e.tag == tag) {
-      target_hit = e.target == target;
-      e.lru = ++lru_clock_;
-      if (taken) {
-        e.target = target;
-      }
-      if (btb_taint_.on()) {
-        btb_taint_.Tag(base + way, taint_owner_, 0);
-      }
-      victim = static_cast<std::size_t>(-1);
-      break;
+  if (hit >= 0) {
+    const unsigned way = static_cast<unsigned>(hit);
+    target_hit = btb_targets_[base + way] == target;
+    btb_.Touch(set, way);
+    if (taken) {
+      btb_targets_[base + way] = target;
     }
-    if (!e.valid) {
-      victim = base + way;
-      victim_lru = 0;
-    } else if (e.lru < victim_lru) {
-      victim = base + way;
-      victim_lru = e.lru;
-    }
-  }
-  if (taken && victim != static_cast<std::size_t>(-1)) {
-    BtbEntry& e = btb_[victim];
-    e.tag = tag;
-    e.target = target;
-    e.valid = true;
-    e.lru = ++lru_clock_;
-    if (btb_taint_.on()) {
-      btb_taint_.Tag(victim, taint_owner_, 0);
-    }
+    btb_.Stamp(set, way, taint_owner_, 0);
+  } else if (taken) {
+    const unsigned victim = btb_.Victim(set);
+    btb_.Fill(set, victim, sig);
+    btb_tags_[base + victim] = tag;
+    btb_targets_[base + victim] = target;
+    btb_.Stamp(set, victim, taint_owner_, 0);
   }
 
   bool direction_wrong = conditional && (predicted_taken != taken);
@@ -122,15 +104,6 @@ BranchResult BranchPredictor::Branch(VAddr pc, VAddr target, bool taken, bool co
   return result;
 }
 
-void BranchPredictor::FlushBtb() {
-  for (BtbEntry& e : btb_) {
-    e.valid = false;
-  }
-  if (btb_taint_.on()) {
-    btb_taint_.ClearAll();
-  }
-}
-
 void BranchPredictor::FlushHistory() {
   ghr_ = 0;
   pht_.assign(pht_.size(), 1);
@@ -138,16 +111,6 @@ void BranchPredictor::FlushHistory() {
     pht_taint_.ClearAll();
     ghr_owner_ = 0;
   }
-}
-
-std::size_t BranchPredictor::BtbValidCount() const {
-  std::size_t n = 0;
-  for (const BtbEntry& e : btb_) {
-    if (e.valid) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace tp::hw

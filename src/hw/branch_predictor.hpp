@@ -5,7 +5,8 @@
 //
 // Both structures are virtually indexed and untagged-by-domain, so they leak
 // across domains unless explicitly flushed (x86 IBC / Arm BPIALL), which is
-// Requirement 1 of the paper for the BP.
+// Requirement 1 of the paper for the BP. The BTB is structure-of-arrays
+// (tags and targets) over the shared hw::WaySets, like the caches and TLBs.
 #ifndef TP_HW_BRANCH_PREDICTOR_HPP_
 #define TP_HW_BRANCH_PREDICTOR_HPP_
 
@@ -15,6 +16,7 @@
 
 #include "hw/taint.hpp"
 #include "hw/types.hpp"
+#include "hw/way_sets.hpp"
 
 namespace tp::hw {
 
@@ -45,7 +47,7 @@ class BranchPredictor {
   BranchResult Branch(VAddr pc, VAddr target, bool taken, bool conditional);
 
   // Architected flushes.
-  void FlushBtb();           // invalidate all BTB entries
+  void FlushBtb() { btb_.InvalidateAll(); }
   void FlushHistory();       // clear GHR + PHT (IBC-style barrier)
   void FlushAll() {
     FlushBtb();
@@ -57,7 +59,7 @@ class BranchPredictor {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  std::size_t BtbValidCount() const;
+  std::size_t BtbValidCount() const { return btb_.valid_count(); }
 
   const BranchPredictorGeometry& geometry() const { return geometry_; }
 
@@ -65,30 +67,23 @@ class BranchPredictor {
   // BTB entries and PHT counters are tagged individually; the GHR is one
   // shared register with a single owner tag.
   void SetTaintOwner(TaintTag owner) { taint_owner_ = owner; }
-  const TaintMap& btb_taint() const { return btb_taint_; }
+  const TaintMap& btb_taint() const { return btb_.taint(); }
   const TaintMap& pht_taint() const { return pht_taint_; }
   TaintTag ghr_owner() const { return ghr_owner_; }
   std::size_t btb_associativity() const { return geometry_.btb_associativity; }
 
  private:
-  struct BtbEntry {
-    std::uint64_t tag = 0;
-    VAddr target = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
-  };
-
-  std::size_t BtbSetBase(VAddr pc) const;
   std::size_t PhtIndex(VAddr pc) const;
 
   BranchPredictorGeometry geometry_;
-  std::vector<BtbEntry> btb_;
+  std::size_t btb_sets_ = 1;
+  std::vector<std::uint64_t> btb_tags_;  // [set][way] flattened
+  std::vector<VAddr> btb_targets_;       // [set][way] flattened
+  WaySets btb_;
   std::vector<std::uint8_t> pht_;  // 2-bit saturating counters
   std::uint64_t ghr_ = 0;          // global history register
-  std::uint64_t lru_clock_ = 0;
   bool enabled_ = true;
 
-  TaintMap btb_taint_;
   TaintMap pht_taint_;
   TaintTag taint_owner_ = 0;
   TaintTag ghr_owner_ = 0;

@@ -52,27 +52,15 @@ SetAssociativeCache::SetAssociativeCache(std::string name, const CacheGeometry& 
   if (num_slices_ > 1 && std::has_single_bit(num_slices_)) {
     slice_mask_ = num_slices_ - 1;
   }
-  full_mask_ = ways_ == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << ways_) - 1;
 
-  const std::size_t lines = geometry_.TotalLines();
   const std::size_t sets = sets_per_slice_ * num_slices_;
-  tags_.resize(lines);
-  age_stride_ = LruStride(ways_);
-  ages_.assign(sets * age_stride_, kLruPad);
-  for (std::size_t set = 0; set < sets; ++set) {
-    for (std::size_t w = 0; w < ways_; ++w) {
-      ages_[set * age_stride_ + w] = static_cast<std::uint8_t>(w);
-    }
-  }
-  sigs_.assign(sets * age_stride_, 0);
-  valid_.assign(sets, 0);
+  tags_.resize(geometry_.TotalLines());
   dirty_.assign(sets, 0);
-
   if (TaintTrackingEnabled()) {
     const std::size_t colours = geometry_.Colours();
     taint_colours_ = colours >= 1 && colours <= 64 ? colours : 1;
-    taint_.Enable(lines, taint_colours_);
   }
+  way_sets_ = WaySets(sets, ways_, taint_colours_);
 }
 
 bool SetAssociativeCache::Insert(VAddr addr_for_index, PAddr addr_for_tag, bool dirty) {
@@ -83,33 +71,10 @@ bool SetAssociativeCache::Insert(VAddr addr_for_index, PAddr addr_for_tag, bool 
     if (dirty) {
       SetDirty(d.set, static_cast<unsigned>(way));
     }
-    if (taint_.on()) {
-      taint_.Tag(d.set * ways_ + static_cast<unsigned>(way), taint_owner_,
-                 TaintColourOfTag(d.tag));
-    }
+    way_sets_.Stamp(d.set, static_cast<unsigned>(way), taint_owner_, TaintColourOfTag(d.tag));
     return false;
   }
-  const unsigned victim = PickVictim(d.set);
-  const std::uint64_t bit = std::uint64_t{1} << victim;
-  const bool evicted_dirty = (valid_[d.set] & bit) != 0 && (dirty_[d.set] & bit) != 0;
-  if (evicted_dirty) {
-    dirty_[d.set] &= ~bit;
-    --dirty_count_;
-  }
-  if ((valid_[d.set] & bit) == 0) {
-    valid_[d.set] |= bit;
-    ++valid_count_;
-  }
-  tags_[d.set * ways_ + victim] = d.tag;
-  sigs_[d.set * age_stride_ + victim] = TagSignature(d.tag);
-  if (dirty) {
-    SetDirty(d.set, victim);
-  }
-  Promote(d.set, victim);
-  if (taint_.on()) {
-    taint_.Tag(d.set * ways_ + victim, taint_owner_, TaintColourOfTag(d.tag));
-  }
-  return evicted_dirty;
+  return MissFill(d, dirty).writeback;
 }
 
 bool SetAssociativeCache::InvalidateLine(VAddr addr_for_index, PAddr addr_for_tag) {
@@ -118,18 +83,8 @@ bool SetAssociativeCache::InvalidateLine(VAddr addr_for_index, PAddr addr_for_ta
   if (way < 0) {
     return false;
   }
-  const std::uint64_t bit = std::uint64_t{1} << static_cast<unsigned>(way);
-  const bool was_dirty = (dirty_[d.set] & bit) != 0;
-  valid_[d.set] &= ~bit;
-  --valid_count_;
-  if (was_dirty) {
-    dirty_[d.set] &= ~bit;
-    --dirty_count_;
-  }
-  if (taint_.on()) {
-    taint_.Clear(d.set * ways_ + static_cast<unsigned>(way));
-  }
-  return was_dirty;
+  way_sets_.Invalidate(d.set, static_cast<unsigned>(way));
+  return ClearDirty(d.set, static_cast<unsigned>(way));
 }
 
 bool SetAssociativeCache::InvalidateLineByPaddr(PAddr paddr) {
@@ -150,34 +105,22 @@ bool SetAssociativeCache::InvalidateLineByPaddr(PAddr paddr) {
 
 std::size_t SetAssociativeCache::FlushAll() {
   const std::size_t dirty = dirty_count_;
-  std::fill(valid_.begin(), valid_.end(), 0);
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-  valid_count_ = 0;
-  dirty_count_ = 0;
-  if (taint_.on()) {
-    taint_.ClearAll();
-  }
+  InvalidateAll();
   return dirty;
 }
 
 std::size_t SetAssociativeCache::InvalidateAll() {
-  const std::size_t valid = valid_count_;
-  std::fill(valid_.begin(), valid_.end(), 0);
+  const std::size_t valid = way_sets_.valid_count();
+  way_sets_.InvalidateAll();
   std::fill(dirty_.begin(), dirty_.end(), 0);
-  valid_count_ = 0;
   dirty_count_ = 0;
-  if (taint_.on()) {
-    taint_.ClearAll();
-  }
   return valid;
 }
 
 void SetAssociativeCache::DigestState(std::uint64_t& h) const {
   DigestVec(h, tags_);
-  DigestVec(h, ages_);
-  DigestVec(h, valid_);
   DigestVec(h, dirty_);
-  taint_.DigestState(h);
+  way_sets_.DigestState(h);
 }
 
 }  // namespace tp::hw

@@ -2,12 +2,11 @@
 // slicing (for hashed, distributed last-level caches as on Haswell).
 //
 // Storage is structure-of-arrays for host speed: one contiguous tag array
-// plus packed per-set valid/dirty bitmasks, and per-line 8-bit LRU age
-// ranks (0 = MRU .. ways-1 = LRU, an exact per-set recency permutation that
-// reproduces the previous global-LRU-clock victim choice bit-for-bit).
-// The hit fast path lives in this header so Core::Access inlines it; the
-// miss/fill path is out of line. Running valid/dirty counters keep
-// FlushAll/DirtyLineCount/ValidLineCount from scanning lines.
+// plus packed per-set dirty bitmasks; valid masks, key signatures, exact-LRU
+// ranks and taint stamps live in the shared hw::WaySets (way_sets.hpp).
+// The hit and demand-miss paths live in this header so Core::Access inlines
+// them. Running valid/dirty counters keep FlushAll/DirtyLineCount/
+// ValidLineCount from scanning lines.
 //
 // Access() reports hit/miss and whether the fill evicted a dirty victim
 // (a write-back, which costs extra cycles at the level below).
@@ -24,9 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "hw/lru.hpp"
 #include "hw/taint.hpp"
 #include "hw/types.hpp"
+#include "hw/way_sets.hpp"
 
 namespace tp::hw {
 
@@ -79,17 +78,14 @@ class SetAssociativeCache {
     const Decoded d = Decode(addr_for_index, addr_for_tag);
     const int way = FindWay(d.set, d.tag);
     if (way >= 0) {
-      Promote(d.set, static_cast<unsigned>(way));
+      way_sets_.Touch(d.set, static_cast<unsigned>(way));
       if (write) {
         SetDirty(d.set, static_cast<unsigned>(way));
       }
-      if (taint_.on()) {
-        // Retag on hit: the line now reflects this owner's activity at
-        // *this* level only (a deterministic L1 re-touch must not launder
-        // a secret-dependent LLC copy).
-        taint_.Tag(d.set * ways_ + static_cast<std::size_t>(way), taint_owner_,
-                   TaintColourOfTag(d.tag));
-      }
+      // Retag on hit: the line now reflects this owner's activity at *this*
+      // level only (a deterministic L1 re-touch must not launder a
+      // secret-dependent LLC copy).
+      way_sets_.Stamp(d.set, static_cast<unsigned>(way), taint_owner_, TaintColourOfTag(d.tag));
       AccessResult result;
       result.hit = true;
       return result;
@@ -120,7 +116,7 @@ class SetAssociativeCache {
   std::size_t InvalidateAll();
 
   std::size_t DirtyLineCount() const { return dirty_count_; }
-  std::size_t ValidLineCount() const { return valid_count_; }
+  std::size_t ValidLineCount() const { return way_sets_.valid_count(); }
 
   // Set index (within its slice) that an address maps to; exposed so attack
   // code can construct eviction sets exactly as Mastik does on hardware.
@@ -148,9 +144,8 @@ class SetAssociativeCache {
     return PageNumber(paddr) % geometry_.Colours();
   }
 
-  // Folds the behavioural state (tags, LRU ages, valid/dirty masks, taint
-  // stamps) into a batch-replay digest. The signature array is a pure
-  // per-slot function of the tag array and is skipped.
+  // Folds the behavioural state (tags, dirty masks and the way state) into
+  // a batch-replay digest.
   void DigestState(std::uint64_t& h) const;
 
   // Taint metadata (active only when taint tracking was enabled at
@@ -158,7 +153,7 @@ class SetAssociativeCache {
   // until changed; entry index is set * ways + way.
   void SetTaintOwner(TaintTag owner) { taint_owner_ = owner; }
   TaintTag taint_owner() const { return taint_owner_; }
-  const TaintMap& taint() const { return taint_; }
+  const TaintMap& taint() const { return way_sets_.taint(); }
   std::size_t ways() const { return ways_; }
   std::size_t sets_per_slice() const { return sets_per_slice_; }
 
@@ -166,7 +161,7 @@ class SetAssociativeCache {
   // way is invalid — lets the contract checker name the violating line
   // itself, not just the slot it occupies.
   PAddr LinePaddrAt(std::size_t set, std::size_t way) const {
-    if (set >= valid_.size() || way >= ways_ || ((valid_[set] >> way) & 1) == 0) {
+    if (set >= dirty_.size() || way >= ways_ || ((way_sets_.valid(set) >> way) & 1) == 0) {
       return 0;
     }
     return static_cast<PAddr>(tags_[set * ways_ + way] * geometry_.line_size);
@@ -221,48 +216,12 @@ class SetAssociativeCache {
     return static_cast<std::size_t>(slice_mask_ != 0 ? h & slice_mask_ : h % num_slices_);
   }
 
-  // 8-bit signature of a tag, kept per way in an age-stride array so a whole
-  // set compares in one SWAR word op. A strong multiplicative mix: tags in
-  // one set differ only above the index bits, which a truncated low byte
-  // would mostly discard.
-  static std::uint8_t TagSignature(std::uint64_t tag) {
-    return static_cast<std::uint8_t>((tag * 0x9E3779B97F4A7C15ull) >> 56);
-  }
-
-  // Way holding (set, tag), or -1. The single tag-match used by the hit
-  // path, Contains and InvalidateLine alike. The signature scan visits
-  // candidate ways in ascending order and confirms each against the valid
-  // mask and the full tag, so the first confirmed way matches the previous
-  // way-0-first scan exactly; stale signatures (invalidated or replaced
-  // ways) and SWAR borrow artefacts die at the confirm.
+  // Way holding (set, tag), or -1: the single tag match used by the hit
+  // path, Contains and InvalidateLine alike.
   int FindWay(std::size_t set, std::uint64_t tag) const {
-    const std::uint64_t valid = valid_[set];
-    if (valid == 0) {
-      return -1;
-    }
     const std::uint64_t* tags = tags_.data() + set * ways_;
-    const std::uint8_t* sigs = sigs_.data() + set * age_stride_;
-    const std::uint64_t broadcast = kSwarLo * TagSignature(tag);
-    for (std::size_t off = 0; off < age_stride_; off += 8) {
-      std::uint64_t word;
-      std::memcpy(&word, sigs + off, 8);
-      std::uint64_t match = SwarByteMatch(word, broadcast);
-      while (match != 0) {
-        const unsigned way = static_cast<unsigned>(off) +
-                             static_cast<unsigned>(std::countr_zero(match)) / 8;
-        match &= match - 1;
-        if (((valid >> way) & 1) != 0 && tags[way] == tag) {
-          return static_cast<int>(way);
-        }
-      }
-    }
-    return -1;
-  }
-
-  // Exact-LRU promotion: ages form a per-set permutation ordered by last
-  // touch; every way younger than the touched one ages by one step.
-  void Promote(std::size_t set, unsigned way) {
-    LruPromote(ages_.data() + set * age_stride_, age_stride_, way);
+    return way_sets_.Find(set, WaySets::Signature(tag),
+                          [&](unsigned way) { return tags[way] == tag; });
   }
 
   void SetDirty(std::size_t set, unsigned way) {
@@ -273,45 +232,33 @@ class SetAssociativeCache {
     }
   }
 
-  // The way a fill replaces: the last invalid way when the set has room
-  // (matching the previous scan, where a later invalid way overwrote an
-  // earlier choice), else the LRU-oldest way. In the header (with MissFill)
-  // so the demand-miss path inlines into Access.
-  unsigned PickVictim(std::size_t set) const {
-    const std::uint64_t invalid = ~valid_[set] & full_mask_;
-    if (invalid != 0) {
-      // Highest-numbered invalid way.
-      return static_cast<unsigned>(std::bit_width(invalid) - 1);
+  // Clears the way's dirty bit; returns whether it was set.
+  bool ClearDirty(std::size_t set, unsigned way) {
+    const std::uint64_t bit = std::uint64_t{1} << way;
+    if ((dirty_[set] & bit) == 0) {
+      return false;
     }
-    return LruOldestWay(ages_.data() + set * age_stride_, age_stride_,
-                        static_cast<std::uint8_t>(ways_ - 1));
+    dirty_[set] &= ~bit;
+    --dirty_count_;
+    return true;
   }
 
+  // Fills (set, tag) into the set's victim way. In the header so the
+  // demand-miss path inlines into Access; Insert shares it.
   AccessResult MissFill(const Decoded& d, bool write) {
     AccessResult result;
-    const unsigned victim = PickVictim(d.set);
-    const std::uint64_t bit = std::uint64_t{1} << victim;
-    if ((valid_[d.set] & bit) != 0) {
+    const unsigned victim = way_sets_.Victim(d.set);
+    std::uint64_t& tag = tags_[d.set * ways_ + victim];
+    if (way_sets_.Fill(d.set, victim, WaySets::Signature(d.tag))) {
       result.evicted_valid = true;
-      result.evicted_line_addr = tags_[d.set * ways_ + victim];
-      if ((dirty_[d.set] & bit) != 0) {
-        result.writeback = true;
-        dirty_[d.set] &= ~bit;
-        --dirty_count_;
-      }
-    } else {
-      valid_[d.set] |= bit;
-      ++valid_count_;
+      result.evicted_line_addr = tag;
+      result.writeback = ClearDirty(d.set, victim);
     }
-    tags_[d.set * ways_ + victim] = d.tag;
-    sigs_[d.set * age_stride_ + victim] = TagSignature(d.tag);
+    tag = d.tag;
     if (write) {
       SetDirty(d.set, victim);
     }
-    Promote(d.set, victim);
-    if (taint_.on()) {
-      taint_.Tag(d.set * ways_ + victim, taint_owner_, TaintColourOfTag(d.tag));
-    }
+    way_sets_.Stamp(d.set, victim, taint_owner_, TaintColourOfTag(d.tag));
     result.fill = true;
     return result;
   }
@@ -329,20 +276,14 @@ class SetAssociativeCache {
   int line_shift_ = -1;
   std::uint64_t set_mask_ = 0;
   std::uint64_t slice_mask_ = 0;
-  std::uint64_t full_mask_ = 1;  // low `ways_` bits set
 
-  std::size_t age_stride_ = 8;       // per-set age/signature bytes, padded for SWAR
-  std::vector<std::uint64_t> tags_;  // [slice][set][way] flattened
-  std::vector<std::uint8_t> ages_;   // LRU rank per line, 0 = MRU
-  std::vector<std::uint8_t> sigs_;   // TagSignature per line (stale until valid)
-  std::vector<std::uint64_t> valid_;  // per-set way bitmask
+  std::vector<std::uint64_t> tags_;   // [slice][set][way] flattened
   std::vector<std::uint64_t> dirty_;  // per-set way bitmask
-  std::size_t valid_count_ = 0;
   std::size_t dirty_count_ = 0;
+  WaySets way_sets_;
 
-  TaintMap taint_;
   TaintTag taint_owner_ = 0;
-  std::size_t taint_colours_ = 1;
+  std::size_t taint_colours_ = 1;  // stays 1 while taint tracking is off
 };
 
 }  // namespace tp::hw

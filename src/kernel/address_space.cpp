@@ -48,13 +48,6 @@ void AddressSpace::Unmap(hw::VAddr vaddr) {
   ++translate_generation_;
 }
 
-bool AddressSpace::IsMapped(hw::VAddr vaddr) const {
-  if (direct_map_) {
-    return hw::IsKernelAddress(vaddr);
-  }
-  return mappings_.find(hw::PageNumber(vaddr)) != mappings_.end();
-}
-
 std::optional<hw::Translation> AddressSpace::Translate(hw::VAddr vaddr) const {
   if (direct_map_) {
     if (!hw::IsKernelAddress(vaddr)) {

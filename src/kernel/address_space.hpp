@@ -42,7 +42,6 @@ class AddressSpace final : public hw::TranslationContext {
   bool Map(hw::VAddr vaddr, hw::PAddr paddr, bool global = false);
   void Unmap(hw::VAddr vaddr);
   void SetAllocator(FrameAllocator alloc) { allocator_ = std::move(alloc); }
-  bool IsMapped(hw::VAddr vaddr) const;
   std::size_t MappedPages() const { return mappings_.size(); }
 
   // hw::TranslationContext:

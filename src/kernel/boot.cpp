@@ -107,7 +107,7 @@ void Kernel::Boot() {
   for (std::size_t t = 0; t < machine_.num_device_timers(); ++t) {
     ObjId handler = objects_.Create(
         ObjectType::kIrqHandler,
-        IrqHandlerObj{machine_.device_timer(t).irq_line(), kNullObj});
+        IrqHandlerObj{machine_.device_timer(t).irq_line()});
     Capability hcap;
     hcap.obj = handler;
     hcap.type = ObjectType::kIrqHandler;

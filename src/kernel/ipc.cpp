@@ -243,23 +243,4 @@ SyscallResult Kernel::SysSend(hw::CoreId core, CapIdx endpoint, std::uint64_t ms
   return r;
 }
 
-SyscallResult Kernel::BindIrqHandler(hw::CoreId core, CSpace& cspace, CapIdx irq_handler,
-                                     CapIdx notification) {
-  SyscallEntry(core);
-  ExecText(core, KernelOp::kIrq);
-  SyscallResult r;
-  const Capability* hcap = Check(cspace, irq_handler, ObjectType::kIrqHandler);
-  const Capability* ncap = Check(cspace, notification, ObjectType::kNotification);
-  if (hcap == nullptr || ncap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else {
-    IrqHandlerObj& h = objects_.As<IrqHandlerObj>(hcap->obj);
-    h.notification = ncap->obj;
-    TouchData(core, shared_data_.At(SharedDataLayout::kIrqHandlerTable + h.line * 16), 16,
-              true);
-  }
-  SyscallExit(core);
-  return r;
-}
-
 }  // namespace tp::kernel

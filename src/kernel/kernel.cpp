@@ -586,29 +586,6 @@ void Kernel::HandleDeviceIrq(hw::CoreId core, hw::IrqLine line) {
   TouchData(core, shared_data_.At(SharedDataLayout::kCurrentIrq), 8, true);
   TouchData(core, shared_data_.At(SharedDataLayout::kIrqHandlerTable + line * 16), 16, false);
 
-  // Deliver to the bound notification, if any.
-  for (ObjId id = 1; id < objects_.size(); ++id) {
-    if (!objects_.IsLive(id) || objects_.Get(id).type != ObjectType::kIrqHandler) {
-      continue;
-    }
-    IrqHandlerObj& h = objects_.As<IrqHandlerObj>(id);
-    if (h.line != line || h.notification == kNullObj ||
-        !objects_.IsLive(h.notification)) {
-      continue;
-    }
-    NotificationObj& n = objects_.As<NotificationObj>(h.notification);
-    TouchData(core, n.metadata_paddr, 8, true);
-    n.word |= 1;
-    if (!n.waiters.empty()) {
-      ObjId waiter = n.waiters.front();
-      n.waiters.pop_front();
-      TcbObj& w = objects_.As<TcbObj>(waiter);
-      w.msg = n.word;
-      n.word = 0;
-      MakeRunnable(waiter);
-    }
-  }
-
   machine_.irq_controller().Ack(line);
   ExecText(core, KernelOp::kExit);
   cpu.AdvanceCycles(kTrapOutCycles);

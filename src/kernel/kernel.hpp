@@ -152,9 +152,6 @@ class Kernel {
   SyscallResult ConfigureTcb(hw::CoreId core, CSpace& cspace, CapIdx tcb,
                              const TcbSettings& settings);
   SyscallResult ResumeTcb(hw::CoreId core, CSpace& cspace, CapIdx tcb);
-  SyscallResult SuspendTcb(hw::CoreId core, CSpace& cspace, CapIdx tcb);
-  SyscallResult BindIrqHandler(hw::CoreId core, CSpace& cspace, CapIdx irq_handler,
-                               CapIdx notification);
   // Associates a security domain with a kernel image: the domain's idle
   // thread (and any thread defaulting its image) comes from this kernel.
   SyscallResult BindDomainToImage(hw::CoreId core, CSpace& cspace, DomainId domain,
@@ -296,6 +293,14 @@ class Kernel {
 
   // --- validation helpers ---------------------------------------------------
   const Capability* Check(CSpace& cspace, CapIdx idx, ObjectType type);
+
+  // --- object creation (untyped.cpp) ----------------------------------------
+  // Creates a TCB, endpoint, notification or vspace whose metadata starts
+  // at `base`, charging the metadata touches both retype syscalls share. A
+  // vspace takes its interior page-table frames from `vspace_frames` (none
+  // when null). Returns kNullObj for any other type.
+  ObjId CreateMetadataObject(hw::CoreId core, ObjectType type, hw::PAddr base,
+                             FrameAllocator vspace_frames);
 
   // --- boot (boot.cpp) ------------------------------------------------------
   void Boot();

@@ -134,7 +134,6 @@ struct KernelMemoryObj {
 
 struct IrqHandlerObj {
   hw::IrqLine line = 0;
-  ObjId notification = kNullObj;
 };
 
 struct DeviceTimerObj {

@@ -71,33 +71,15 @@ SyscallResult Kernel::Retype(hw::CoreId core, CSpace& cspace, CapIdx untyped, Ob
           id = objects_.Create(type, FrameObj{base});
           TouchData(core, base, bytes, true);  // retype zeroes frames
           break;
-        case ObjectType::kTcb: {
-          TcbObj t;
-          t.metadata_paddr = base;
-          id = objects_.Create(type, std::move(t));
-          TouchData(core, base, 512, true);
+        case ObjectType::kTcb:
+        case ObjectType::kEndpoint:
+        case ObjectType::kNotification:
+          id = CreateMetadataObject(core, type, base, nullptr);
           break;
-        }
-        case ObjectType::kEndpoint: {
-          EndpointObj e;
-          e.metadata_paddr = base;
-          id = objects_.Create(type, std::move(e));
-          TouchData(core, base, bytes, true);
-          break;
-        }
-        case ObjectType::kNotification: {
-          NotificationObj n;
-          n.metadata_paddr = base;
-          id = objects_.Create(type, std::move(n));
-          TouchData(core, base, bytes, true);
-          break;
-        }
         case ObjectType::kVSpace: {
-          VSpaceObj v;
-          v.metadata_paddr = base;
-          ObjId ut_id = ucap->obj;
           // Interior page-table frames come from the same untyped pool the
           // vspace was retyped from, keeping them in the domain's colours.
+          ObjId ut_id = ucap->obj;
           FrameAllocator alloc = [this, ut_id]() -> std::optional<hw::PAddr> {
             UntypedObj& pool = objects_.As<UntypedObj>(ut_id);
             std::size_t m = (pool.watermark + hw::kPageSize - 1) / hw::kPageSize * hw::kPageSize;
@@ -107,10 +89,7 @@ SyscallResult Kernel::Retype(hw::CoreId core, CSpace& cspace, CapIdx untyped, Ob
             pool.watermark = m + hw::kPageSize;
             return pool.base + m;
           };
-          v.space = std::make_unique<AddressSpace>(next_asid_++, base, std::move(alloc));
-          id = objects_.Create(type, std::move(v));
-          TouchData(core, base, 1024, true);
-          TouchData(core, shared_data_.At(SharedDataLayout::kAsidTable), 64, true);
+          id = CreateMetadataObject(core, type, base, std::move(alloc));
           break;
         }
         case ObjectType::kKernelImage: {
@@ -160,47 +139,15 @@ SyscallResult Kernel::RetypeInFrame(hw::CoreId core, CSpace& cspace, CapIdx fram
   if (fcap == nullptr) {
     r.error = SyscallError::kInvalidCap;
   } else {
-    hw::PAddr base = objects_.As<FrameObj>(fcap->obj).base;
-    ObjId id = kNullObj;
-    switch (type) {
-      case ObjectType::kTcb: {
-        TcbObj t;
-        t.metadata_paddr = base;
-        id = objects_.Create(type, std::move(t));
-        TouchData(core, base, 512, true);
-        break;
-      }
-      case ObjectType::kEndpoint: {
-        EndpointObj e;
-        e.metadata_paddr = base;
-        id = objects_.Create(type, std::move(e));
-        TouchData(core, base, 64, true);
-        break;
-      }
-      case ObjectType::kNotification: {
-        NotificationObj n;
-        n.metadata_paddr = base;
-        id = objects_.Create(type, std::move(n));
-        TouchData(core, base, 64, true);
-        break;
-      }
-      case ObjectType::kVSpace: {
-        // Root table in a caller-supplied (coloured) frame: every page walk
-        // reads the root PTE line, so an uncoloured root is residual state
-        // any domain can reach. Interior frames come via SetVSpaceAllocator.
-        VSpaceObj v;
-        v.metadata_paddr = base;
-        v.space = std::make_unique<AddressSpace>(next_asid_++, base, nullptr);
-        id = objects_.Create(type, std::move(v));
-        TouchData(core, base, 1024, true);
-        TouchData(core, shared_data_.At(SharedDataLayout::kAsidTable), 64, true);
-        break;
-      }
-      default:
-        r.error = SyscallError::kInvalidArgument;
-        break;
-    }
-    if (id != kNullObj && out_cap != nullptr) {
+    // A vspace's root table sits in the caller-supplied (coloured) frame:
+    // every page walk reads the root PTE line, so an uncoloured root is
+    // residual state any domain can reach. Interior frames come via
+    // SetVSpaceAllocator.
+    const ObjId id =
+        CreateMetadataObject(core, type, objects_.As<FrameObj>(fcap->obj).base, nullptr);
+    if (id == kNullObj) {
+      r.error = SyscallError::kInvalidArgument;
+    } else if (out_cap != nullptr) {
       Capability cap;
       cap.obj = id;
       cap.type = type;
@@ -212,6 +159,46 @@ SyscallResult Kernel::RetypeInFrame(hw::CoreId core, CSpace& cspace, CapIdx fram
   }
   SyscallExit(core);
   return r;
+}
+
+ObjId Kernel::CreateMetadataObject(hw::CoreId core, ObjectType type, hw::PAddr base,
+                                   FrameAllocator vspace_frames) {
+  ObjId id = kNullObj;
+  switch (type) {
+    case ObjectType::kTcb: {
+      TcbObj t;
+      t.metadata_paddr = base;
+      id = objects_.Create(type, std::move(t));
+      TouchData(core, base, 512, true);
+      break;
+    }
+    case ObjectType::kEndpoint: {
+      EndpointObj e;
+      e.metadata_paddr = base;
+      id = objects_.Create(type, std::move(e));
+      TouchData(core, base, 64, true);
+      break;
+    }
+    case ObjectType::kNotification: {
+      NotificationObj n;
+      n.metadata_paddr = base;
+      id = objects_.Create(type, std::move(n));
+      TouchData(core, base, 64, true);
+      break;
+    }
+    case ObjectType::kVSpace: {
+      VSpaceObj v;
+      v.metadata_paddr = base;
+      v.space = std::make_unique<AddressSpace>(next_asid_++, base, std::move(vspace_frames));
+      id = objects_.Create(type, std::move(v));
+      TouchData(core, base, 1024, true);
+      TouchData(core, shared_data_.At(SharedDataLayout::kAsidTable), 64, true);
+      break;
+    }
+    default:
+      break;
+  }
+  return id;
 }
 
 SyscallResult Kernel::KernelMemoryAddFrame(hw::CoreId core, CSpace& cspace, CapIdx kmem,
@@ -332,27 +319,6 @@ SyscallResult Kernel::ResumeTcb(hw::CoreId core, CSpace& cspace, CapIdx tcb) {
     TcbObj& t = objects_.As<TcbObj>(tcap->obj);
     TouchData(core, t.metadata_paddr, 64, true);
     MakeRunnable(tcap->obj);
-  }
-  SyscallExit(core);
-  return r;
-}
-
-SyscallResult Kernel::SuspendTcb(hw::CoreId core, CSpace& cspace, CapIdx tcb) {
-  SyscallEntry(core);
-  SyscallResult r;
-  const Capability* tcap = Check(cspace, tcb, ObjectType::kTcb);
-  if (tcap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else {
-    ObjId id = tcap->obj;
-    TcbObj& t = objects_.As<TcbObj>(id);
-    TouchData(core, t.metadata_paddr, 64, true);
-    MakeBlocked(id, ThreadState::kInactive, kNullObj);
-    for (std::size_t c = 0; c < machine_.num_cores(); ++c) {
-      if (core_state_[c].cur_tcb == id) {
-        RescheduleCore(static_cast<hw::CoreId>(c));
-      }
-    }
   }
   SyscallExit(core);
   return r;

@@ -1,12 +1,12 @@
-// Cross-check of the SoA cache/TLB fast paths against the retained
-// reference models in src/fuzz/reference_model.hpp (the pre-SoA
-// array-of-structs implementation: global 64-bit LRU clock, full-way
-// scans). The structure-of-arrays rebuild must be
+// Cross-check of the SoA cache/TLB/BTB fast paths (all over hw::WaySets)
+// against the retained reference models in src/fuzz/reference_model.hpp
+// (the pre-SoA array-of-structs implementation: global 64-bit LRU clock,
+// full-way scans). The structure-of-arrays rebuild must be
 // observation-for-observation identical — same hit/miss verdicts, same
 // victims, same write-backs, same counters — on random access streams over
 // power-of-two and non-power-of-two geometries, both indexing modes, with
 // flushes and invalidations interleaved. tp_fuzz --target soa runs the
-// same diff over randomized geometries; these fixed cases stay as the
+// cache/TLB diff over randomized geometries; these fixed cases stay as the
 // deterministic tier-1 floor.
 #include <cstdint>
 #include <random>
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "fuzz/reference_model.hpp"
+#include "hw/branch_predictor.hpp"
 #include "hw/cache.hpp"
 #include "hw/machine.hpp"
 #include "hw/tlb.hpp"
@@ -23,6 +24,7 @@
 namespace tp::hw {
 namespace {
 
+using fuzz::ReferenceBranchPredictor;
 using fuzz::ReferenceCache;
 using fuzz::ReferenceTlb;
 
@@ -141,6 +143,51 @@ TEST(TlbEquivalence, RandomStreamsMatchReferenceModel) {
       }
     }
     EXPECT_EQ(soa.ValidCount(), ref.ValidCount());
+  }
+}
+
+TEST(BranchPredictorEquivalence, RandomStreamsMatchReferenceModel) {
+  const BranchPredictorGeometry geometries[] = {
+      MachineConfig::Haswell().bp,
+      MachineConfig::Sabre().bp,
+      // 12 sets: a non-power-of-two set count.
+      BranchPredictorGeometry{.btb_entries = 36, .btb_associativity = 3, .pht_entries = 100},
+      // Fully associative.
+      BranchPredictorGeometry{.btb_entries = 16, .btb_associativity = 16, .pht_entries = 64},
+  };
+  for (const BranchPredictorGeometry& g : geometries) {
+    SCOPED_TRACE(g.btb_entries);
+    BranchPredictor soa(g);
+    ReferenceBranchPredictor ref(g);
+    std::mt19937_64 rng(0xB7B ^ g.btb_entries);
+    // pc >> 2 indexes and tags the BTB: cover 4x its reach.
+    std::uniform_int_distribution<VAddr> pc(0, 16 * g.btb_entries - 1);
+    std::uniform_int_distribution<int> target(0, 2);
+    std::uniform_int_distribution<int> op(0, 99);
+
+    for (int i = 0; i < 40000; ++i) {
+      const int o = op(rng);
+      if (o == 0) {
+        soa.FlushBtb();
+        ref.FlushBtb();
+      } else if (o == 1) {
+        soa.FlushHistory();
+        ref.FlushHistory();
+      } else {
+        const VAddr p = pc(rng);
+        const VAddr t = p + 4 * static_cast<VAddr>(target(rng));
+        const bool taken = o < 60;
+        const bool conditional = (o % 4) != 0;
+        const BranchResult got = soa.Branch(p, t, taken, conditional);
+        const BranchResult want = ref.Branch(p, t, taken, conditional);
+        ASSERT_EQ(got.mispredicted, want.mispredicted) << "op " << i;
+        ASSERT_EQ(got.penalty, want.penalty) << "op " << i;
+      }
+      if (o < 4) {
+        ASSERT_EQ(soa.BtbValidCount(), ref.BtbValidCount()) << "op " << i;
+      }
+    }
+    EXPECT_EQ(soa.BtbValidCount(), ref.BtbValidCount());
   }
 }
 

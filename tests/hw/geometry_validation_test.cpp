@@ -127,6 +127,12 @@ TEST(BranchPredictorGeometryValidation, NamesEveryBrokenBound) {
   BranchPredictorGeometry g;
   g.btb_associativity = 0;
   EXPECT_NE(g.Validate(), "");
+  g.btb_entries = 65 * 4;
+  g.btb_associativity = 65;  // the BTB's valid mask packs one bit per way
+  EXPECT_NE(g.Validate(), "");
+  g.btb_entries = 64 * 4;
+  g.btb_associativity = 64;
+  EXPECT_EQ(g.Validate(), "");
 
   g = BranchPredictorGeometry{};
   g.btb_entries = 0;
@@ -148,6 +154,10 @@ TEST(BranchPredictorGeometryValidation, NamesEveryBrokenBound) {
 TEST(BranchPredictorGeometryValidation, ConstructorAgreesWithValidate) {
   BranchPredictorGeometry bad;
   bad.history_bits = 64;
+  EXPECT_THROW(BranchPredictor{bad}, std::invalid_argument);
+  bad = BranchPredictorGeometry{};
+  bad.btb_entries = 65 * 4;
+  bad.btb_associativity = 65;
   EXPECT_THROW(BranchPredictor{bad}, std::invalid_argument);
   EXPECT_NO_THROW(BranchPredictor{BranchPredictorGeometry{}});
 }
