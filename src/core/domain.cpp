@@ -1,12 +1,22 @@
 #include "core/domain.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace tp::core {
 
 namespace {
+
 constexpr hw::CoreId kInitCore = 0;
+
+// Throws unless the init process's syscall `what` succeeded.
+void Require(const kernel::SyscallResult& r, const char* what) {
+  if (!r.ok()) {
+    throw std::runtime_error(std::string("DomainManager: ") + what + " failed");
+  }
 }
+
+}  // namespace
 
 DomainManager::DomainManager(kernel::Kernel& kernel)
     : kernel_(kernel),
@@ -14,36 +24,41 @@ DomainManager::DomainManager(kernel::Kernel& kernel)
       untyped_(kernel.boot_info().untyped),
       pool_(kernel, cspace_, untyped_) {}
 
+kernel::CapIdx DomainManager::TakeFrame(const std::set<std::size_t>& colours,
+                                        const char* what) {
+  std::optional<kernel::CapIdx> frame = pool_.TakeFrame(colours);
+  if (!frame.has_value()) {
+    throw std::runtime_error(std::string("DomainManager: out of coloured frames for ") + what);
+  }
+  return *frame;
+}
+
+kernel::CapIdx DomainManager::RetypeInColours(const std::set<std::size_t>& colours,
+                                              kernel::ObjectType type, const char* what) {
+  const kernel::CapIdx frame = TakeFrame(colours, what);
+  kernel::CapIdx cap = 0;
+  Require(kernel_.RetypeInFrame(kInitCore, *cspace_, frame, type, &cap), what);
+  return cap;
+}
+
 kernel::CapIdx DomainManager::CloneKernelFromPool(const std::set<std::size_t>& colours,
                                                   kernel::CapIdx source_image) {
   kernel::CapIdx dest = 0;
-  kernel::SyscallResult r = kernel_.Retype(kInitCore, *cspace_, untyped_,
-                                           kernel::ObjectType::kKernelImage, 0, &dest);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: cannot retype Kernel_Image");
-  }
+  Require(kernel_.Retype(kInitCore, *cspace_, untyped_, kernel::ObjectType::kKernelImage, 0, &dest),
+          "Kernel_Image retype");
   kernel::CapIdx kmem = 0;
-  r = kernel_.Retype(kInitCore, *cspace_, untyped_, kernel::ObjectType::kKernelMemory, 0, &kmem);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: cannot retype Kernel_Memory");
-  }
+  Require(
+      kernel_.Retype(kInitCore, *cspace_, untyped_, kernel::ObjectType::kKernelMemory, 0, &kmem),
+      "Kernel_Memory retype");
 
   std::size_t pages = (kernel_.ImageBytes() + hw::kPageSize - 1) / hw::kPageSize;
   for (std::size_t p = 0; p < pages; ++p) {
-    std::optional<kernel::CapIdx> frame = pool_.TakeFrame(colours);
-    if (!frame.has_value()) {
-      throw std::runtime_error("DomainManager: out of coloured frames for kernel clone");
-    }
-    r = kernel_.KernelMemoryAddFrame(kInitCore, *cspace_, kmem, *frame);
-    if (!r.ok()) {
-      throw std::runtime_error("DomainManager: Kernel_Memory add frame failed");
-    }
+    const kernel::CapIdx frame = TakeFrame(colours, "kernel clone");
+    Require(kernel_.KernelMemoryAddFrame(kInitCore, *cspace_, kmem, frame),
+            "Kernel_Memory add frame");
   }
 
-  r = kernel_.KernelClone(kInitCore, *cspace_, dest, source_image, kmem);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: Kernel_Clone failed");
-  }
+  Require(kernel_.KernelClone(kInitCore, *cspace_, dest, source_image, kmem), "Kernel_Clone");
   return dest;
 }
 
@@ -66,23 +81,15 @@ Domain& DomainManager::CreateDomain(const DomainOptions& options) {
   kernel_.RegisterDomainColours(options.id, options.colours);
 
   if (options.pad_cycles > 0) {
-    kernel::SyscallResult r = kernel_.KernelSetPad(
-        kInitCore, *cspace_,
-        kernel_.config().clone_support ? domain->kernel_image
-                                       : kernel_.boot_info().kernel_image,
-        options.pad_cycles);
-    if (!r.ok()) {
-      throw std::runtime_error("DomainManager: Kernel_SetPad failed");
-    }
+    const kernel::CapIdx image =
+        kernel_.config().clone_support ? domain->kernel_image : kernel_.boot_info().kernel_image;
+    Require(kernel_.KernelSetPad(kInitCore, *cspace_, image, options.pad_cycles), "Kernel_SetPad");
   }
 
   for (std::size_t t : options.device_timers) {
-    kernel::SyscallResult r =
-        kernel_.KernelSetInt(kInitCore, *cspace_, domain->kernel_image,
-                             kernel_.boot_info().irq_handlers.at(t));
-    if (!r.ok()) {
-      throw std::runtime_error("DomainManager: Kernel_SetInt failed");
-    }
+    Require(kernel_.KernelSetInt(kInitCore, *cspace_, domain->kernel_image,
+                                 kernel_.boot_info().irq_handlers.at(t)),
+            "Kernel_SetInt");
   }
 
   // Domain vspace with root and interior page tables drawn from the
@@ -94,16 +101,8 @@ Domain& DomainManager::CreateDomain(const DomainOptions& options) {
 }
 
 kernel::CapIdx DomainManager::MakeColouredVSpace(const std::set<std::size_t>& colours) {
-  std::optional<kernel::CapIdx> root = pool_.TakeFrame(colours);
-  if (!root.has_value()) {
-    throw std::runtime_error("DomainManager: out of coloured frames for VSpace root");
-  }
-  kernel::CapIdx vspace = 0;
-  kernel::SyscallResult r = kernel_.RetypeInFrame(kInitCore, *cspace_, *root,
-                                                  kernel::ObjectType::kVSpace, &vspace);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: cannot retype VSpace");
-  }
+  const kernel::CapIdx vspace =
+      RetypeInColours(colours, kernel::ObjectType::kVSpace, "VSpace root retype");
   std::set<std::size_t> cs = colours;
   kernel_.SetVSpaceAllocator(*cspace_, vspace,
                              [this, cs]() -> std::optional<hw::PAddr> {
@@ -123,16 +122,10 @@ MappedBuffer DomainManager::AllocBuffer(Domain& domain, std::size_t bytes) {
   domain.next_vaddr += buf.bytes + hw::kPageSize;  // guard page
 
   for (std::size_t off = 0; off < buf.bytes; off += hw::kPageSize) {
-    std::optional<kernel::CapIdx> frame = pool_.TakeFrame(domain.colours);
-    if (!frame.has_value()) {
-      throw std::runtime_error("DomainManager: out of coloured frames for buffer");
-    }
+    const kernel::CapIdx frame = TakeFrame(domain.colours, "buffer");
     hw::VAddr va = buf.base + off;
-    kernel::SyscallResult r = kernel_.MapFrame(kInitCore, *cspace_, domain.vspace, *frame, va);
-    if (!r.ok()) {
-      throw std::runtime_error("DomainManager: MapFrame failed");
-    }
-    buf.pages.emplace_back(va, pool_.FrameBase(*frame));
+    Require(kernel_.MapFrame(kInitCore, *cspace_, domain.vspace, frame, va), "MapFrame");
+    buf.pages.emplace_back(va, pool_.FrameBase(frame));
   }
   return buf;
 }
@@ -144,16 +137,8 @@ kernel::CapIdx DomainManager::CreateVSpace(Domain& domain) {
 kernel::CapIdx DomainManager::StartThread(Domain& domain, kernel::UserProgram* program,
                                           std::uint8_t priority, hw::CoreId core,
                                           kernel::CapIdx vspace) {
-  std::optional<kernel::CapIdx> frame = pool_.TakeFrame(domain.colours);
-  if (!frame.has_value()) {
-    throw std::runtime_error("DomainManager: out of frames for TCB");
-  }
-  kernel::CapIdx tcb = 0;
-  kernel::SyscallResult r =
-      kernel_.RetypeInFrame(kInitCore, *cspace_, *frame, kernel::ObjectType::kTcb, &tcb);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: TCB retype failed");
-  }
+  const kernel::CapIdx tcb =
+      RetypeInColours(domain.colours, kernel::ObjectType::kTcb, "TCB retype");
 
   kernel::TcbSettings settings;
   settings.vspace = vspace != 0 ? vspace : domain.vspace;
@@ -163,14 +148,8 @@ kernel::CapIdx DomainManager::StartThread(Domain& domain, kernel::UserProgram* p
   settings.affinity = core;
   settings.program = program;
   settings.cspace = domain.cspace;
-  r = kernel_.ConfigureTcb(kInitCore, *cspace_, tcb, settings);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: ConfigureTcb failed");
-  }
-  r = kernel_.ResumeTcb(kInitCore, *cspace_, tcb);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: ResumeTcb failed");
-  }
+  Require(kernel_.ConfigureTcb(kInitCore, *cspace_, tcb, settings), "ConfigureTcb");
+  Require(kernel_.ResumeTcb(kInitCore, *cspace_, tcb), "ResumeTcb");
   return tcb;
 }
 
@@ -181,31 +160,12 @@ kernel::CapIdx DomainManager::GrantCap(Domain& domain, kernel::CapIdx manager_ca
 }
 
 kernel::CapIdx DomainManager::CreateNotification(Domain& domain) {
-  std::optional<kernel::CapIdx> frame = pool_.TakeFrame(domain.colours);
-  if (!frame.has_value()) {
-    throw std::runtime_error("DomainManager: out of frames for notification");
-  }
-  kernel::CapIdx cap = 0;
-  kernel::SyscallResult r = kernel_.RetypeInFrame(kInitCore, *cspace_, *frame,
-                                                  kernel::ObjectType::kNotification, &cap);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: notification retype failed");
-  }
-  return cap;
+  return RetypeInColours(domain.colours, kernel::ObjectType::kNotification,
+                         "notification retype");
 }
 
 kernel::CapIdx DomainManager::CreateEndpoint(Domain& domain) {
-  std::optional<kernel::CapIdx> frame = pool_.TakeFrame(domain.colours);
-  if (!frame.has_value()) {
-    throw std::runtime_error("DomainManager: out of frames for endpoint");
-  }
-  kernel::CapIdx cap = 0;
-  kernel::SyscallResult r = kernel_.RetypeInFrame(kInitCore, *cspace_, *frame,
-                                                  kernel::ObjectType::kEndpoint, &cap);
-  if (!r.ok()) {
-    throw std::runtime_error("DomainManager: endpoint retype failed");
-  }
-  return cap;
+  return RetypeInColours(domain.colours, kernel::ObjectType::kEndpoint, "endpoint retype");
 }
 
 Domain& DomainManager::Subdivide(Domain& parent, kernel::DomainId new_id,

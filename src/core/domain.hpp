@@ -99,6 +99,13 @@ class DomainManager {
   kernel::CapIdx CloneKernelFromPool(const std::set<std::size_t>& colours,
                                      kernel::CapIdx source_image);
 
+  // A frame in `colours` from the pool; throws naming `what` when none is left.
+  kernel::CapIdx TakeFrame(const std::set<std::size_t>& colours, const char* what);
+  // A new `type` object whose metadata sits in a frame in `colours`; throws
+  // naming `what` on failure.
+  kernel::CapIdx RetypeInColours(const std::set<std::size_t>& colours, kernel::ObjectType type,
+                                 const char* what);
+
   // VSpace whose root table AND interior tables live in `colours`: page
   // walks read the root PTE line, so an uncoloured root leaks across the
   // partition.

@@ -92,34 +92,18 @@ void Kernel::Boot() {
   ObjId untyped = objects_.Create(
       ObjectType::kUntyped,
       UntypedObj{untyped_base, static_cast<std::size_t>(mc.ram_bytes - untyped_base), 0});
-  Capability ucap;
-  ucap.obj = untyped;
-  ucap.type = ObjectType::kUntyped;
-  ucap.rights = CapRights::NoClone();
-  boot_info_.untyped = cs.Insert(ucap);
-
-  Capability kcap;
-  kcap.obj = boot_image_;
-  kcap.type = ObjectType::kKernelImage;
-  kcap.rights = CapRights::All();  // includes the clone right (§4.1)
-  boot_info_.kernel_image = cs.Insert(kcap);
+  boot_info_.untyped = MintCap(cs, untyped, ObjectType::kUntyped, CapRights::NoClone());
+  // The master image capability carries the clone right (§4.1).
+  boot_info_.kernel_image = MintCap(cs, boot_image_, ObjectType::kKernelImage, CapRights::All());
 
   for (std::size_t t = 0; t < machine_.num_device_timers(); ++t) {
-    ObjId handler = objects_.Create(
-        ObjectType::kIrqHandler,
-        IrqHandlerObj{machine_.device_timer(t).irq_line()});
-    Capability hcap;
-    hcap.obj = handler;
-    hcap.type = ObjectType::kIrqHandler;
-    hcap.rights = CapRights::NoClone();
-    boot_info_.irq_handlers.push_back(cs.Insert(hcap));
-
+    ObjId handler = objects_.Create(ObjectType::kIrqHandler,
+                                    IrqHandlerObj{machine_.device_timer(t).irq_line()});
+    boot_info_.irq_handlers.push_back(
+        MintCap(cs, handler, ObjectType::kIrqHandler, CapRights::NoClone()));
     ObjId timer = objects_.Create(ObjectType::kDeviceTimer, DeviceTimerObj{t});
-    Capability tcap;
-    tcap.obj = timer;
-    tcap.type = ObjectType::kDeviceTimer;
-    tcap.rights = CapRights::NoClone();
-    boot_info_.device_timers.push_back(cs.Insert(tcap));
+    boot_info_.device_timers.push_back(
+        MintCap(cs, timer, ObjectType::kDeviceTimer, CapRights::NoClone()));
   }
 }
 

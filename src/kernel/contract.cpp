@@ -56,52 +56,6 @@ std::uint64_t ContractChecker::ObservableMask(DomainId incoming,
   return mask;
 }
 
-void ContractChecker::CheckCache(const hw::SetAssociativeCache& cache, DomainId incoming,
-                                 hw::ContractTally& tally, std::uint64_t& foreign) const {
-  const hw::TaintMap& taint = cache.taint();
-  if (!taint.on()) {
-    return;
-  }
-  const std::size_t colours = ClampColours(cache.geometry().Colours());
-  const std::uint64_t mask = ObservableMask(incoming, colours);
-  const std::uint64_t n = taint.ForeignCount(static_cast<hw::TaintTag>(incoming), mask);
-  if (n == 0) {
-    return;
-  }
-  foreign += n;
-  if (!tally.has_first) {
-    const std::size_t idx = taint.FindForeign(static_cast<hw::TaintTag>(incoming), mask);
-    const std::size_t global_set = idx / cache.ways();
-    std::string where = "slice " + std::to_string(global_set / cache.sets_per_slice()) +
-                        " set " + std::to_string(global_set % cache.sets_per_slice()) +
-                        " way " + std::to_string(idx % cache.ways());
-    if (hw::PAddr line = cache.LinePaddrAt(global_set, idx % cache.ways()); line != 0) {
-      where += " line " + HexAddr(line);
-    }
-    Record(tally, cache.name(), where, taint.OwnerOf(idx), incoming);
-  }
-}
-
-void ContractChecker::CheckTlb(const hw::Tlb& tlb, DomainId incoming,
-                               hw::ContractTally& tally, std::uint64_t& foreign) const {
-  const hw::TaintMap& taint = tlb.taint();
-  if (!taint.on()) {
-    return;
-  }
-  const std::uint64_t mask = ObservableMask(incoming, 1);
-  const std::uint64_t n = taint.ForeignCount(static_cast<hw::TaintTag>(incoming), mask);
-  if (n == 0) {
-    return;
-  }
-  foreign += n;
-  if (!tally.has_first) {
-    const std::size_t idx = taint.FindForeign(static_cast<hw::TaintTag>(incoming), mask);
-    const std::string where = "set " + std::to_string(idx / tlb.ways()) + " way " +
-                              std::to_string(idx % tlb.ways());
-    Record(tally, tlb.name(), where, taint.OwnerOf(idx), incoming);
-  }
-}
-
 void ContractChecker::CheckSwitch(hw::CoreId core, DomainId incoming) {
   hw::ContractTally& tally = hw::ThreadContractTally();
   ++tally.switches;
@@ -110,38 +64,58 @@ void ContractChecker::CheckSwitch(hw::CoreId core, DomainId incoming) {
   hw::Core& cpu = kernel_.machine_.core(core);
   const hw::TaintTag in_tag = static_cast<hw::TaintTag>(incoming);
 
-  // Caches first (the paper's primary channels), innermost outwards.
-  CheckCache(cpu.l1i(), incoming, tally, foreign);
-  CheckCache(cpu.l1d(), incoming, tally, foreign);
-  if (cpu.l2() != nullptr) {
-    CheckCache(*cpu.l2(), incoming, tally, foreign);
-  }
-  CheckCache(kernel_.machine_.llc(), incoming, tally, foreign);
+  // One tagged structure with `colours` page colours: count the entries
+  // another domain owns in a colour `incoming` observes, and localise the
+  // first with `where(index)` for the report.
+  auto check_map = [&](const hw::TaintMap& map, const std::string& structure,
+                       std::size_t colours, auto where) {
+    if (!map.on()) {
+      return;
+    }
+    const std::uint64_t mask = ObservableMask(incoming, ClampColours(colours));
+    const std::uint64_t n = map.ForeignCount(in_tag, mask);
+    if (n == 0) {
+      return;
+    }
+    foreign += n;
+    if (!tally.has_first) {
+      const std::size_t idx = map.FindForeign(in_tag, mask);
+      Record(tally, structure, where(idx), map.OwnerOf(idx), incoming);
+    }
+  };
+  auto set_way = [](std::size_t ways) {
+    return [ways](std::size_t idx) {
+      return "set " + std::to_string(idx / ways) + " way " + std::to_string(idx % ways);
+    };
+  };
 
-  CheckTlb(cpu.itlb(), incoming, tally, foreign);
-  CheckTlb(cpu.dtlb(), incoming, tally, foreign);
-  CheckTlb(cpu.l2tlb(), incoming, tally, foreign);
+  // Caches first (the paper's primary channels), innermost outwards.
+  for (hw::SetAssociativeCache* cache :
+       {&cpu.l1i(), &cpu.l1d(), cpu.l2(), &kernel_.machine_.llc()}) {
+    if (cache == nullptr) {
+      continue;
+    }
+    check_map(cache->taint(), cache->name(), cache->geometry().Colours(), [cache](std::size_t idx) {
+      const std::size_t set = idx / cache->ways();
+      const std::size_t way = idx % cache->ways();
+      std::string where = "slice " + std::to_string(set / cache->sets_per_slice()) + " set " +
+                          std::to_string(set % cache->sets_per_slice()) + " way " +
+                          std::to_string(way);
+      if (hw::PAddr line = cache->LinePaddrAt(set, way); line != 0) {
+        where += " line " + HexAddr(line);
+      }
+      return where;
+    });
+  }
+  for (hw::Tlb* tlb : {&cpu.itlb(), &cpu.dtlb(), &cpu.l2tlb()}) {
+    check_map(tlb->taint(), tlb->name(), 1, set_way(tlb->ways()));
+  }
 
   hw::BranchPredictor& bp = cpu.branch_predictor();
   if (bp.btb_taint().on()) {
-    const std::uint64_t mask = ObservableMask(incoming, 1);
-    if (std::uint64_t n = bp.btb_taint().ForeignCount(in_tag, mask); n != 0) {
-      foreign += n;
-      if (!tally.has_first) {
-        const std::size_t idx = bp.btb_taint().FindForeign(in_tag, mask);
-        const std::string where = "set " + std::to_string(idx / bp.btb_associativity()) +
-                                  " way " + std::to_string(idx % bp.btb_associativity());
-        Record(tally, "BTB", where, bp.btb_taint().OwnerOf(idx), incoming);
-      }
-    }
-    if (std::uint64_t n = bp.pht_taint().ForeignCount(in_tag, mask); n != 0) {
-      foreign += n;
-      if (!tally.has_first) {
-        const std::size_t idx = bp.pht_taint().FindForeign(in_tag, mask);
-        Record(tally, "PHT", "counter " + std::to_string(idx), bp.pht_taint().OwnerOf(idx),
-               incoming);
-      }
-    }
+    check_map(bp.btb_taint(), "BTB", 1, set_way(bp.btb_associativity()));
+    check_map(bp.pht_taint(), "PHT", 1,
+              [](std::size_t idx) { return "counter " + std::to_string(idx); });
     if (bp.ghr_owner() != 0 && bp.ghr_owner() != in_tag) {
       ++foreign;
       Record(tally, "GHR", "global history register", bp.ghr_owner(), incoming);

@@ -25,12 +25,6 @@
 #include "hw/taint.hpp"
 #include "kernel/types.hpp"
 
-namespace tp::hw {
-class Core;
-class SetAssociativeCache;
-class Tlb;
-}  // namespace tp::hw
-
 namespace tp::kernel {
 
 class Kernel;
@@ -53,11 +47,6 @@ class ContractChecker {
   // Colour-observability mask of `incoming` projected onto a structure with
   // `structure_colours` page colours (bit c = colour c reachable).
   std::uint64_t ObservableMask(DomainId incoming, std::size_t structure_colours) const;
-
-  void CheckCache(const hw::SetAssociativeCache& cache, DomainId incoming,
-                  hw::ContractTally& tally, std::uint64_t& foreign) const;
-  void CheckTlb(const hw::Tlb& tlb, DomainId incoming, hw::ContractTally& tally,
-                std::uint64_t& foreign) const;
 
   Kernel& kernel_;
   std::unordered_map<DomainId, std::vector<std::size_t>> domain_colours_;  // LLC colours

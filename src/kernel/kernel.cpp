@@ -20,10 +20,6 @@ namespace {
 // hardware-assisted flush would cost ~1 µs (Table 2).
 constexpr hw::Cycles kJumpSerializeCycles = 45;
 
-// Fixed mode-switch (trap) costs.
-constexpr hw::Cycles kTrapInCycles = 80;
-constexpr hw::Cycles kTrapOutCycles = 40;
-
 constexpr hw::Cycles kIdleStepCycles = 200;
 
 // Text window (offset, length in cache lines) per kernel operation. The
@@ -154,18 +150,6 @@ void Kernel::TouchStack(hw::CoreId core, std::size_t bytes, bool write) {
   TouchData(core, image.PaddrOf(image.stack_off + core * slice), bytes, write);
 }
 
-void Kernel::SyscallEntry(hw::CoreId core) {
-  machine_.core(core).AdvanceCycles(kTrapInCycles);
-  ExecText(core, KernelOp::kEntry);
-  TouchStack(core, 192, true);
-}
-
-void Kernel::SyscallExit(hw::CoreId core) {
-  ExecText(core, KernelOp::kExit);
-  TouchStack(core, 64, false);
-  machine_.core(core).AdvanceCycles(kTrapOutCycles);
-}
-
 const Capability* Kernel::Check(CSpace& cspace, CapIdx idx, ObjectType type) {
   if (idx >= cspace.size()) {
     return nullptr;
@@ -175,6 +159,21 @@ const Capability* Kernel::Check(CSpace& cspace, CapIdx idx, ObjectType type) {
     return nullptr;
   }
   return &cap;
+}
+
+const Capability* Kernel::CheckCurrent(hw::CoreId core, CapIdx idx, ObjectType type) {
+  const TcbObj& cur = CurrentTcbRef(core);
+  return cur.cspace ? Check(*cur.cspace, idx, type) : nullptr;
+}
+
+CapIdx Kernel::MintCap(CSpace& cspace, ObjId obj, ObjectType type, CapRights rights) {
+  return cspace.Insert(Capability{obj, type, rights, 0, objects_.Get(obj).generation});
+}
+
+SyscallResult Kernel::BlockCurrent(hw::CoreId core, ThreadState state, ObjId on) {
+  MakeBlocked(core_state_[core].cur_tcb, state, on);
+  RescheduleCore(core);
+  return {SyscallError::kWouldBlock};
 }
 
 // --------------------------------------------------------------------------
@@ -226,16 +225,14 @@ void Kernel::MakeBlocked(ObjId tcb, ThreadState state, ObjId on) {
 
 SyscallResult Kernel::BindDomainToImage(hw::CoreId core, CSpace& cspace, DomainId domain,
                                         CapIdx image) {
-  SyscallEntry(core);
-  SyscallResult r;
-  const Capability* icap = Check(cspace, image, ObjectType::kKernelImage);
-  if (icap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else {
+  return Syscall(core, std::nullopt, [&]() -> SyscallResult {
+    const Capability* icap = Check(cspace, image, ObjectType::kKernelImage);
+    if (icap == nullptr) {
+      return {SyscallError::kInvalidCap};
+    }
     domain_image_[domain] = icap->obj;
-  }
-  SyscallExit(core);
-  return r;
+    return {};
+  });
 }
 
 void Kernel::SwitchToThread(hw::CoreId core, ObjId tcb) {
@@ -686,14 +683,11 @@ void Kernel::SetDomainSchedule(const std::vector<DomainId>& schedule) {
 // --------------------------------------------------------------------------
 
 SyscallResult Kernel::SysSetPriority(hw::CoreId core, CapIdx tcb_cap, std::uint8_t priority) {
-  SyscallEntry(core);
-  ExecText(core, KernelOp::kTcbSetPriority);
-  SyscallResult r;
-  TcbObj& cur = CurrentTcbRef(core);
-  const Capability* cap = cur.cspace ? Check(*cur.cspace, tcb_cap, ObjectType::kTcb) : nullptr;
-  if (cap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else {
+  return Syscall(core, KernelOp::kTcbSetPriority, [&]() -> SyscallResult {
+    const Capability* cap = CheckCurrent(core, tcb_cap, ObjectType::kTcb);
+    if (cap == nullptr) {
+      return {SyscallError::kInvalidCap};
+    }
     TcbObj& t = objects_.As<TcbObj>(cap->obj);
     TouchData(core, t.metadata_paddr, 64, true);
     bool queued = scheduler_.IsQueued(cap->obj, t.priority, t.domain);
@@ -707,40 +701,32 @@ SyscallResult Kernel::SysSetPriority(hw::CoreId core, CapIdx tcb_cap, std::uint8
     // Ready-queue head array is in the shared region (§4.1 item 1).
     TouchData(core, shared_data_.At(SharedDataLayout::kSchedQueues + priority * 16), 16, true);
     TouchData(core, shared_data_.At(SharedDataLayout::kSchedBitmap), 32, true);
-  }
-  SyscallExit(core);
-  return r;
+    return {};
+  });
 }
 
 SyscallResult Kernel::SysYield(hw::CoreId core) {
-  SyscallEntry(core);
-  ExecText(core, KernelOp::kYield);
-  TcbObj& cur = CurrentTcbRef(core);
-  if (!cur.is_idle) {
-    MakeRunnable(core_state_[core].cur_tcb);
-  }
-  RescheduleCore(core);
-  SyscallExit(core);
-  return SyscallResult{};
+  return Syscall(core, KernelOp::kYield, [&]() -> SyscallResult {
+    if (!CurrentTcbRef(core).is_idle) {
+      MakeRunnable(core_state_[core].cur_tcb);
+    }
+    RescheduleCore(core);
+    return {};
+  });
 }
 
 SyscallResult Kernel::SysSetTimer(hw::CoreId core, CapIdx timer_cap,
                                   hw::Cycles relative_deadline) {
-  SyscallEntry(core);
-  ExecText(core, KernelOp::kSetTimer);
-  SyscallResult r;
-  TcbObj& cur = CurrentTcbRef(core);
-  const Capability* cap =
-      cur.cspace ? Check(*cur.cspace, timer_cap, ObjectType::kDeviceTimer) : nullptr;
-  if (cap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else {
+  return Syscall(core, KernelOp::kSetTimer, [&]() -> SyscallResult {
+    const Capability* cap = CheckCurrent(core, timer_cap, ObjectType::kDeviceTimer);
+    if (cap == nullptr) {
+      return {SyscallError::kInvalidCap};
+    }
     const DeviceTimerObj& t = objects_.As<DeviceTimerObj>(cap->obj);
     machine_.device_timer(t.timer_index)
         .SetDeadline(machine_.core(core).now() + relative_deadline);
-  }
-  SyscallExit(core);
-  return r;
+    return {};
+  });
 }
 
 // --------------------------------------------------------------------------

@@ -259,11 +259,34 @@ class Kernel {
   };
 
   // --- cost model (kernel execution simulated on the machine) -------------
+  // Fixed mode-switch (trap) costs.
+  static constexpr hw::Cycles kTrapInCycles = 80;
+  static constexpr hw::Cycles kTrapOutCycles = 40;
+
   void ExecText(hw::CoreId core, KernelOp op);
   void TouchData(hw::CoreId core, hw::PAddr paddr, std::size_t bytes, bool write);
   void TouchStack(hw::CoreId core, std::size_t bytes, bool write);
-  void SyscallEntry(hw::CoreId core);
-  void SyscallExit(hw::CoreId core);
+
+  // The one syscall frame, and so each syscall's whole kernel-image
+  // footprint (§5.3.1): trap in, entry text and a 192 B stack write, the
+  // op's text (none when `op` is empty), `body`, then exit text, a 64 B
+  // stack read and trap out on every path `body` returns by. A template,
+  // so the body inlines: no std::function or allocation per syscall.
+  template <typename Body>
+  SyscallResult Syscall(hw::CoreId core, std::optional<KernelOp> op, Body&& body) {
+    hw::Core& cpu = machine_.core(core);
+    cpu.AdvanceCycles(kTrapInCycles);
+    ExecText(core, KernelOp::kEntry);
+    TouchStack(core, 192, true);
+    if (op.has_value()) {
+      ExecText(core, *op);
+    }
+    const SyscallResult r = body();
+    ExecText(core, KernelOp::kExit);
+    TouchStack(core, 64, false);
+    cpu.AdvanceCycles(kTrapOutCycles);
+    return r;
+  }
 
   // --- scheduling internals ------------------------------------------------
   void HandleTick(hw::CoreId core);
@@ -291,8 +314,17 @@ class Kernel {
   void ManualL1DFlush(hw::CoreId core);
   void ManualL1IFlush(hw::CoreId core);
 
-  // --- validation helpers ---------------------------------------------------
+  // --- capability helpers ---------------------------------------------------
+  // The capability at `idx` if it names a live object of `type`, else null.
   const Capability* Check(CSpace& cspace, CapIdx idx, ObjectType type);
+  // Check() in the cspace of `core`'s current thread (null if it has none).
+  const Capability* CheckCurrent(hw::CoreId core, CapIdx idx, ObjectType type);
+  // Inserts a capability to `obj` with `rights` and the object's current
+  // generation into `cspace`.
+  CapIdx MintCap(CSpace& cspace, ObjId obj, ObjectType type, CapRights rights);
+  // Blocks `core`'s current thread in `state` on `on` and reschedules: the
+  // kWouldBlock return of Wait, Call, Recv and Send.
+  SyscallResult BlockCurrent(hw::CoreId core, ThreadState state, ObjId on);
 
   // --- object creation (untyped.cpp) ----------------------------------------
   // Creates a TCB, endpoint, notification or vspace whose metadata starts

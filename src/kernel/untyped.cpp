@@ -44,101 +44,91 @@ std::size_t AlignmentFor(ObjectType type) {
 
 SyscallResult Kernel::Retype(hw::CoreId core, CSpace& cspace, CapIdx untyped, ObjectType type,
                              std::size_t size_bytes, CapIdx* out_cap) {
-  SyscallEntry(core);
-  ExecText(core, KernelOp::kRetype);
-  SyscallResult r;
-  const Capability* ucap = Check(cspace, untyped, ObjectType::kUntyped);
-  std::size_t bytes = ObjectBytes(type, size_bytes);
-  if (ucap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else if (bytes == 0 && type != ObjectType::kKernelMemory) {
-    // Kernel_Memory may start empty: the cloner assembles it from coloured
-    // frames via KernelMemoryAddFrame.
-    r.error = SyscallError::kInvalidArgument;
-  } else {
+  return Syscall(core, KernelOp::kRetype, [&]() -> SyscallResult {
+    const Capability* ucap = Check(cspace, untyped, ObjectType::kUntyped);
+    std::size_t bytes = ObjectBytes(type, size_bytes);
+    if (ucap == nullptr) {
+      return {SyscallError::kInvalidCap};
+    }
+    if (bytes == 0 && type != ObjectType::kKernelMemory) {
+      // Kernel_Memory may start empty: the cloner assembles it from coloured
+      // frames via KernelMemoryAddFrame.
+      return {SyscallError::kInvalidArgument};
+    }
     UntypedObj& ut = objects_.As<UntypedObj>(ucap->obj);
     std::size_t align = AlignmentFor(type);
     std::size_t mark = (ut.watermark + align - 1) / align * align;
     if (mark + bytes > ut.size_bytes) {
-      r.error = SyscallError::kInsufficientMemory;
-    } else {
-      hw::PAddr base = ut.base + mark;
-      ut.watermark = mark + bytes;
-
-      ObjId id = kNullObj;
-      switch (type) {
-        case ObjectType::kFrame:
-          id = objects_.Create(type, FrameObj{base});
-          TouchData(core, base, bytes, true);  // retype zeroes frames
-          break;
-        case ObjectType::kTcb:
-        case ObjectType::kEndpoint:
-        case ObjectType::kNotification:
-          id = CreateMetadataObject(core, type, base, nullptr);
-          break;
-        case ObjectType::kVSpace: {
-          // Interior page-table frames come from the same untyped pool the
-          // vspace was retyped from, keeping them in the domain's colours.
-          ObjId ut_id = ucap->obj;
-          FrameAllocator alloc = [this, ut_id]() -> std::optional<hw::PAddr> {
-            UntypedObj& pool = objects_.As<UntypedObj>(ut_id);
-            std::size_t m = (pool.watermark + hw::kPageSize - 1) / hw::kPageSize * hw::kPageSize;
-            if (m + hw::kPageSize > pool.size_bytes) {
-              return std::nullopt;
-            }
-            pool.watermark = m + hw::kPageSize;
-            return pool.base + m;
-          };
-          id = CreateMetadataObject(core, type, base, std::move(alloc));
-          break;
-        }
-        case ObjectType::kKernelImage: {
-          KernelImageObj k;
-          k.image_id = next_image_id_++;
-          id = objects_.Create(type, std::move(k));
-          TouchData(core, base, bytes, true);
-          break;
-        }
-        case ObjectType::kKernelMemory: {
-          KernelMemoryObj m;
-          for (std::size_t off = 0; off < bytes; off += hw::kPageSize) {
-            m.frames.push_back(base + off);
-          }
-          id = objects_.Create(type, std::move(m));
-          break;
-        }
-        case ObjectType::kUntyped: {
-          id = objects_.Create(type, UntypedObj{base, bytes, 0});
-          break;
-        }
-        default:
-          r.error = SyscallError::kInvalidArgument;
-          break;
-      }
-      if (id != kNullObj && out_cap != nullptr) {
-        Capability cap;
-        cap.obj = id;
-        cap.type = type;
-        cap.rights = type == ObjectType::kKernelImage ? CapRights::All() : CapRights::NoClone();
-        cap.generation = objects_.Get(id).generation;
-        *out_cap = cspace.Insert(cap);
-        r.value = id;
-      }
+      return {SyscallError::kInsufficientMemory};
     }
-  }
-  SyscallExit(core);
-  return r;
+    hw::PAddr base = ut.base + mark;
+    ut.watermark = mark + bytes;
+
+    ObjId id = kNullObj;
+    switch (type) {
+      case ObjectType::kFrame:
+        id = objects_.Create(type, FrameObj{base});
+        TouchData(core, base, bytes, true);  // retype zeroes frames
+        break;
+      case ObjectType::kTcb:
+      case ObjectType::kEndpoint:
+      case ObjectType::kNotification:
+        id = CreateMetadataObject(core, type, base, nullptr);
+        break;
+      case ObjectType::kVSpace: {
+        // Interior page-table frames come from the same untyped pool the
+        // vspace was retyped from, keeping them in the domain's colours.
+        ObjId ut_id = ucap->obj;
+        FrameAllocator alloc = [this, ut_id]() -> std::optional<hw::PAddr> {
+          UntypedObj& pool = objects_.As<UntypedObj>(ut_id);
+          std::size_t m = (pool.watermark + hw::kPageSize - 1) / hw::kPageSize * hw::kPageSize;
+          if (m + hw::kPageSize > pool.size_bytes) {
+            return std::nullopt;
+          }
+          pool.watermark = m + hw::kPageSize;
+          return pool.base + m;
+        };
+        id = CreateMetadataObject(core, type, base, std::move(alloc));
+        break;
+      }
+      case ObjectType::kKernelImage: {
+        KernelImageObj k;
+        k.image_id = next_image_id_++;
+        id = objects_.Create(type, std::move(k));
+        TouchData(core, base, bytes, true);
+        break;
+      }
+      case ObjectType::kKernelMemory: {
+        KernelMemoryObj m;
+        for (std::size_t off = 0; off < bytes; off += hw::kPageSize) {
+          m.frames.push_back(base + off);
+        }
+        id = objects_.Create(type, std::move(m));
+        break;
+      }
+      case ObjectType::kUntyped: {
+        id = objects_.Create(type, UntypedObj{base, bytes, 0});
+        break;
+      }
+      default:
+        return {SyscallError::kInvalidArgument};
+    }
+    if (out_cap == nullptr) {
+      return {};
+    }
+    *out_cap = MintCap(cspace, id, type,
+                       type == ObjectType::kKernelImage ? CapRights::All() : CapRights::NoClone());
+    return {SyscallError::kOk, id};
+  });
 }
 
 SyscallResult Kernel::RetypeInFrame(hw::CoreId core, CSpace& cspace, CapIdx frame,
                                     ObjectType type, CapIdx* out_cap) {
-  SyscallEntry(core);
-  ExecText(core, KernelOp::kRetype);
-  SyscallResult r;
-  const Capability* fcap = Check(cspace, frame, ObjectType::kFrame);
-  if (fcap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else {
+  return Syscall(core, KernelOp::kRetype, [&]() -> SyscallResult {
+    const Capability* fcap = Check(cspace, frame, ObjectType::kFrame);
+    if (fcap == nullptr) {
+      return {SyscallError::kInvalidCap};
+    }
     // A vspace's root table sits in the caller-supplied (coloured) frame:
     // every page walk reads the root PTE line, so an uncoloured root is
     // residual state any domain can reach. Interior frames come via
@@ -146,19 +136,14 @@ SyscallResult Kernel::RetypeInFrame(hw::CoreId core, CSpace& cspace, CapIdx fram
     const ObjId id =
         CreateMetadataObject(core, type, objects_.As<FrameObj>(fcap->obj).base, nullptr);
     if (id == kNullObj) {
-      r.error = SyscallError::kInvalidArgument;
-    } else if (out_cap != nullptr) {
-      Capability cap;
-      cap.obj = id;
-      cap.type = type;
-      cap.rights = CapRights::NoClone();
-      cap.generation = objects_.Get(id).generation;
-      *out_cap = cspace.Insert(cap);
-      r.value = id;
+      return {SyscallError::kInvalidArgument};
     }
-  }
-  SyscallExit(core);
-  return r;
+    if (out_cap == nullptr) {
+      return {};
+    }
+    *out_cap = MintCap(cspace, id, type, CapRights::NoClone());
+    return {SyscallError::kOk, id};
+  });
 }
 
 ObjId Kernel::CreateMetadataObject(hw::CoreId core, ObjectType type, hw::PAddr base,
@@ -203,23 +188,19 @@ ObjId Kernel::CreateMetadataObject(hw::CoreId core, ObjectType type, hw::PAddr b
 
 SyscallResult Kernel::KernelMemoryAddFrame(hw::CoreId core, CSpace& cspace, CapIdx kmem,
                                            CapIdx frame) {
-  SyscallEntry(core);
-  SyscallResult r;
-  const Capability* mcap = Check(cspace, kmem, ObjectType::kKernelMemory);
-  const Capability* fcap = Check(cspace, frame, ObjectType::kFrame);
-  if (mcap == nullptr || fcap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else {
+  return Syscall(core, std::nullopt, [&]() -> SyscallResult {
+    const Capability* mcap = Check(cspace, kmem, ObjectType::kKernelMemory);
+    const Capability* fcap = Check(cspace, frame, ObjectType::kFrame);
+    if (mcap == nullptr || fcap == nullptr) {
+      return {SyscallError::kInvalidCap};
+    }
     KernelMemoryObj& m = objects_.As<KernelMemoryObj>(mcap->obj);
     if (m.bound_image != kNullObj) {
-      r.error = SyscallError::kInvalidArgument;  // already backing a kernel
-    } else {
-      m.frames.push_back(objects_.As<FrameObj>(fcap->obj).base);
-      r.value = m.frames.size();
+      return {SyscallError::kInvalidArgument};  // already backing a kernel
     }
-  }
-  SyscallExit(core);
-  return r;
+    m.frames.push_back(objects_.As<FrameObj>(fcap->obj).base);
+    return {SyscallError::kOk, m.frames.size()};
+  });
 }
 
 SyscallResult Kernel::SetVSpaceAllocator(CSpace& cspace, CapIdx vspace, FrameAllocator alloc) {
@@ -235,93 +216,80 @@ SyscallResult Kernel::SetVSpaceAllocator(CSpace& cspace, CapIdx vspace, FrameAll
 
 SyscallResult Kernel::MapFrame(hw::CoreId core, CSpace& cspace, CapIdx vspace, CapIdx frame,
                                hw::VAddr vaddr) {
-  SyscallEntry(core);
-  ExecText(core, KernelOp::kMap);
-  SyscallResult r;
-  const Capability* vcap = Check(cspace, vspace, ObjectType::kVSpace);
-  const Capability* fcap = Check(cspace, frame, ObjectType::kFrame);
-  if (vcap == nullptr || fcap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else if (hw::IsKernelAddress(vaddr)) {
-    r.error = SyscallError::kInvalidArgument;
-  } else {
+  return Syscall(core, KernelOp::kMap, [&]() -> SyscallResult {
+    const Capability* vcap = Check(cspace, vspace, ObjectType::kVSpace);
+    const Capability* fcap = Check(cspace, frame, ObjectType::kFrame);
+    if (vcap == nullptr || fcap == nullptr) {
+      return {SyscallError::kInvalidCap};
+    }
+    if (hw::IsKernelAddress(vaddr)) {
+      return {SyscallError::kInvalidArgument};
+    }
     VSpaceObj& v = objects_.As<VSpaceObj>(vcap->obj);
     const FrameObj& f = objects_.As<FrameObj>(fcap->obj);
     if (!v.space->Map(vaddr, f.base)) {
-      r.error = SyscallError::kInsufficientMemory;
-    } else {
-      // Page-table entry writes (walked frames are in the domain's pool).
-      std::vector<hw::PAddr> path;
-      v.space->WalkPath(vaddr, path);
-      for (hw::PAddr pte : path) {
-        TouchData(core, pte, 8, true);
-      }
+      return {SyscallError::kInsufficientMemory};
     }
-  }
-  SyscallExit(core);
-  return r;
+    // Page-table entry writes (walked frames are in the domain's pool).
+    std::vector<hw::PAddr> path;
+    v.space->WalkPath(vaddr, path);
+    for (hw::PAddr pte : path) {
+      TouchData(core, pte, 8, true);
+    }
+    return {};
+  });
 }
 
 SyscallResult Kernel::ConfigureTcb(hw::CoreId core, CSpace& cspace, CapIdx tcb,
                                    const TcbSettings& settings) {
-  SyscallEntry(core);
-  SyscallResult r;
-  const Capability* tcap = Check(cspace, tcb, ObjectType::kTcb);
-  if (tcap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-    SyscallExit(core);
-    return r;
-  }
-  TcbObj& t = objects_.As<TcbObj>(tcap->obj);
-  TouchData(core, t.metadata_paddr, 256, true);
-
-  if (settings.vspace != 0) {
-    const Capability* vcap = Check(cspace, settings.vspace, ObjectType::kVSpace);
-    if (vcap == nullptr) {
-      r.error = SyscallError::kInvalidCap;
-      SyscallExit(core);
-      return r;
+  return Syscall(core, std::nullopt, [&]() -> SyscallResult {
+    const Capability* tcap = Check(cspace, tcb, ObjectType::kTcb);
+    if (tcap == nullptr) {
+      return {SyscallError::kInvalidCap};
     }
-    t.vspace = vcap->obj;
-  }
-  ObjId image = boot_image_;
-  if (settings.kernel_image != 0) {
-    const Capability* kcap = Check(cspace, settings.kernel_image, ObjectType::kKernelImage);
-    if (kcap == nullptr) {
-      r.error = SyscallError::kInvalidCap;
-      SyscallExit(core);
-      return r;
-    }
-    image = kcap->obj;
-  }
-  t.kernel_image = image;
-  t.priority = settings.priority;
-  t.domain = settings.domain;
-  t.affinity = settings.affinity;
-  t.program = settings.program;
-  t.cspace = settings.cspace;
+    TcbObj& t = objects_.As<TcbObj>(tcap->obj);
+    TouchData(core, t.metadata_paddr, 256, true);
 
-  // First thread configured for a domain binds the domain to its kernel.
-  if (domain_image_.find(settings.domain) == domain_image_.end()) {
-    domain_image_[settings.domain] = image;
-  }
-  SyscallExit(core);
-  return r;
+    if (settings.vspace != 0) {
+      const Capability* vcap = Check(cspace, settings.vspace, ObjectType::kVSpace);
+      if (vcap == nullptr) {
+        return {SyscallError::kInvalidCap};
+      }
+      t.vspace = vcap->obj;
+    }
+    ObjId image = boot_image_;
+    if (settings.kernel_image != 0) {
+      const Capability* kcap = Check(cspace, settings.kernel_image, ObjectType::kKernelImage);
+      if (kcap == nullptr) {
+        return {SyscallError::kInvalidCap};
+      }
+      image = kcap->obj;
+    }
+    t.kernel_image = image;
+    t.priority = settings.priority;
+    t.domain = settings.domain;
+    t.affinity = settings.affinity;
+    t.program = settings.program;
+    t.cspace = settings.cspace;
+
+    // First thread configured for a domain binds the domain to its kernel.
+    if (domain_image_.find(settings.domain) == domain_image_.end()) {
+      domain_image_[settings.domain] = image;
+    }
+    return {};
+  });
 }
 
 SyscallResult Kernel::ResumeTcb(hw::CoreId core, CSpace& cspace, CapIdx tcb) {
-  SyscallEntry(core);
-  SyscallResult r;
-  const Capability* tcap = Check(cspace, tcb, ObjectType::kTcb);
-  if (tcap == nullptr) {
-    r.error = SyscallError::kInvalidCap;
-  } else {
-    TcbObj& t = objects_.As<TcbObj>(tcap->obj);
-    TouchData(core, t.metadata_paddr, 64, true);
+  return Syscall(core, std::nullopt, [&]() -> SyscallResult {
+    const Capability* tcap = Check(cspace, tcb, ObjectType::kTcb);
+    if (tcap == nullptr) {
+      return {SyscallError::kInvalidCap};
+    }
+    TouchData(core, objects_.As<TcbObj>(tcap->obj).metadata_paddr, 64, true);
     MakeRunnable(tcap->obj);
-  }
-  SyscallExit(core);
-  return r;
+    return {};
+  });
 }
 
 SyscallResult Kernel::SpawnProcessEager(hw::CoreId core, CSpace& cspace, CapIdx untyped,
