@@ -14,11 +14,8 @@
 //   tp_bench --label L              # TP_BENCH_LABEL for recorded results
 //   tp_bench --json PATH            # TP_BENCH_JSON results file
 //   tp_bench --inject SITE[:PARAM]  # break one defense (mutation testing)
-//   tp_bench --adaptive             # sequential early stopping (TP_ADAPTIVE);
-//                                   # cells stop once their MI confidence
-//                                   # interval resolves the leak verdict
-//   tp_bench --significance X       # CI level for --adaptive (default 0.05)
-//   tp_bench --cell-budget-ms N     # per-cell watchdog (cell_status=timeout)
+//   tp_bench --cell-budget-ms N     # per-cell watchdog (cell_status=timeout;
+//                                   # TP_CELL_BUDGET_MS, same format)
 //   tp_bench --resume               # complete only the cells missing from
 //                                   # the results file under this label
 //                                   # (an incomplete cost spec reruns whole)
@@ -27,8 +24,9 @@
 //                                   # (simulated accesses/second) at exit
 //
 // Exit codes: 0 all selected channels passed; 1 a channel body threw; 2 bad
-// usage / unknown channel name; 3 every channel ran but some cell was
-// crash-isolated (cell_status != ok in the recorded results).
+// usage / unknown channel name / malformed TP_CELL_BUDGET_MS; 3 every
+// channel ran but some cell was crash-isolated (cell_status != ok in the
+// recorded results).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +41,7 @@
 #include "hw/core.hpp"
 #include "runner/recorder.hpp"
 #include "runner/runner.hpp"
+#include "runner/sweep.hpp"
 #include "scenarios/driver.hpp"
 #include "scenarios/scenario.hpp"
 #include "trajectory/trajectory.hpp"
@@ -52,63 +51,36 @@ namespace {
 constexpr const char* kUsage =
     "usage: tp_bench [--list | --list-md | --list-faults] [--only NAME]...\n"
     "                [--grid quick|full] [--label LABEL] [--json PATH]\n"
-    "                [--inject SITE[:PARAM]] [--adaptive] [--significance X]\n"
-    "                [--cell-budget-ms N] [--resume] [--quiet] [--profile]\n";
+    "                [--inject SITE[:PARAM]] [--cell-budget-ms N] [--resume]\n"
+    "                [--quiet] [--profile]\n";
 
 struct ProfileRow {
   std::string channel;
   std::uint64_t accesses = 0;
   std::uint64_t branches = 0;
   std::uint64_t wall_ns = 0;
-  // Probe rounds the channel's MI cells executed vs budgeted; equal unless
-  // the sweep ran with adaptive early stopping.
-  std::uint64_t rounds_run = 0;
-  std::uint64_t rounds_budget = 0;
-  bool adaptive = false;
 };
 
 void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
   std::uint64_t total_accesses = 0;
   std::uint64_t total_wall = 0;
-  std::uint64_t total_run = 0;
-  std::uint64_t total_budget = 0;
-  bool any_adaptive = false;
   std::printf("\n--- tp_bench --profile: host simulation throughput (%zu thread%s) ---\n",
               threads, threads == 1 ? "" : "s");
-  std::printf("%-28s %16s %14s %12s %14s %12s %12s %8s\n", "channel", "sim accesses",
-              "sim branches", "wall s", "accesses/s", "rounds run", "budget", "saved");
-  auto saved_pct = [](std::uint64_t run, std::uint64_t budget) -> std::string {
-    if (budget == 0) {
-      return "-";
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f%%",
-                  100.0 * (1.0 - static_cast<double>(run) / static_cast<double>(budget)));
-    return buf;
-  };
+  std::printf("%-28s %16s %14s %12s %14s\n", "channel", "sim accesses", "sim branches",
+              "wall s", "accesses/s");
   for (const ProfileRow& row : rows) {
     double secs = static_cast<double>(row.wall_ns) / 1e9;
     double rate = secs > 0.0 ? static_cast<double>(row.accesses) / secs : 0.0;
-    std::printf("%-28s %16llu %14llu %12.3f %14.3g %12llu %12llu %8s\n",
-                row.channel.c_str(), static_cast<unsigned long long>(row.accesses),
-                static_cast<unsigned long long>(row.branches), secs, rate,
-                static_cast<unsigned long long>(row.rounds_run),
-                static_cast<unsigned long long>(row.rounds_budget),
-                row.adaptive ? saved_pct(row.rounds_run, row.rounds_budget).c_str() : "-");
+    std::printf("%-28s %16llu %14llu %12.3f %14.3g\n", row.channel.c_str(),
+                static_cast<unsigned long long>(row.accesses),
+                static_cast<unsigned long long>(row.branches), secs, rate);
     total_accesses += row.accesses;
     total_wall += row.wall_ns;
-    total_run += row.rounds_run;
-    total_budget += row.rounds_budget;
-    any_adaptive = any_adaptive || row.adaptive;
   }
   double total_secs = static_cast<double>(total_wall) / 1e9;
-  std::printf("%-28s %16llu %14s %12.3f %14.3g %12llu %12llu %8s\n", "TOTAL",
-              static_cast<unsigned long long>(total_accesses), "",
-              total_secs,
-              total_secs > 0.0 ? static_cast<double>(total_accesses) / total_secs : 0.0,
-              static_cast<unsigned long long>(total_run),
-              static_cast<unsigned long long>(total_budget),
-              any_adaptive ? saved_pct(total_run, total_budget).c_str() : "-");
+  std::printf("%-28s %16llu %14s %12.3f %14.3g\n", "TOTAL",
+              static_cast<unsigned long long>(total_accesses), "", total_secs,
+              total_secs > 0.0 ? static_cast<double>(total_accesses) / total_secs : 0.0);
 }
 
 void PrintFaultSites() {
@@ -282,27 +254,12 @@ int main(int argc, char** argv) {
         return 2;
       }
       inject = v;
-    } else if (arg == "--adaptive") {
-      setenv("TP_ADAPTIVE", "1", 1);
-    } else if (arg == "--significance") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      double s = std::atof(v);
-      if (!(s > 0.0 && s < 1.0)) {
-        std::fprintf(stderr, "tp_bench: --significance must be in (0, 1)\n%s", kUsage);
-        return 2;
-      }
-      setenv("TP_ADAPTIVE_SIGNIFICANCE", v, 1);
     } else if (arg == "--cell-budget-ms") {
       const char* v = value();
       if (v == nullptr) {
         return 2;
       }
-      // A positive whole number of milliseconds; anything else would reach
-      // the watchdog as "off" (0) or a centuries-long budget.
-      if (std::strspn(v, "0123456789") != std::strlen(v) || std::strtoull(v, nullptr, 10) == 0) {
+      if (!tp::runner::ParseCellBudgetMs(v)) {
         std::fprintf(stderr, "tp_bench: --cell-budget-ms must be a positive integer\n%s", kUsage);
         return 2;
       }
@@ -320,6 +277,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "tp_bench: unknown argument '%s'\n%s", arg.c_str(), kUsage);
       return 2;
     }
+  }
+  // An inherited budget takes the flag's check; unset or empty means off.
+  if (const char* budget = std::getenv("TP_CELL_BUDGET_MS");
+      budget != nullptr && budget[0] != '\0' && !tp::runner::ParseCellBudgetMs(budget)) {
+    std::fprintf(stderr, "tp_bench: TP_CELL_BUDGET_MS='%s' must be a positive integer\n",
+                 budget);
+    return 2;
   }
 
   const tp::scenarios::ChannelRegistry& registry = tp::scenarios::ChannelRegistry::Global();
@@ -411,19 +375,11 @@ int main(int argc, char** argv) {
     // channel's simulated work.
     tp::hw::SimTally before = tp::hw::SimTallySnapshot();
     std::uint64_t t0 = tp::bench::Recorder::NowNs();
-    std::uint64_t rounds_run = 0;
-    std::uint64_t rounds_budget = 0;
-    bool adaptive = false;
     try {
       std::vector<tp::runner::SweepCellResult> results =
           tp::scenarios::RunSpec(*spec, pool, options);
       std::size_t bad = 0;
       for (const tp::runner::SweepCellResult& r : results) {
-        if (r.ok() && !r.cost) {
-          rounds_run += r.rounds_run;
-          rounds_budget += r.rounds;
-          adaptive = adaptive || r.adaptive;
-        }
         if (!r.ok()) {
           ++bad;
           std::fprintf(stderr, "tp_bench: channel '%s' cell '%s' %s: %s\n",
@@ -456,8 +412,7 @@ int main(int argc, char** argv) {
       tp::hw::SimTally after = tp::hw::SimTallySnapshot();
       profile_rows.push_back(ProfileRow{spec->name, after.accesses - before.accesses,
                                         after.branches - before.branches,
-                                        tp::bench::Recorder::NowNs() - t0, rounds_run,
-                                        rounds_budget, adaptive});
+                                        tp::bench::Recorder::NowNs() - t0});
     }
   }
   if (profile) {

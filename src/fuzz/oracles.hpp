@@ -15,8 +15,8 @@
 //                 TaintMap's incremental ForeignCount/FindForeign must match
 //                 a brute-force walk of its entries.
 //   threads     — SweepEngine over a synthetic channel: TP_THREADS=1 vs N
-//                 must be bit-identical per cell (observations, MI, CIs,
-//                 shard/round accounting, adaptive stopping decisions).
+//                 must be bit-identical per cell (observations, MI, shard
+//                 accounting).
 //   trajectory  — the forgiving JSON parser: never crashes, reports sane
 //                 "offset N:" errors, accepts everything an independent
 //                 strict validator accepts, and successfully parsed

@@ -206,13 +206,12 @@ Cycles Core::CachePath(VAddr vaddr, PAddr paddr, AccessKind kind) {
     // address is not tracked through — the write buffer hides it).
   }
 
+  // L2 and the LLC are only ever filled clean (every access and insert
+  // below passes write=false), so they never write back a victim.
   SetAssociativeCache& llc = machine_->llc();
   bool l2_hit = false;
   if (l2_ != nullptr) {
     AccessResult r2 = l2_->Access(vaddr, paddr, false);
-    if (r2.writeback) {
-      cost += L.writeback;
-    }
     if (r2.hit) {
       cost += L.l2_hit;
       l2_hit = true;
@@ -223,9 +222,6 @@ Cycles Core::CachePath(VAddr vaddr, PAddr paddr, AccessKind kind) {
 
   if (!l2_hit) {
     AccessResult r3 = llc.Access(vaddr, paddr, false);
-    if (r3.writeback) {
-      cost += L.writeback;
-    }
     if (r3.evicted_valid) {
       machine_->BackInvalidateLine(r3.evicted_line_addr * llc.geometry().line_size);
     }
@@ -486,22 +482,16 @@ Cycles Core::ArchFlushL1D() {
     throw std::logic_error("architected L1-D flush not available on this platform");
   }
   machine_->BumpStateGen();
-  const Latencies& L = lat();
-  std::size_t lines = l1d_->geometry().TotalLines();
-  std::size_t dirty = l1d_->FlushAll();
-  Cycles cost = static_cast<Cycles>(lines) * L.flush_per_line +
-                static_cast<Cycles>(dirty) * L.flush_dirty_extra;
+  Cycles cost = FlushCache(*l1d_);
   cycles_ += cost;
   return cost;
 }
 
 Cycles Core::InvalidateL1I() {
   machine_->BumpStateGen();
-  const Latencies& L = lat();
   std::size_t lines = l1i_->geometry().TotalLines();
   l1i_->InvalidateAll();
   Cycles cost = static_cast<Cycles>(lines) * 1;  // invalidate-only, no write-back
-  (void)L;
   cycles_ += cost;
   return cost;
 }
@@ -511,11 +501,7 @@ Cycles Core::FlushPrivateL2() {
     return 0;
   }
   machine_->BumpStateGen();
-  const Latencies& L = lat();
-  std::size_t lines = l2_->geometry().TotalLines();
-  std::size_t dirty = l2_->FlushAll();
-  Cycles cost = static_cast<Cycles>(lines) * L.flush_per_line +
-                static_cast<Cycles>(dirty) * L.flush_dirty_extra;
+  Cycles cost = FlushCache(*l2_);
   cycles_ += cost;
   return cost;
 }
@@ -549,32 +535,24 @@ Cycles Core::FlushBranchPredictor() {
 
 Cycles Core::FullCacheFlush(bool include_llc) {
   machine_->BumpStateGen();
-  const Latencies& L = lat();
-  Cycles cost = 0;
-
-  std::size_t l1d_lines = l1d_->geometry().TotalLines();
-  std::size_t l1d_dirty = l1d_->FlushAll();
-  cost += static_cast<Cycles>(l1d_lines) * L.flush_per_line +
-          static_cast<Cycles>(l1d_dirty) * L.flush_dirty_extra;
+  Cycles cost = FlushCache(*l1d_);
   cost += static_cast<Cycles>(l1i_->InvalidateAll()) * 1;
-
   if (l2_ != nullptr) {
-    std::size_t l2_lines = l2_->geometry().TotalLines();
-    std::size_t l2_dirty = l2_->FlushAll();
-    cost += static_cast<Cycles>(l2_lines) * L.flush_per_line +
-            static_cast<Cycles>(l2_dirty) * L.flush_dirty_extra;
+    cost += FlushCache(*l2_);
   }
-
   if (include_llc) {
-    SetAssociativeCache& llc = machine_->llc();
-    std::size_t llc_lines = llc.geometry().TotalLines();
-    std::size_t llc_dirty = llc.FlushAll();
-    cost += static_cast<Cycles>(llc_lines) * L.flush_per_line +
-            static_cast<Cycles>(llc_dirty) * L.flush_dirty_extra;
+    cost += FlushCache(machine_->llc());
   }
-
   cycles_ += cost;
   return cost;
+}
+
+Cycles Core::FlushCache(SetAssociativeCache& cache) {
+  const Latencies& L = lat();
+  const std::size_t lines = cache.geometry().TotalLines();
+  const std::size_t dirty = cache.FlushAll();
+  return static_cast<Cycles>(lines) * L.flush_per_line +
+         static_cast<Cycles>(dirty) * L.flush_dirty_extra;
 }
 
 void Core::BackInvalidateLine(PAddr line_paddr) {

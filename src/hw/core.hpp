@@ -173,6 +173,10 @@ class Core {
   Cycles CachePath(VAddr vaddr, PAddr paddr, AccessKind kind);
   // Demand access used by the page walker (physical, data side).
   Cycles WalkerRead(PAddr paddr);
+  // Set/way write-back + invalidate of one cache: every line pays the
+  // per-line walk and every dirty line its write-back on top. Returns the
+  // cycles without charging them.
+  Cycles FlushCache(SetAssociativeCache& cache);
 
   CoreId id_;
   Machine* machine_;

@@ -8,22 +8,21 @@
 // reshuffling the seeds — and therefore the recorded observations and MI —
 // of pre-existing cells.
 //
-// SweepEngine runs MI grids as waves of shards on the ExperimentRunner:
-// fixed rounds are one wave holding every shard of every cell, sequential
-// stopping a wave per shard index. The shard layout is a pure function of
-// the spec, so a grid's merged results are bit-identical at any
-// TP_THREADS. MI cells and cost cells run their bodies in the same
-// crash-isolation harness.
+// SweepEngine runs every MI cell for its full round budget: one wave on the
+// ExperimentRunner holds every shard of every cell, then each healthy cell
+// takes the leakage test. The shard layout is a pure function of the spec,
+// so a grid's merged results are bit-identical at any TP_THREADS. MI cells
+// and cost cells run their bodies in the same crash-isolation harness.
 #ifndef TP_RUNNER_SWEEP_HPP_
 #define TP_RUNNER_SWEEP_HPP_
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hw/taint.hpp"
@@ -97,20 +96,10 @@ struct SweepCellResult {
   GridCell cell;
   mi::Observations observations;
   mi::LeakageResult leakage;
-  std::size_t rounds = 0;      // budget (the spec's per-cell rounds)
-  std::size_t rounds_run = 0;  // folded into the verdict (== rounds unless stopped or failed)
+  std::size_t rounds = 0;  // the spec's per-cell rounds
   std::size_t shards = 0;
   std::uint64_t wall_ns = 0;
   hw::ContractTally contract;  // merged over shards; all-zero when taint off
-  // Adaptive (sequential-stopping) metadata; meaningful only when
-  // `adaptive` — fixed-rounds sweeps leave the CI fields NaN so recording
-  // stays byte-identical to pre-adaptive output.
-  bool adaptive = false;
-  bool stopped_early = false;
-  double mi_ci_low = std::numeric_limits<double>::quiet_NaN();
-  double mi_ci_high = std::numeric_limits<double>::quiet_NaN();
-  double significance = 0.0;  // configured overall level, not per-checkpoint
-  std::string ci_method;      // "bootstrap" (mi::BootstrapInterval) when a CI is set
   // Crash-isolation outcome: "ok", "failed" (a shard body threw) or
   // "timeout" (the per-cell wall-time budget was exceeded). Non-ok cells
   // carry no observations/leakage; `error` holds the first failure message.
@@ -124,32 +113,6 @@ struct SweepCellResult {
   bool ok() const { return status == "ok"; }
 };
 
-// Sequential-stopping policy for channel sweeps. Off by default: fixed
-// rounds stay the baseline-diff mode. When enabled, RunChannelGrid runs
-// one wave per shard index and checks, after each wave from the second
-// on, whether a cell's bootstrap confidence interval (mi/interval.hpp) has
-// resolved its verdict against the tool resolution mi::kResolutionBits:
-//
-//   ci_high < resolution           -> no leak, stop (nothing to find)
-//   ci_low  > resolution           -> candidate leak; confirmed by the full
-//                                     shuffle test on the prefix, then stop
-//
-// Checkpoints are keyed on *accumulated rounds* (never shard arrival
-// order) and evaluated after a wave barrier, so stopping decisions — and
-// therefore the recorded observations, MI and CI — are bit-identical at
-// any TP_THREADS. The per-checkpoint significance is Bonferroni-corrected
-// across a cell's possible checkpoints so the configured level bounds the
-// whole sequential procedure. A cell that never stops runs its whole plan
-// and gets the fixed sweep's exact observations and MI.
-struct AdaptiveOptions {
-  bool enabled = false;
-  // Overall two-sided significance for the stopping decision (0.05 = 95%
-  // CIs after correction). TP_ADAPTIVE_SIGNIFICANCE overrides.
-  double significance = 0.05;
-  // Bootstrap resamples per checkpoint interval.
-  std::size_t bootstrap_resamples = 40;
-};
-
 // Sweep-wide controls for crash isolation and resumption.
 struct SweepOptions {
   // Cells (by display Name()) to skip entirely — they are absent from the
@@ -161,16 +124,13 @@ struct SweepOptions {
   // cell_status "timeout". 0 disables the watchdog (the TP_CELL_BUDGET_MS
   // environment variable supplies a process-wide default).
   std::uint64_t cell_budget_ns = 0;
-  // Sequential stopping (TP_ADAPTIVE supplies a process-wide default;
-  // fault-injection runs force it off — a mutant must face the full
-  // budget, not a bound tuned for healthy channels).
-  AdaptiveOptions adaptive;
 };
 
-// Resolves the effective adaptive policy: explicit options, else the
-// TP_ADAPTIVE / TP_ADAPTIVE_SIGNIFICANCE environment knobs, forced off
-// under fault injection.
-AdaptiveOptions EffectiveAdaptive(const SweepOptions& options);
+// A per-cell budget in milliseconds, as `tp_bench --cell-budget-ms` and
+// TP_CELL_BUDGET_MS spell it: a positive whole number whose nanoseconds fit
+// 64 bits. Anything else is nullopt, never a watchdog silently switched off
+// ("abc", "0.5", "0") or set to centuries ("-1").
+std::optional<std::uint64_t> ParseCellBudgetMs(std::string_view text);
 
 class SweepEngine {
  public:
@@ -178,8 +138,8 @@ class SweepEngine {
 
   using CellShardFn = std::function<mi::Observations(const GridCell&, const Shard&)>;
 
-  // Channel sweeps: shards run in waves on the pool (one wave for fixed
-  // rounds); per-cell leakage tests then fan out over the same pool. Each
+  // Channel sweeps: every shard of every cell runs in one wave on the pool;
+  // per-cell leakage tests then fan out over the same pool. Each
   // shard body runs under the cell's ambient fault seed and inside a
   // crash-isolation harness: an exception (or a tripped per-cell watchdog)
   // marks that cell "failed"/"timeout" and the sweep keeps going — it never

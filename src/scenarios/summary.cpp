@@ -1,7 +1,5 @@
 #include "scenarios/summary.hpp"
 
-#include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <map>
 
@@ -52,46 +50,13 @@ std::string Fmt(const char* fmt, double v) {
 }
 
 void PrintSweepResults(const std::vector<runner::SweepCellResult>& results) {
-  bool any_adaptive = false;
+  Table t({"cell", "M (mb)", "M0 (mb)", "n", "verdict"});
   for (const runner::SweepCellResult& r : results) {
-    any_adaptive = any_adaptive || r.adaptive;
-  }
-  if (!any_adaptive) {
-    Table t({"cell", "M (mb)", "M0 (mb)", "n", "verdict"});
-    for (const runner::SweepCellResult& r : results) {
-      t.AddRow({r.cell.Name(), Fmt("%.1f", r.leakage.MilliBits()),
-                Fmt("%.1f", r.leakage.M0MilliBits()), std::to_string(r.leakage.samples),
-                r.leakage.leak ? "CHANNEL" : "no channel"});
-    }
-    t.Print();
-    return;
-  }
-  // Adaptive sweeps add the executed/budgeted rounds and the CI on M.
-  Table t({"cell", "M (mb)", "CI (mb)", "M0 (mb)", "n", "rounds", "verdict"});
-  std::size_t stopped = 0;
-  std::uint64_t run = 0;
-  std::uint64_t budget = 0;
-  for (const runner::SweepCellResult& r : results) {
-    std::string ci = "-";
-    if (r.adaptive && !std::isnan(r.mi_ci_high)) {
-      ci = Fmt("[%.1f, ", r.mi_ci_low * 1000.0) + Fmt("%.1f]", r.mi_ci_high * 1000.0);
-    }
-    std::string verdict = r.leakage.leak ? "CHANNEL" : "no channel";
-    if (r.stopped_early) {
-      verdict += " (early stop)";
-      ++stopped;
-    }
-    run += r.rounds_run;
-    budget += r.rounds;
-    t.AddRow({r.cell.Name(), Fmt("%.1f", r.leakage.MilliBits()), ci,
+    t.AddRow({r.cell.Name(), Fmt("%.1f", r.leakage.MilliBits()),
               Fmt("%.1f", r.leakage.M0MilliBits()), std::to_string(r.leakage.samples),
-              std::to_string(r.rounds_run) + "/" + std::to_string(r.rounds), verdict});
+              r.leakage.leak ? "CHANNEL" : "no channel"});
   }
   t.Print();
-  std::printf("adaptive: %zu/%zu cell(s) stopped early, %.1f%% of the round budget executed\n",
-              stopped, results.size(),
-              budget > 0 ? 100.0 * static_cast<double>(run) / static_cast<double>(budget)
-                         : 0.0);
 }
 
 void PrintPerSymbolMeans(const mi::Observations& obs, const std::string& symbol_header,

@@ -128,10 +128,7 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
     d.protected_mode = IsProtectedCell(c->cell);
     d.cand_mi = c->mi_bits;
     d.cand_wall_ns = c->wall_ns;
-    d.cand_rounds = c->executed_rounds();
-    d.cand_stopped_early = c->stopped_early == 1;
-    d.cand_ci_low = c->mi_ci_low;
-    d.cand_ci_high = c->mi_ci_high;
+    d.cand_rounds = c->rounds;
     if (!c->cell_ok()) {
       // A crash-isolated candidate cell has no observables to compare:
       // report it (gated only under require_cells) instead of letting the
@@ -165,7 +162,7 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
       }
       d.base_mi = b->mi_bits;
       d.base_wall_ns = b->wall_ns;
-      d.base_rounds = b->executed_rounds();
+      d.base_rounds = b->rounds;
       if (b->has_mi()) {
         base_mi_floor = b->mi_bits;
       }
@@ -183,10 +180,9 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
         d.wall_ratio = std::numeric_limits<double>::infinity();
       }
       bool wall_gated = std::max(d.base_wall_ns, d.cand_wall_ns) >= kMinGatedWallNs;
-      // When the two sides executed different round counts (adaptive
-      // candidate vs fixed baseline, or vice versa) the raw ratio mostly
-      // measures the round deficit; gate on per-round cost instead so an
-      // adaptive run neither hides a slowdown nor fails for sampling less.
+      // When the two sides ran different round counts the raw ratio mostly
+      // measures the round difference; gate on per-round cost instead, so
+      // a smaller run neither hides a slowdown nor fails for sampling less.
       double gate_ratio = d.wall_ratio;
       if (d.base_rounds > 0 && d.cand_rounds > 0 && d.base_rounds != d.cand_rounds &&
           d.base_wall_ns > 0 && d.cand_wall_ns > 0) {
@@ -203,27 +199,7 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
       }
     }
     if (d.protected_mode && c->has_mi()) {
-      if (d.cand_stopped_early && c->has_ci()) {
-        if (c->leaky()) {
-          // An early-stopped *leaky* protected cell (baseline already
-          // leaky, or it would have been a fresh regression): the prefix
-          // point estimate overshoots where the full-budget baseline
-          // converged lower, so it only counts as worse when even the CI
-          // lower bound clears the baseline floor.
-          d.leak_regression = c->mi_ci_low > base_mi_floor + kMiEpsBits;
-        } else {
-          // An early-stopped *clean* protected cell claims "nothing to
-          // find" on a partial budget — the claim must be proven by the
-          // CI upper bound staying under both the baseline floor and the
-          // leak-resolution threshold.
-          d.leak_regression =
-              c->mi_ci_high > std::max(base_mi_floor, kLeakResolutionBits) + kMiEpsBits;
-        }
-      } else {
-        // Full budget (fixed, or adaptive that never stopped): identical
-        // data to a fixed sweep, so the point rule applies unchanged.
-        d.leak_regression = c->mi_bits > base_mi_floor + kMiEpsBits;
-      }
+      d.leak_regression = c->mi_bits > base_mi_floor + kMiEpsBits;
     }
     if (d.protected_mode && !d.leak_regression && b != nullptr && b->has_mi() &&
         !c->has_mi()) {
@@ -276,23 +252,11 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
         d.contract_regression = true;
       }
     }
-    d.mi_pair = b != nullptr && b->has_mi() && c->has_mi();
-    if (options.require_verdict_match && d.mi_pair) {
-      // The A/B agreement gate: early stopping may move MI point
-      // estimates, but the derived leak verdict must be the baseline's.
-      if (b->leaky() != c->leaky()) {
-        d.verdict_mismatch = true;
-        result.notes.push_back(std::string("leak verdict mismatch for '") + key +
-                               "': baseline " + (b->leaky() ? "CHANNEL" : "no channel") +
-                               ", candidate " + (c->leaky() ? "CHANNEL" : "no channel"));
-      }
-    }
     result.leak_regressions += d.leak_regression ? 1 : 0;
     result.wall_regressions += d.wall_regression ? 1 : 0;
     result.mi_delta_regressions += d.mi_delta_regression ? 1 : 0;
     result.missing_wall += d.missing_wall ? 1 : 0;
     result.contract_regressions += d.contract_regression ? 1 : 0;
-    result.verdict_mismatches += d.verdict_mismatch ? 1 : 0;
     result.cells.push_back(std::move(d));
   }
   // Whole-diff totals for the report's summary block, folded over the
@@ -304,14 +268,8 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
     s.cand_wall_ns += d.cand_wall_ns;
     s.base_rounds += d.base_rounds;
     s.cand_rounds += d.cand_rounds;
-    if (d.mi_pair) {
-      s.base_mi_rounds += d.base_rounds;
-      s.cand_mi_rounds += d.cand_rounds;
-    }
-    s.cand_stopped_early += d.cand_stopped_early ? 1 : 0;
     if (d.leak_regression || d.wall_regression || d.mi_delta_regression ||
-        d.missing_wall || d.contract_regression || d.cell_failure ||
-        d.verdict_mismatch) {
+        d.missing_wall || d.contract_regression || d.cell_failure) {
       ++s.cells_gated;
     }
   }
@@ -370,22 +328,13 @@ std::string ReportJson(const DiffOutcome& outcome) {
          ", \"require_contract\": " +
          std::string(r.options.require_contract ? "true" : "false") +
          ", \"require_cells\": " +
-         std::string(r.options.require_cells ? "true" : "false") +
-         ", \"require_verdict_match\": " +
-         std::string(r.options.require_verdict_match ? "true" : "false") + "},\n";
-  // The at-a-glance totals CI jobs assert on (note the MI-cell rounds
-  // subtotals: cost cells' huge round counts would drown the adaptive
-  // savings in the whole-grid sums).
+         std::string(r.options.require_cells ? "true" : "false") + "},\n";
   out += "  \"summary\": {\"cells_compared\": " + std::to_string(r.cells.size()) +
          ", \"base_total_wall_ns\": " + std::to_string(r.summary.base_wall_ns) +
          ", \"cand_total_wall_ns\": " + std::to_string(r.summary.cand_wall_ns) +
          ", \"base_total_rounds\": " + std::to_string(r.summary.base_rounds) +
          ", \"cand_total_rounds\": " + std::to_string(r.summary.cand_rounds) +
-         ", \"base_mi_rounds\": " + std::to_string(r.summary.base_mi_rounds) +
-         ", \"cand_mi_rounds\": " + std::to_string(r.summary.cand_mi_rounds) +
-         ", \"cand_cells_stopped_early\": " + std::to_string(r.summary.cand_stopped_early) +
-         ", \"cells_gated\": " + std::to_string(r.summary.cells_gated) +
-         ", \"verdict_mismatches\": " + std::to_string(r.verdict_mismatches) + "},\n";
+         ", \"cells_gated\": " + std::to_string(r.summary.cells_gated) + "},\n";
   if (!outcome.error.empty()) {
     out += "  \"error\": " + JsonQuote(outcome.error) + ",\n";
   }
@@ -397,7 +346,6 @@ std::string ReportJson(const DiffOutcome& outcome) {
   out += "  \"missing_wall\": " + std::to_string(r.missing_wall) + ",\n";
   out += "  \"contract_regressions\": " + std::to_string(r.contract_regressions) + ",\n";
   out += "  \"failed_cells\": " + std::to_string(r.failed_cells) + ",\n";
-  out += "  \"verdict_mismatches\": " + std::to_string(r.verdict_mismatches) + ",\n";
   out += "  \"cells_compared\": " + std::to_string(r.cells.size()) + ",\n";
   AppendStringArray(out, "missing_in_candidate", r.missing_in_candidate);
   out += ",\n";
@@ -430,20 +378,8 @@ std::string ReportJson(const DiffOutcome& outcome) {
     }
     out += ", \"base_rounds\": " + std::to_string(d.base_rounds);
     out += ", \"cand_rounds\": " + std::to_string(d.cand_rounds);
-    if (d.cand_stopped_early) {
-      out += ", \"cand_stopped_early\": true";
-    }
-    if (!std::isnan(d.cand_ci_low)) {
-      out += ", \"cand_mi_ci_low\": " + JsonNumber(d.cand_ci_low);
-    }
-    if (!std::isnan(d.cand_ci_high)) {
-      out += ", \"cand_mi_ci_high\": " + JsonNumber(d.cand_ci_high);
-    }
     if (d.wall_normalized) {
       out += ", \"wall_normalized\": true";
-    }
-    if (d.verdict_mismatch) {
-      out += ", \"verdict_mismatch\": true";
     }
     if (d.base_contract >= 0) {
       out += ", \"base_contract_clean\": " + std::string(d.base_contract != 0 ? "true" : "false");

@@ -10,14 +10,10 @@
 //    not get worse; a protected cell absent from the baseline is held to
 //    MI = 0, and a protected baseline cell absent from the candidate fails
 //    (dropping or renaming one must refresh the baseline in the same
-//    change, or leakage coverage would erode silently). Candidates recorded
-//    by an adaptive (early-stopped) sweep are gated on their confidence
-//    interval instead of the point estimate: a clean early stop must prove
-//    itself via mi_ci_high staying under the tool resolution
-//    (kLeakResolutionBits), a leaky early stop regresses only when even
-//    mi_ci_low clears the baseline floor.
+//    change, or leakage coverage would erode silently).
 //  * wall-clock — candidate/baseline wall_ns beyond `max_wall_ratio` on
-//    cells expensive enough to time meaningfully (>= kMinGatedWallNs).
+//    cells expensive enough to time meaningfully (>= kMinGatedWallNs),
+//    compared per round when the two sides ran different round counts.
 //
 //  * contract (opt-in, `require_contract`) — a protected cell whose
 //    candidate reports contract_clean=false where the baseline was clean
@@ -82,11 +78,6 @@ struct DiffOptions {
   // notes either way (and exempted from the leak/wall/contract gates — a
   // crashed cell has no observables to compare).
   bool require_cells = false;
-  // Fail any joined MI cell whose derived leak verdict (M > M0 and above
-  // tool resolution) differs between baseline and candidate — the
-  // adaptive-vs-fixed A/B check: early stopping may change MI point
-  // estimates, never verdicts.
-  bool require_verdict_match = false;
 };
 
 // True when one of the cell name's "/" segments is exactly "protected"
@@ -109,18 +100,12 @@ struct CellDiff {
   bool wall_regression = false;
   bool mi_delta_regression = false;
   bool missing_wall = false;  // baseline timed this cell, candidate did not
-  // Executed rounds on each side (adaptive rounds_run when recorded, else
-  // the budget) and the candidate's stopping metadata.
+  // Recorded rounds on each side.
   std::uint64_t base_rounds = 0;
   std::uint64_t cand_rounds = 0;
-  bool mi_pair = false;  // both sides carry an MI estimate
-  bool cand_stopped_early = false;
-  double cand_ci_low = std::numeric_limits<double>::quiet_NaN();
-  double cand_ci_high = std::numeric_limits<double>::quiet_NaN();
-  // The wall gate compared per-round cost because the two sides executed
-  // different round counts (adaptive vs fixed).
+  // The wall gate compared per-round cost because the two sides ran
+  // different round counts.
   bool wall_normalized = false;
-  bool verdict_mismatch = false;  // require_verdict_match verdict
   // Contract observable on each side (-1 = not recorded, 0 = dirty,
   // 1 = clean) and the require_contract verdict.
   int base_contract = -1;
@@ -133,18 +118,13 @@ struct CellDiff {
 };
 
 // Whole-diff totals over the compared cells — the report's top-level
-// summary block. The MI-cell rounds subtotals exist because cost cells
-// carry round counts orders of magnitude above the MI cells', so a
-// whole-grid rounds ratio would bury the adaptive savings they measure.
+// summary block.
 struct DiffSummary {
   std::uint64_t base_wall_ns = 0;
   std::uint64_t cand_wall_ns = 0;
-  std::uint64_t base_rounds = 0;  // executed rounds, all compared cells
+  std::uint64_t base_rounds = 0;
   std::uint64_t cand_rounds = 0;
-  std::uint64_t base_mi_rounds = 0;  // executed rounds, MI-carrying pairs only
-  std::uint64_t cand_mi_rounds = 0;
-  std::size_t cand_stopped_early = 0;  // candidate cells that stopped early
-  std::size_t cells_gated = 0;         // cells with any regression flag
+  std::size_t cells_gated = 0;  // cells with any regression flag
 };
 
 struct DiffResult {
@@ -164,11 +144,10 @@ struct DiffResult {
   std::size_t missing_wall = 0;       // cells whose candidate lost per-cell timing
   std::size_t contract_regressions = 0;  // protected cells newly contract-dirty
   std::size_t failed_cells = 0;       // candidate cells gated by require_cells
-  std::size_t verdict_mismatches = 0;  // cells gated by require_verdict_match
   bool ok() const {
     return leak_regressions == 0 && wall_regressions == 0 && mi_delta_regressions == 0 &&
            missing_protected == 0 && missing_wall == 0 && contract_regressions == 0 &&
-           failed_cells == 0 && verdict_mismatches == 0;
+           failed_cells == 0;
   }
 };
 

@@ -158,31 +158,6 @@ bool ParseRecord(const JsonValue& v, TrajectoryRecord& r, std::string* why) {
     r.cell_status = "ok";
   }
   ReadString(v, "cell_error", &r.cell_error, &type_error);
-  // Adaptive stopping metadata. The CI bounds are gated observables like
-  // mi_bits, so a non-finite value is a hard skip, not a keep-with-warning.
-  read_size("rounds_run", &r.rounds_run);
-  read_size("rounds_budget", &r.rounds_budget);
-  if (const JsonValue* s = v.Find("stopped_early"); s != nullptr) {
-    if (s->is(JsonValue::Type::kBool)) {
-      r.stopped_early = s->boolean ? 1 : 0;
-    } else {
-      type_error = true;
-    }
-  }
-  if (ReadNumber(v, "mi_ci_low", &r.mi_ci_low, &type_error) &&
-      !std::isfinite(r.mi_ci_low)) {
-    *why = "non-finite mi_ci_low";
-    return false;
-  }
-  if (ReadNumber(v, "mi_ci_high", &r.mi_ci_high, &type_error) &&
-      !std::isfinite(r.mi_ci_high)) {
-    *why = "non-finite mi_ci_high";
-    return false;
-  }
-  if (ReadNumber(v, "significance", &num, &type_error) && num > 0.0) {
-    r.significance = num;
-  }
-  ReadString(v, "ci_method", &r.ci_method, &type_error);
   if (type_error) {
     *why = "field with unexpected type";
     return false;
@@ -233,23 +208,6 @@ std::string RecordJson(const TrajectoryRecord& r) {
     out += ", \"cell_status\": " + JsonQuote(r.cell_status);
     if (!r.cell_error.empty()) {
       out += ", \"cell_error\": " + JsonQuote(r.cell_error);
-    }
-  }
-  if (r.is_adaptive()) {
-    out += ", \"rounds_run\": " + std::to_string(r.rounds_run);
-    out += ", \"rounds_budget\": " + std::to_string(r.rounds_budget);
-    out += ", \"stopped_early\": " + flag(r.stopped_early > 0);
-    if (!std::isnan(r.mi_ci_low)) {
-      out += ", \"mi_ci_low\": " + JsonNumber(r.mi_ci_low);
-    }
-    if (r.has_ci()) {
-      out += ", \"mi_ci_high\": " + JsonNumber(r.mi_ci_high);
-    }
-    if (r.significance > 0.0) {
-      out += ", \"significance\": " + JsonNumber(r.significance);
-    }
-    if (!r.ci_method.empty()) {
-      out += ", \"ci_method\": " + JsonQuote(r.ci_method);
     }
   }
   out += "}";

@@ -5,6 +5,8 @@
 // lacks the required identity fields (bench/label/cell), carries a wrong
 // field type, or declares an unknown schema_version is *skipped* with a
 // warning; only a file whose top level fails to parse at all is an error.
+// Keys the record does not know are ignored, so records that carry retired
+// fields (the early-stopping keys of older files) still load and diff.
 #ifndef TP_TRAJECTORY_TRAJECTORY_HPP_
 #define TP_TRAJECTORY_TRAJECTORY_HPP_
 
@@ -28,11 +30,6 @@ namespace tp::trajectory {
 // "not recorded" defaults), so all versions diff against each other.
 inline constexpr int kMinSchemaVersion = 1;
 inline constexpr int kSchemaVersion = 3;
-
-// The ~1-millibit tool resolution below which an MI estimate counts as no
-// channel: the sweep's mi::kResolutionBits, restated here because this
-// library does not link the MI code (a test pins the two together).
-inline constexpr double kLeakResolutionBits = 0.001;
 
 // One results record: what the Recorder writes (RecordJson) and what the
 // loader reads back (ParseTrajectory). The field order lets callers build
@@ -62,17 +59,6 @@ struct TrajectoryRecord {
   // recorded "failed"/"timeout" status with its first error message.
   std::string cell_status = "ok";
   std::string cell_error;
-  // Adaptive sequential-stopping metadata (v3, absent on fixed-rounds
-  // records): executed vs budgeted rounds, the CI on mi_bits, the
-  // configured significance and the interval estimator. stopped_early is
-  // -1 when the cell was not swept adaptively.
-  std::size_t rounds_run = 0;
-  std::size_t rounds_budget = 0;
-  int stopped_early = -1;
-  double mi_ci_low = std::numeric_limits<double>::quiet_NaN();
-  double mi_ci_high = std::numeric_limits<double>::quiet_NaN();
-  double significance = 0.0;
-  std::string ci_method;
   // Run context: TP_QUICK, host hardware concurrency, record time.
   bool quick = false;
   std::size_t host_cpus = 0;
@@ -81,19 +67,6 @@ struct TrajectoryRecord {
   bool has_mi() const { return !std::isnan(mi_bits); }
   bool has_contract() const { return contract_clean >= 0; }
   bool cell_ok() const { return cell_status == "ok"; }
-  bool has_ci() const { return !std::isnan(mi_ci_high); }
-  bool is_adaptive() const { return stopped_early >= 0; }
-  // Rounds the cell actually executed: the adaptive rounds_run when
-  // recorded, else the requested budget.
-  std::size_t executed_rounds() const {
-    return is_adaptive() ? rounds_run : rounds;
-  }
-  // The recorded leak verdict, re-derived from the Chothia & Guha rule the
-  // sweep applies (M > M0 and above the ~1-millibit tool resolution).
-  // False when either estimate is absent.
-  bool leaky() const {
-    return has_mi() && !std::isnan(m0_bits) && mi_bits > m0_bits && mi_bits > kLeakResolutionBits;
-  }
 };
 
 struct Trajectory {
@@ -107,8 +80,8 @@ struct Trajectory {
 
 // The record as one line of a results file, in the schema's field order:
 // mi_bits/m0_bits only when set, metrics only when non-empty, contract_*
-// only when has_contract(), cell_status/cell_error only when !cell_ok(),
-// and the adaptive block only when is_adaptive().
+// only when has_contract(), and cell_status/cell_error only when
+// !cell_ok().
 std::string RecordJson(const TrajectoryRecord& r);
 
 // Parses the JSON text of a results file. Never throws; unparseable

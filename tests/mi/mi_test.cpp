@@ -41,6 +41,15 @@ TEST_F(Kde, DensityIntegratesToOne) {
   EXPECT_NEAR(integral, 1.0, 0.02);
 }
 
+TEST_F(Kde, KdeOnGridHandlesZeroWidthGrid) {
+  std::vector<double> samples = test::GaussianSamples(100, 0.0, 1.0, seed());
+  std::vector<double> grid(16, 1.0);  // all grid points identical
+  std::vector<double> density = KdeOnGrid(samples, grid, 0.5);
+  for (double d : density) {
+    EXPECT_TRUE(std::isfinite(d));
+  }
+}
+
 TEST_F(Kde, DensityPeaksAtMean) {
   std::vector<double> samples = test::GaussianSamples(2000, 2.0, 0.5, seed());
   std::vector<double> grid = MakeGrid(-1.0, 5.0, 256);
@@ -77,12 +86,47 @@ TEST_F(Mi, PartialOverlapGivesIntermediateMi) {
   EXPECT_LT(m, 0.6);
 }
 
+// Degenerate data carries no information: the estimate is exactly 0,
+// never NaN.
+void ExpectZeroNotNan(const Observations& obs) {
+  const double m = EstimateMi(obs);
+  EXPECT_TRUE(std::isfinite(m));
+  EXPECT_EQ(m, 0.0);
+}
+
 TEST_F(Mi, ConstantOutputsGiveZero) {
   Observations obs;
   for (int i = 0; i < 100; ++i) {
     obs.Add(i % 2, 42.0);
   }
-  EXPECT_EQ(EstimateMi(obs), 0.0);
+  ExpectZeroNotNan(obs);
+}
+
+TEST_F(Mi, ConstantOutputsAreZeroNotNan) {
+  // Zero output variance gives a zero Silverman bandwidth for every symbol;
+  // the KDE path must not divide by it.
+  Observations obs;
+  for (int i = 0; i < 200; ++i) {
+    obs.Add(i % 4, 42.0);
+  }
+  ExpectZeroNotNan(obs);
+}
+
+TEST_F(Mi, EmptySetIsZeroNotNan) { ExpectZeroNotNan(Observations{}); }
+
+TEST_F(Mi, SingleInputSymbolCarriesNoInformation) {
+  Observations obs;
+  for (int i = 0; i < 200; ++i) {
+    obs.Add(0, static_cast<double>(i));
+  }
+  ExpectZeroNotNan(obs);
+}
+
+TEST_F(Mi, EstimateMiRejectsTinyGrids) {
+  Observations obs = test::GaussianChannel(2, 5.0, 1.0, 100, seed());
+  MiOptions options;
+  options.grid_points = 1;  // grid[1] does not exist
+  EXPECT_EQ(EstimateMi(obs, options), 0.0);
 }
 
 TEST_F(LeakageTest, DetectsRealLeak) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -180,15 +179,8 @@ TEST(SweepEngine, RealKernelChannelGridIsThreadCountInvariant) {
   EXPECT_EQ(a[0].leakage.mi_bits, b[0].leakage.mi_bits);
 }
 
-// The harness tests below run each MI grid under fixed rounds and under
-// sequential stopping. Their failures come from the cell bodies, not from
-// the harness.* fault sites: fault injection forces sequential stopping
-// off, which would quietly turn the second mode into the first.
-constexpr bool kAdaptiveModes[] = {false, true};
-
 // SyntheticShard with two failing cells: "quiet" throws from its first
-// shard, "late" from shard 2 on — under sequential stopping, after two
-// waves and a checkpoint have been folded into it.
+// shard, "late" from shard 2 on, after its earlier shards succeeded.
 mi::Observations ThrowingShard(const GridCell& cell, const Shard& shard) {
   if (cell.mode == "quiet" || (cell.mode == "late" && shard.index >= 2)) {
     throw std::runtime_error(cell.mode + " shard threw");
@@ -211,9 +203,6 @@ void ExpectNoVerdict(const SweepCellResult& r) {
   EXPECT_EQ(r.observations.size(), 0u);
   EXPECT_FALSE(r.leakage.leak);
   EXPECT_EQ(r.leakage.samples, 0u);
-  EXPECT_FALSE(r.stopped_early);
-  EXPECT_TRUE(std::isnan(r.mi_ci_low));
-  EXPECT_TRUE(std::isnan(r.mi_ci_high));
 }
 
 TEST(SweepEngine, ThrowingCellIsIsolatedAndOthersComplete) {
@@ -237,35 +226,26 @@ TEST(SweepEngine, ThrowingCellIsIsolatedAndOthersComplete) {
   EXPECT_FALSE(costs[1].cost.has_value());
   EXPECT_TRUE(costs[2].ok());
 
-  for (bool adaptive : kAdaptiveModes) {
-    SCOPED_TRACE(adaptive ? "adaptive" : "fixed");
-    SweepOptions options;
-    options.adaptive.enabled = adaptive;
-    std::vector<SweepCellResult> results =
-        SweepEngine(pool).RunChannelGrid(spec, ThrowingShard, {}, options);
-    ASSERT_EQ(results.size(), 3u);
-    const SweepCellResult& leaky = results[0];
-    const SweepCellResult& quiet = results[1];
-    const SweepCellResult& late = results[2];
-    ASSERT_EQ(leaky.cell.mode, "leaky");
-    ASSERT_EQ(quiet.cell.mode, "quiet");
-    ASSERT_EQ(late.cell.mode, "late");
-    // The healthy cell still produced a full result...
-    EXPECT_TRUE(leaky.ok());
-    EXPECT_EQ(leaky.adaptive, adaptive);
-    EXPECT_GT(leaky.observations.size(), 0u);
-    EXPECT_TRUE(leaky.leakage.leak);
-    // ...while the poisoned ones carry the failure instead of observations,
-    // whether they failed in the first wave or after earlier waves (two of
-    // them under sequential stopping) were folded in.
-    EXPECT_EQ(quiet.status, "failed");
-    EXPECT_EQ(quiet.error, "quiet shard threw");
-    ExpectNoVerdict(quiet);
-    EXPECT_EQ(late.status, "failed");
-    EXPECT_EQ(late.error, "late shard threw");
-    EXPECT_EQ(late.rounds_run, adaptive ? 32u : 0u);
-    ExpectNoVerdict(late);
-  }
+  std::vector<SweepCellResult> results = SweepEngine(pool).RunChannelGrid(spec, ThrowingShard);
+  ASSERT_EQ(results.size(), 3u);
+  const SweepCellResult& leaky = results[0];
+  const SweepCellResult& quiet = results[1];
+  const SweepCellResult& late = results[2];
+  ASSERT_EQ(leaky.cell.mode, "leaky");
+  ASSERT_EQ(quiet.cell.mode, "quiet");
+  ASSERT_EQ(late.cell.mode, "late");
+  // The healthy cell still produced a full result...
+  EXPECT_TRUE(leaky.ok());
+  EXPECT_EQ(leaky.observations.size(), 64u);
+  EXPECT_TRUE(leaky.leakage.leak);
+  // ...while the poisoned ones carry the failure instead of observations,
+  // whether their first shard threw or a later one did.
+  EXPECT_EQ(quiet.status, "failed");
+  EXPECT_EQ(quiet.error, "quiet shard threw");
+  ExpectNoVerdict(quiet);
+  EXPECT_EQ(late.status, "failed");
+  EXPECT_EQ(late.error, "late shard threw");
+  ExpectNoVerdict(late);
 }
 
 TEST(SweepEngine, StalledCellTripsTheWallTimeBudget) {
@@ -282,252 +262,70 @@ TEST(SweepEngine, StalledCellTripsTheWallTimeBudget) {
   faults::InstallFaultPlan({.site = "harness.cell_stall", .param = "quiet"});
   std::vector<SweepCellResult> costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
   faults::ClearFaultPlan();
-  std::vector<std::vector<SweepCellResult>> grids = {costs};
-  for (bool adaptive : kAdaptiveModes) {
-    options.adaptive.enabled = adaptive;
-    grids.push_back(SweepEngine(pool).RunChannelGrid(spec, StallingShard, {}, options));
-  }
-  for (const std::vector<SweepCellResult>& grid : grids) {
+  std::vector<SweepCellResult> channels =
+      SweepEngine(pool).RunChannelGrid(spec, StallingShard, {}, options);
+  for (const std::vector<SweepCellResult>& grid : {costs, channels}) {
     ASSERT_EQ(grid.size(), 2u);
     EXPECT_TRUE(grid[0].ok());
     EXPECT_EQ(grid[1].status, "timeout");
     EXPECT_NE(grid[1].error.find("budget"), std::string::npos);
   }
   EXPECT_FALSE(costs[1].cost.has_value());
-  EXPECT_FALSE(grids[1][0].adaptive);
-  EXPECT_TRUE(grids[2][0].adaptive);
-  ExpectNoVerdict(grids[1][1]);
-  ExpectNoVerdict(grids[2][1]);
+  ExpectNoVerdict(channels[1]);
+}
+
+TEST(SweepEngine, CellBudgetTakesOnlyPositiveWholeMilliseconds) {
+  EXPECT_EQ(ParseCellBudgetMs("250"), 250u);
+  for (const char* bad : {"", "abc", "0.5", "-1", "0", "+5", " 5", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseCellBudgetMs(bad).has_value()) << bad;
+  }
+  // An inherited malformed budget is an error, never a watchdog left off.
+  GridSpec spec;
+  spec.rounds = 16;
+  spec.modes = {"leaky"};
+  ExperimentRunner pool(1);
+  setenv("TP_CELL_BUDGET_MS", "abc", 1);
+  EXPECT_THROW(SweepEngine(pool).RunChannelGrid(spec, SyntheticShard), std::invalid_argument);
+  unsetenv("TP_CELL_BUDGET_MS");
 }
 
 TEST(SweepEngine, SkipCellsRerunsOnlyTheRestBitIdentically) {
-  for (bool adaptive : kAdaptiveModes) {
-    SCOPED_TRACE(adaptive ? "adaptive" : "fixed");
-    GridSpec spec;
-    spec.root_seed = 0x5EED;
-    spec.rounds = 96;
-    spec.platforms = {"p0"};
-    spec.modes = {"leaky", "quiet"};
-    mi::LeakageOptions lopt;
-    lopt.shuffles = 20;
-    ExperimentRunner pool(2);
-    SweepOptions options;
-    options.adaptive.enabled = adaptive;
-    std::vector<SweepCellResult> full =
-        SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
-    ASSERT_EQ(full.size(), 2u);
-
-    std::set<std::string> skip = {full[0].cell.Name()};
-    options.skip_cells = &skip;
-    std::vector<SweepCellResult> rest =
-        SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
-    ASSERT_EQ(rest.size(), 1u);
-    EXPECT_EQ(rest[0].cell.Name(), full[1].cell.Name());
-    EXPECT_EQ(rest[0].adaptive, adaptive);
-    // The resume contract: a partial rerun reproduces the uninterrupted
-    // run's numbers exactly (coordinate-keyed seeds, not index-keyed).
-    EXPECT_EQ(rest[0].rounds_run, full[1].rounds_run);
-    EXPECT_EQ(rest[0].stopped_early, full[1].stopped_early);
-    EXPECT_EQ(rest[0].observations.inputs(), full[1].observations.inputs());
-    EXPECT_EQ(rest[0].observations.outputs(), full[1].observations.outputs());
-    EXPECT_EQ(rest[0].leakage.mi_bits, full[1].leakage.mi_bits);
-    if (adaptive) {
-      EXPECT_EQ(rest[0].mi_ci_low, full[1].mi_ci_low);
-      EXPECT_EQ(rest[0].mi_ci_high, full[1].mi_ci_high);
-    }
-
-    // Cost grids honour the same skip set, and a rerun cell keeps its
-    // coordinates (and so its seed) from the full grid.
-    std::vector<SweepCellResult> full_costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
-    std::vector<SweepCellResult> rest_costs =
-        SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
-    ASSERT_EQ(full_costs.size(), 2u);
-    ASSERT_EQ(rest_costs.size(), 1u);
-    EXPECT_EQ(rest_costs[0].cell.Name(), full_costs[1].cell.Name());
-    ASSERT_TRUE(rest_costs[0].cost.has_value());
-    EXPECT_EQ(rest_costs[0].cost->metrics.at("seed_low"),
-              full_costs[1].cost->metrics.at("seed_low"));
-  }
-}
-
-// Adaptive variant of SyntheticShard: the quiet mode emits a constant
-// output (a perfectly padded channel), so its CI collapses to [0, 0] and
-// the sequential stop can fire at the first checkpoint.
-mi::Observations AdaptiveSyntheticShard(const GridCell& cell, const Shard& shard) {
-  mi::Observations obs;
-  std::mt19937_64 rng(shard.seed);
-  std::normal_distribution<double> noise(0.0, 0.3);
-  for (std::size_t i = 0; i < shard.rounds; ++i) {
-    int symbol = static_cast<int>(rng() % 4);
-    if (cell.mode == "leaky") {
-      obs.Add(symbol, 5.0 * symbol + noise(rng));
-    } else {
-      noise(rng);  // keep the stream position identical across modes
-      obs.Add(symbol, 0.0);
-    }
-  }
-  return obs;
-}
-
-TEST(SweepEngine, AdaptiveGridStopsEarlyAndKeepsVerdicts) {
-  GridSpec spec;
-  spec.root_seed = 0x5EED;
-  spec.rounds = 128;  // 8 shards of 16
-  spec.platforms = {"p0"};
-  spec.modes = {"leaky", "quiet"};
-  mi::LeakageOptions lopt;
-  lopt.shuffles = 20;
-  SweepOptions options;
-  options.adaptive.enabled = true;
-  ExperimentRunner pool(2);
-  std::vector<SweepCellResult> results =
-      SweepEngine(pool).RunChannelGrid(spec, AdaptiveSyntheticShard, lopt, options);
-  ASSERT_EQ(results.size(), 2u);
-  const SweepCellResult& leaky = results[0];
-  const SweepCellResult& quiet = results[1];
-  ASSERT_EQ(leaky.cell.mode, "leaky");
-  ASSERT_EQ(quiet.cell.mode, "quiet");
-  for (const SweepCellResult& r : results) {
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(r.adaptive);
-    EXPECT_EQ(r.rounds, 128u);  // the budget is still recorded
-    EXPECT_TRUE(r.stopped_early) << r.cell.Name();
-    EXPECT_LT(r.rounds_run, r.rounds) << r.cell.Name();
-    EXPECT_GE(r.rounds_run, 32u);  // no checkpoint before the second shard
-    EXPECT_FALSE(std::isnan(r.mi_ci_low));
-    EXPECT_FALSE(std::isnan(r.mi_ci_high));
-    EXPECT_LE(r.mi_ci_low, r.mi_ci_high);
-    EXPECT_EQ(r.significance, 0.05);
-    EXPECT_EQ(r.observations.size(), r.rounds_run);
-  }
-  // Early stopping must preserve the verdicts the fixed sweep would reach.
-  EXPECT_TRUE(leaky.leakage.leak);
-  EXPECT_GT(leaky.mi_ci_low, leaky.leakage.m0_bits);
-  EXPECT_FALSE(quiet.leakage.leak);
-  EXPECT_LT(quiet.mi_ci_high, 0.001);
-}
-
-TEST(SweepEngine, AdaptiveGridIsThreadCountInvariant) {
-  GridSpec spec;
-  spec.root_seed = 0x5EED;
-  spec.rounds = 128;
-  spec.platforms = {"p0", "p1"};
-  spec.modes = {"leaky", "quiet"};
-  mi::LeakageOptions lopt;
-  lopt.shuffles = 20;
-  SweepOptions options;
-  options.adaptive.enabled = true;
-  ExperimentRunner pool1(1);
-  ExperimentRunner pool4(4);
-  std::vector<SweepCellResult> a =
-      SweepEngine(pool1).RunChannelGrid(spec, AdaptiveSyntheticShard, lopt, options);
-  std::vector<SweepCellResult> b =
-      SweepEngine(pool4).RunChannelGrid(spec, AdaptiveSyntheticShard, lopt, options);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].cell.Name(), b[i].cell.Name());
-    EXPECT_EQ(a[i].rounds_run, b[i].rounds_run) << a[i].cell.Name();
-    EXPECT_EQ(a[i].stopped_early, b[i].stopped_early);
-    EXPECT_EQ(a[i].observations.inputs(), b[i].observations.inputs());
-    EXPECT_EQ(a[i].observations.outputs(), b[i].observations.outputs());
-    EXPECT_EQ(a[i].leakage.mi_bits, b[i].leakage.mi_bits) << a[i].cell.Name();
-    EXPECT_EQ(a[i].leakage.m0_bits, b[i].leakage.m0_bits);
-    EXPECT_EQ(a[i].mi_ci_low, b[i].mi_ci_low) << a[i].cell.Name();
-    EXPECT_EQ(a[i].mi_ci_high, b[i].mi_ci_high);
-  }
-}
-
-TEST(SweepEngine, FixedModeCarriesNoAdaptiveMetadata) {
   GridSpec spec;
   spec.root_seed = 0x5EED;
   spec.rounds = 96;
   spec.platforms = {"p0"};
   spec.modes = {"leaky", "quiet"};
-  ExperimentRunner pool(2);
-  std::vector<SweepCellResult> results =
-      SweepEngine(pool).RunChannelGrid(spec, SyntheticShard);
-  for (const SweepCellResult& r : results) {
-    EXPECT_FALSE(r.adaptive);
-    EXPECT_FALSE(r.stopped_early);
-    EXPECT_EQ(r.rounds_run, r.rounds);
-    EXPECT_TRUE(std::isnan(r.mi_ci_low));
-    EXPECT_TRUE(std::isnan(r.mi_ci_high));
-  }
-}
-
-TEST(SweepEngine, AdaptiveFullBudgetCellMatchesFixedSweep) {
-  // A cell that never resolves early (noisy but sub-threshold MI) must run
-  // its whole budget and land on the fixed path's exact numbers.
-  GridSpec spec;
-  spec.root_seed = 0x5EED;
-  spec.rounds = 96;
-  spec.platforms = {"p0"};
-  spec.modes = {"quiet"};  // SyntheticShard quiet: pure noise, nonzero MI estimate
   mi::LeakageOptions lopt;
   lopt.shuffles = 20;
   ExperimentRunner pool(2);
-  std::vector<SweepCellResult> fixed =
+  std::vector<SweepCellResult> full =
       SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt);
-  SweepOptions options;
-  options.adaptive.enabled = true;
-  std::vector<SweepCellResult> adaptive =
-      SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
-  ASSERT_EQ(fixed.size(), 1u);
-  ASSERT_EQ(adaptive.size(), 1u);
-  ASSERT_FALSE(adaptive[0].stopped_early);
-  EXPECT_EQ(adaptive[0].rounds_run, fixed[0].rounds);
-  EXPECT_EQ(adaptive[0].observations.inputs(), fixed[0].observations.inputs());
-  EXPECT_EQ(adaptive[0].observations.outputs(), fixed[0].observations.outputs());
-  EXPECT_EQ(adaptive[0].leakage.mi_bits, fixed[0].leakage.mi_bits);
-  EXPECT_EQ(adaptive[0].leakage.m0_bits, fixed[0].leakage.m0_bits);
-  // The adaptive run also records its final interval around the estimate.
-  EXPECT_TRUE(adaptive[0].adaptive);
-  EXPECT_FALSE(std::isnan(adaptive[0].mi_ci_high));
-}
+  ASSERT_EQ(full.size(), 2u);
 
-TEST(RecordSweep, AdaptiveCellRoundTripsStoppingMetadata) {
-  std::string path = ::testing::TempDir() + "sweep_adaptive_record_test.json";
-  std::remove(path.c_str());
-  setenv("TP_BENCH_JSON", path.c_str(), 1);
-  setenv("TP_BENCH_LABEL", "adaptive-test", 1);
-  {
-    GridSpec spec;
-    spec.root_seed = 0x5EED;
-    spec.rounds = 128;
-    spec.platforms = {"p0"};
-    spec.modes = {"leaky", "quiet"};
-    mi::LeakageOptions lopt;
-    lopt.shuffles = 20;
-    SweepOptions options;
-    options.adaptive.enabled = true;
-    ExperimentRunner pool(2);
-    std::vector<SweepCellResult> results =
-        SweepEngine(pool).RunChannelGrid(spec, AdaptiveSyntheticShard, lopt, options);
-    bench::Recorder recorder("sweep_test");
-    RecordSweep(recorder, pool, results);
-  }
-  unsetenv("TP_BENCH_JSON");
-  unsetenv("TP_BENCH_LABEL");
-  std::string error;
-  std::optional<trajectory::Trajectory> t = trajectory::LoadTrajectory(path, &error);
-  ASSERT_TRUE(t.has_value()) << error;
-  std::size_t adaptive_cells = 0;
-  for (const trajectory::TrajectoryRecord& r : t->records) {
-    if (r.cell == "total") {
-      continue;
-    }
-    ++adaptive_cells;
-    EXPECT_TRUE(r.is_adaptive()) << r.cell;
-    EXPECT_EQ(r.stopped_early, 1);
-    EXPECT_EQ(r.rounds_budget, 128u);
-    EXPECT_LT(r.rounds_run, r.rounds_budget);
-    EXPECT_EQ(r.executed_rounds(), r.rounds_run);
-    EXPECT_TRUE(r.has_ci()) << r.cell;
-    EXPECT_EQ(r.significance, 0.05);
-    EXPECT_EQ(r.ci_method, "bootstrap");
-  }
-  EXPECT_EQ(adaptive_cells, 2u);
-  std::remove(path.c_str());
+  std::set<std::string> skip = {full[0].cell.Name()};
+  SweepOptions options;
+  options.skip_cells = &skip;
+  std::vector<SweepCellResult> rest =
+      SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].cell.Name(), full[1].cell.Name());
+  // The resume contract: a partial rerun reproduces the uninterrupted
+  // run's numbers exactly (coordinate-keyed seeds, not index-keyed).
+  EXPECT_EQ(rest[0].observations.inputs(), full[1].observations.inputs());
+  EXPECT_EQ(rest[0].observations.outputs(), full[1].observations.outputs());
+  EXPECT_EQ(rest[0].leakage.mi_bits, full[1].leakage.mi_bits);
+
+  // Cost grids honour the same skip set, and a rerun cell keeps its
+  // coordinates (and so its seed) from the full grid.
+  std::vector<SweepCellResult> full_costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
+  std::vector<SweepCellResult> rest_costs =
+      SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
+  ASSERT_EQ(full_costs.size(), 2u);
+  ASSERT_EQ(rest_costs.size(), 1u);
+  EXPECT_EQ(rest_costs[0].cell.Name(), full_costs[1].cell.Name());
+  ASSERT_TRUE(rest_costs[0].cost.has_value());
+  EXPECT_EQ(rest_costs[0].cost->metrics.at("seed_low"),
+            full_costs[1].cost->metrics.at("seed_low"));
 }
 
 TEST(RecordSweep, FailedCellRoundTripsThroughTheTrajectory) {

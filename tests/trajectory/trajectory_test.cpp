@@ -18,7 +18,6 @@
 #include <string>
 #include <thread>
 
-#include "mi/leakage_test.hpp"
 #include "trajectory/diff.hpp"
 #include "trajectory/json.hpp"
 #include "trajectory/trajectory.hpp"
@@ -121,13 +120,6 @@ TEST(Trajectory, RecordJsonRoundTripsEveryField) {
   r.contract_first = "L1-I set 5 \x01";
   r.cell_status = "timeout";
   r.cell_error = "budget \"40 ms\" exceeded";
-  r.rounds_run = 32;
-  r.rounds_budget = 112;
-  r.stopped_early = 1;
-  r.mi_ci_low = 0.25;
-  r.mi_ci_high = 0.75;
-  r.significance = 0.05;
-  r.ci_method = "bootstrap";
   r.quick = true;
   r.host_cpus = 16;
   r.unix_time = 1753430000;
@@ -141,9 +133,7 @@ TEST(Trajectory, RecordJsonRoundTripsEveryField) {
             R"("metrics": {"odd \"key\"": -2.5, "switch_us": 29.8}, "contract_clean": false, )"
             R"("contract_switches": 128, "contract_violations": 3, "contract_whitelisted": 4, )"
             R"("contract_first": "L1-I set 5 \u0001", "cell_status": "timeout", )"
-            R"("cell_error": "budget \"40 ms\" exceeded", "rounds_run": 32, )"
-            R"("rounds_budget": 112, "stopped_early": true, "mi_ci_low": 0.25, )"
-            R"("mi_ci_high": 0.75, "significance": 0.05, "ci_method": "bootstrap"})");
+            R"("cell_error": "budget \"40 ms\" exceeded"})");
   std::optional<Trajectory> t = ParseTrajectory("[" + text + "]");
   ASSERT_TRUE(t.has_value());
   ASSERT_EQ(t->records.size(), 1u) << text;
@@ -167,19 +157,12 @@ TEST(Trajectory, RecordJsonRoundTripsEveryField) {
   EXPECT_EQ(p.contract_first, r.contract_first);
   EXPECT_EQ(p.cell_status, r.cell_status);
   EXPECT_EQ(p.cell_error, r.cell_error);
-  EXPECT_EQ(p.rounds_run, r.rounds_run);
-  EXPECT_EQ(p.rounds_budget, r.rounds_budget);
-  EXPECT_EQ(p.stopped_early, r.stopped_early);
-  EXPECT_EQ(p.mi_ci_low, r.mi_ci_low);
-  EXPECT_EQ(p.mi_ci_high, r.mi_ci_high);
-  EXPECT_EQ(p.significance, r.significance);
-  EXPECT_EQ(p.ci_method, r.ci_method);
   EXPECT_EQ(p.quick, r.quick);
   EXPECT_EQ(p.host_cpus, r.host_cpus);
   EXPECT_EQ(p.unix_time, r.unix_time);
 
   // A default record writes none of the optional blocks: no MI, metrics,
-  // contract, cell status or adaptive fields.
+  // contract or cell status fields.
   EXPECT_EQ(RecordJson(TrajectoryRecord{}),
             R"({"schema_version": 3, "bench": "", "label": "", "cell": "", "quick": false, )"
             R"("host_cpus": 0, "threads": 1, "shards": 1, "rounds": 0, "samples": 0, )"
@@ -934,162 +917,58 @@ TEST(Coverage, ContractRequirementCanBeDisabled) {
   EXPECT_TRUE(CheckCoverage(t, "run", opts).ok());
 }
 
-// ---- adaptive sequential stopping (schema v3) ----
+// ---- retired early-stopping keys ----
 
-TEST(Trajectory, ParsesAdaptiveStoppingFields) {
+TEST(Trajectory, RetiredStoppingKeysStillLoad) {
+  // Older results files carry seven early-stopping keys per record. The
+  // loader ignores them like any unknown key: the record loads with every
+  // fixed-rounds field intact, and a retired key of the wrong type or out
+  // of range no longer matters.
   std::optional<Trajectory> t = ParseTrajectory(
       "[" +
-      Rec(R"("rounds": 112, "rounds_run": 32, "rounds_budget": 112,
-           "stopped_early": true, "mi_ci_low": 0.0, "mi_ci_high": 0.0004,
-           "significance": 0.05, "ci_method": "bootstrap")") +
-      "," + Rec(R"("rounds": 112, "mi_bits": 0.5)") + "]");
+      Rec(R"("rounds": 112, "samples": 30, "mi_bits": 0.5, "m0_bits": 0.125,
+           "wall_ns": 4000, "shards": 7, "metrics": {"switch_us": 1.5},
+           "contract_clean": true, "contract_switches": 9,
+           "rounds_run": 32, "rounds_budget": 112, "stopped_early": true,
+           "mi_ci_low": 0.25, "mi_ci_high": 0.75, "significance": 0.05,
+           "ci_method": "bootstrap")") +
+      "," + Rec(R"("stopped_early": "yes", "mi_ci_low": -1, "significance": "x")") + "]");
   ASSERT_TRUE(t.has_value());
+  EXPECT_TRUE(t->warnings.empty());
   ASSERT_EQ(t->records.size(), 2u);
-  const TrajectoryRecord& a = t->records[0];
-  EXPECT_TRUE(a.is_adaptive());
-  EXPECT_EQ(a.stopped_early, 1);
-  EXPECT_EQ(a.rounds_run, 32u);
-  EXPECT_EQ(a.rounds_budget, 112u);
-  EXPECT_EQ(a.executed_rounds(), 32u);
-  EXPECT_TRUE(a.has_ci());
-  EXPECT_EQ(a.mi_ci_low, 0.0);
-  EXPECT_EQ(a.mi_ci_high, 0.0004);
-  EXPECT_EQ(a.significance, 0.05);
-  EXPECT_EQ(a.ci_method, "bootstrap");
-  // A fixed-rounds record (every v1/v2 record, and v3 without --adaptive)
-  // reads back as not-adaptive with the budget as its executed rounds.
-  const TrajectoryRecord& f = t->records[1];
-  EXPECT_FALSE(f.is_adaptive());
-  EXPECT_FALSE(f.has_ci());
-  EXPECT_EQ(f.executed_rounds(), 112u);
+  const TrajectoryRecord& r = t->records[0];
+  EXPECT_EQ(r.rounds, 112u);
+  EXPECT_EQ(r.samples, 30u);
+  EXPECT_EQ(r.mi_bits, 0.5);
+  EXPECT_EQ(r.m0_bits, 0.125);
+  EXPECT_EQ(r.wall_ns, 4000u);
+  EXPECT_EQ(r.shards, 7u);
+  EXPECT_EQ(r.metrics.at("switch_us"), 1.5);
+  EXPECT_EQ(r.contract_clean, 1);
+  EXPECT_EQ(r.contract_switches, 9u);
+  EXPECT_TRUE(r.cell_ok());
 
-  // Non-bool stopped_early is a type error, like contract_clean.
-  t = ParseTrajectory("[" + Rec(R"("stopped_early": "yes")") + "]");
-  ASSERT_TRUE(t.has_value());
-  EXPECT_TRUE(t->records.empty());
-}
-
-TEST(Trajectory, NonFiniteCiBoundsCannotEnterViaJson) {
-  // The CI bounds are gated observables like mi_bits: an Inf would sail
-  // through the ci_high threshold comparison as a silent pass. The
-  // hardened JSON layer rejects the overflowing literal before the record
-  // parser ever sees it.
-  EXPECT_FALSE(ParseTrajectory("[" + Rec(R"("mi_ci_low": 1e999)") + "]").has_value());
-  EXPECT_FALSE(ParseTrajectory("[" + Rec(R"("mi_ci_high": -1e999)") + "]").has_value());
-
-  std::optional<Trajectory> t = ParseTrajectory("[" + Rec(R"("mi_ci_high": 0.001)") + "]");
-  ASSERT_TRUE(t.has_value());
-  ASSERT_EQ(t->records.size(), 1u);
-  EXPECT_EQ(t->records[0].mi_ci_high, 0.001);
-}
-
-TEST(Trajectory, LeakResolutionMatchesTheSweep) {
-  EXPECT_EQ(kLeakResolutionBits, mi::kResolutionBits);
-}
-
-TEST(Trajectory, LeakyRederivesTheSweepVerdict) {
-  TrajectoryRecord r = MakeRecord("l", "c", 0.5, 0);
-  r.m0_bits = 0.1;
-  EXPECT_TRUE(r.leaky());
-  r.m0_bits = 0.9;  // below the shuffle threshold
-  EXPECT_FALSE(r.leaky());
-  r = MakeRecord("l", "c", -1, 0);  // no MI recorded
-  EXPECT_FALSE(r.leaky());
-}
-
-// Adaptive candidate record: stopped early with a CI around its estimate.
-TrajectoryRecord MakeAdaptiveRecord(const std::string& label, const std::string& cell,
-                                    double mi, double m0, double ci_low, double ci_high,
-                                    std::uint64_t wall_ns = 1e8) {
-  TrajectoryRecord r = MakeRecord(label, cell, mi, wall_ns);
-  r.m0_bits = m0;
-  r.rounds = 112;
-  r.rounds_budget = 112;
-  r.rounds_run = 32;
-  r.stopped_early = 1;
-  r.mi_ci_low = ci_low;
-  r.mi_ci_high = ci_high;
-  r.significance = 0.05;
-  r.ci_method = "bootstrap";
-  return r;
-}
-
-TEST(Diff, EarlyStoppedCleanCellGatedOnCiUpperBound) {
-  // The small-sample point estimate of an early-stopped clean cell sits
-  // above the fixed baseline's 0 — the CI rule must judge the *bound*, not
-  // the point, or every clean early stop false-fails.
-  Trajectory t;
-  t.records.push_back(MakeRecord("base", "x/protected", 0.0, 1e8));
-  t.records.push_back(
-      MakeAdaptiveRecord("cand", "x/protected", 0.0004, 0.9, 0.0, 0.0008));
-  DiffOutcome o = DiffTrajectories(t, "base", "cand");
-  EXPECT_TRUE(o.ok()) << ReportJson(o);
-
-  // But a clean verdict whose upper bound exceeds the leak threshold has
-  // not proved itself: gated.
-  t.records[1] = MakeAdaptiveRecord("cand", "x/protected", 0.0004, 0.9, 0.0, 0.05);
-  o = DiffTrajectories(t, "base", "cand");
-  EXPECT_FALSE(o.ok());
-  EXPECT_EQ(o.result.leak_regressions, 1u);
-}
-
-TEST(Diff, EarlyStoppedLeakyCellGatedOnCiLowerBound) {
-  // A known residual leak (baseline 0.8 bits): the early-stopped candidate
-  // regresses only when even its CI lower bound clears the baseline floor.
-  Trajectory t;
-  TrajectoryRecord base = MakeRecord("base", "x/L2/protected", 0.8, 1e8);
-  base.m0_bits = 0.1;
-  t.records.push_back(base);
-  t.records.push_back(MakeAdaptiveRecord("cand", "x/L2/protected", 1.2, 0.1, 0.7, 1.7));
-  DiffOutcome o = DiffTrajectories(t, "base", "cand");
-  EXPECT_TRUE(o.ok()) << ReportJson(o);  // 0.7 < 0.8: point estimate noise
-
-  t.records[1] = MakeAdaptiveRecord("cand", "x/L2/protected", 1.2, 0.1, 0.9, 1.5);
-  o = DiffTrajectories(t, "base", "cand");
-  EXPECT_FALSE(o.ok());  // even the lower bound says the leak grew
-  EXPECT_EQ(o.result.leak_regressions, 1u);
-}
-
-TEST(Diff, RequireVerdictMatchGatesFlippedVerdicts) {
-  Trajectory t;
-  TrajectoryRecord base = MakeRecord("base", "x/raw", 1.0, 1e8);
-  base.m0_bits = 0.1;  // leaky
-  t.records.push_back(base);
-  TrajectoryRecord cand = MakeRecord("cand", "x/raw", 0.05, 1e8);
-  cand.m0_bits = 0.1;  // not leaky
-  t.records.push_back(cand);
-  // Unprotected cell: no gate by default...
-  DiffOutcome o = DiffTrajectories(t, "base", "cand");
-  EXPECT_TRUE(o.ok()) << ReportJson(o);
-  // ...but --require-verdicts makes the flip a failure.
-  DiffOptions opt;
-  opt.require_verdict_match = true;
-  o = DiffTrajectories(t, "base", "cand", opt);
-  EXPECT_FALSE(o.ok());
-  EXPECT_EQ(o.result.verdict_mismatches, 1u);
-  ASSERT_EQ(o.result.cells.size(), 1u);
-  EXPECT_TRUE(o.result.cells[0].verdict_mismatch);
-  bool noted = false;
-  for (const std::string& note : o.result.notes) {
-    noted = noted || note.find("leak verdict mismatch") != std::string::npos;
-  }
-  EXPECT_TRUE(noted);
-  // Agreeing verdicts pass under the same option.
-  t.records[1].mi_bits = 0.9;
-  o = DiffTrajectories(t, "base", "cand", opt);
+  // Such a record diffs against a fixed-rounds record of the same cell.
+  TrajectoryRecord old_run = r;
+  old_run.label = "old";
+  old_run.cell = "x/protected";
+  TrajectoryRecord new_run = old_run;
+  new_run.label = "new";
+  DiffOutcome o = DiffTrajectories(Trajectory{{old_run, new_run}, {}}, "old", "new");
   EXPECT_TRUE(o.ok()) << ReportJson(o);
 }
 
 TEST(Diff, WallGateNormalizesPerRoundWhenRoundCountsDiffer) {
-  // Candidate stopped early: 32 of 112 rounds in 0.4x the wall time. The
-  // raw ratio (0.4) hides that per-round cost rose 1.4x — past the 1.25
-  // default gate.
+  // Candidate ran 32 rounds where the baseline ran 112, in 0.4x the wall
+  // time. The raw ratio (0.4) hides that per-round cost rose 1.4x — past
+  // the 1.25 default gate.
   Trajectory t;
   TrajectoryRecord base = MakeRecord("base", "x/raw", 1.0, 1'000'000'000);
   base.rounds = 112;
   t.records.push_back(base);
-  t.records.push_back(
-      MakeAdaptiveRecord("cand", "x/raw", 1.0, 0.1, 0.5, 1.5, 400'000'000));
+  TrajectoryRecord cand = MakeRecord("cand", "x/raw", 1.0, 400'000'000);
+  cand.rounds = 32;
+  t.records.push_back(cand);
   DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_FALSE(o.ok());
   EXPECT_EQ(o.result.wall_regressions, 1u);
@@ -1110,21 +989,21 @@ TEST(Diff, ReportJsonCarriesSummaryBlock) {
   t.records.push_back(base_mi);
   t.records.push_back(MakeRecord("base", "cost/total-cost", -1, 1e8));
   t.records.back().rounds = 100000;  // cost cell: huge rounds, no MI
-  // Candidate wall proportional to its 32/112 executed rounds, so the
-  // per-round wall gate reads ~1.0.
-  t.records.push_back(
-      MakeAdaptiveRecord("cand", "x/raw", 1.1, 0.1, 0.8, 1.4, 57'142'857));
+  // Candidate wall proportional to its 32/112 rounds, so the per-round
+  // wall gate reads ~1.0.
+  TrajectoryRecord cand_mi = MakeRecord("cand", "x/raw", 1.1, 57'142'857);
+  cand_mi.m0_bits = 0.1;
+  cand_mi.rounds = 32;
+  t.records.push_back(cand_mi);
   t.records.push_back(MakeRecord("cand", "cost/total-cost", -1, 1e8));
   t.records.back().rounds = 100000;
 
   DiffOutcome o = DiffTrajectories(t, "base", "cand");
   ASSERT_TRUE(o.error.empty());
-  // Computed summary: MI-cell rounds exclude the cost cell's bulk.
+  EXPECT_EQ(o.result.summary.base_wall_ns, 300'000'000u);
+  EXPECT_EQ(o.result.summary.cand_wall_ns, 157'142'857u);
   EXPECT_EQ(o.result.summary.base_rounds, 100112u);
   EXPECT_EQ(o.result.summary.cand_rounds, 100032u);
-  EXPECT_EQ(o.result.summary.base_mi_rounds, 112u);
-  EXPECT_EQ(o.result.summary.cand_mi_rounds, 32u);
-  EXPECT_EQ(o.result.summary.cand_stopped_early, 1u);
   EXPECT_EQ(o.result.summary.cells_gated, 0u);
 
   std::string report = ReportJson(o);
@@ -1133,31 +1012,29 @@ TEST(Diff, ReportJsonCarriesSummaryBlock) {
   ASSERT_TRUE(parsed.has_value()) << error << "\n" << report;
   const JsonValue* summary = parsed->Find("summary");
   ASSERT_NE(summary, nullptr);
-  EXPECT_EQ(summary->Find("base_mi_rounds")->number, 112.0);
-  EXPECT_EQ(summary->Find("cand_mi_rounds")->number, 32.0);
-  EXPECT_EQ(summary->Find("cand_cells_stopped_early")->number, 1.0);
+  EXPECT_EQ(summary->Find("cells_compared")->number, 2.0);
+  EXPECT_EQ(summary->Find("base_total_rounds")->number, 100112.0);
+  EXPECT_EQ(summary->Find("cand_total_rounds")->number, 100032.0);
   EXPECT_EQ(summary->Find("cells_gated")->number, 0.0);
-  EXPECT_EQ(summary->Find("verdict_mismatches")->number, 0.0);
-  // Per-cell adaptive fields ride along for machine consumers.
+  // Per-cell rounds and the per-round wall normalisation ride along for
+  // machine consumers.
   bool found = false;
   for (const JsonValue& cell : parsed->Find("cells")->array) {
     if (cell.Find("cell")->string != "x/raw") {
       continue;
     }
     found = true;
-    ASSERT_NE(cell.Find("cand_stopped_early"), nullptr);
-    EXPECT_TRUE(cell.Find("cand_stopped_early")->boolean);
     EXPECT_EQ(cell.Find("cand_rounds")->number, 32.0);
     EXPECT_EQ(cell.Find("base_rounds")->number, 112.0);
-    EXPECT_EQ(cell.Find("cand_mi_ci_low")->number, 0.8);
-    EXPECT_EQ(cell.Find("cand_mi_ci_high")->number, 1.4);
+    ASSERT_NE(cell.Find("wall_normalized"), nullptr);
+    EXPECT_TRUE(cell.Find("wall_normalized")->boolean);
   }
   EXPECT_TRUE(found) << report;
-  // And the options block records the new knobs.
+  // And the options block records the gate knobs.
   const JsonValue* opts = parsed->Find("options");
   ASSERT_NE(opts, nullptr);
-  ASSERT_NE(opts->Find("require_verdict_match"), nullptr);
-  EXPECT_FALSE(opts->Find("require_verdict_match")->boolean);
+  ASSERT_NE(opts->Find("require_cells"), nullptr);
+  EXPECT_FALSE(opts->Find("require_cells")->boolean);
 }
 
 }  // namespace

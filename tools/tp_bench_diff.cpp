@@ -37,11 +37,6 @@ constexpr const char* kUsage =
     "  --require-cells  fail any candidate cell recorded with a non-ok\n"
     "                   cell_status (crash-isolated \"failed\"/\"timeout\"\n"
     "                   cells are otherwise reported but not gated)\n"
-    "  --require-verdicts\n"
-    "                   fail any joined MI cell whose leak verdict differs\n"
-    "                   between baseline and candidate (the adaptive-vs-\n"
-    "                   fixed A/B gate: early stopping may shift MI point\n"
-    "                   estimates, never verdicts)\n"
     "  --list-labels    print the labels present in the file and exit\n"
     "  --quiet          suppress the per-cell table, print the verdict only\n"
     "\n"
@@ -113,8 +108,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->options.require_contract = true;
     } else if (arg == "--require-cells") {
       args->options.require_cells = true;
-    } else if (arg == "--require-verdicts") {
-      args->options.require_verdict_match = true;
     } else if (arg == "--list-labels") {
       args->list_labels = true;
     } else if (arg == "--check-coverage") {
@@ -278,12 +271,10 @@ int main(int argc, char** argv) {
       const char* verdict = d.cell_failure             ? "FAILED"
                             : d.cand_status != "ok"    ? "failed (not gated)"
                             : d.leak_regression        ? "LEAK"
-                            : d.verdict_mismatch       ? "VERDICT"
                             : d.wall_regression        ? "SLOW"
                             : d.mi_delta_regression    ? "MI-DRIFT"
                             : d.missing_wall           ? "NO-WALL"
                             : d.contract_regression    ? "DIRTY"
-                            : d.cand_stopped_early     ? "ok (early stop)"
                                                        : "ok";
       std::printf("%-58s  %+10.4g  %10.3f  %6s  %s\n", key.c_str(), d.mi_delta, d.wall_ratio,
                   d.protected_mode ? "yes" : "-", verdict);
@@ -300,26 +291,13 @@ int main(int argc, char** argv) {
       std::printf("note: %s\n", note.c_str());
     }
   }
-  if (!args.quiet && r.summary.cand_stopped_early > 0) {
-    std::printf(
-        "adaptive: %zu candidate cell(s) stopped early; MI-cell rounds %llu -> %llu "
-        "(%.1f%% of baseline)\n",
-        r.summary.cand_stopped_early,
-        static_cast<unsigned long long>(r.summary.base_mi_rounds),
-        static_cast<unsigned long long>(r.summary.cand_mi_rounds),
-        r.summary.base_mi_rounds > 0
-            ? 100.0 * static_cast<double>(r.summary.cand_mi_rounds) /
-                  static_cast<double>(r.summary.base_mi_rounds)
-            : 0.0);
-  }
   std::printf(
       "tp_bench_diff: %s vs %s — %zu cells compared, %zu leak regression(s), "
       "%zu wall regression(s), %zu MI drift(s), %zu missing protected cell(s), "
       "%zu missing wall record(s), %zu contract regression(s), "
-      "%zu failed cell(s), %zu verdict mismatch(es) -> %s\n",
+      "%zu failed cell(s) -> %s\n",
       r.baseline_label.c_str(), r.candidate_label.c_str(), r.cells.size(),
       r.leak_regressions, r.wall_regressions, r.mi_delta_regressions, r.missing_protected,
-      r.missing_wall, r.contract_regressions, r.failed_cells, r.verdict_mismatches,
-      outcome.ok() ? "PASS" : "FAIL");
+      r.missing_wall, r.contract_regressions, r.failed_cells, outcome.ok() ? "PASS" : "FAIL");
   return outcome.ok() ? 0 : 1;
 }
