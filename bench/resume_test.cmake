@@ -1,6 +1,9 @@
 # `tp_bench --resume` on a cost spec: a run whose Sabre cells were
 # crash-isolated leaves an incomplete spec, and the resumed run reruns it
-# whole, so every cell is recorded exactly once and healthy.
+# whole, so every cell is recorded exactly once and healthy. In between,
+# the label rule holds: a plain rerun under the recorded label, a run
+# without a label and a run into a results file that does not parse all
+# exit 2 before any channel runs, and leave their file byte-identical.
 #
 #   cmake -DTP_BENCH=<tp_bench> -DWORK_DIR=<dir> -P resume_test.cmake
 
@@ -53,6 +56,28 @@ read_records()
 if(NOT failed EQUAL 2)
   message(FATAL_ERROR "injected run recorded ${failed} failed cells, expected 2")
 endif()
+
+# Runs tp_bench under the `cmake -E env` arguments that follow `file` and
+# expects exit 2 with `file` byte-identical.
+function(expect_refused what file)
+  file(SHA256 "${file}" before)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env ${ARGN} "${TP_BENCH}" --only table2_flush_cost --quiet
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  file(SHA256 "${file}" after)
+  if(NOT rc EQUAL 2 OR NOT before STREQUAL after)
+    message(FATAL_ERROR "${what} exited ${rc}, expected 2 with ${file} untouched")
+  endif()
+endfunction()
+
+expect_refused("a plain rerun under the recorded label" "${json}")
+expect_refused("a run with no label" "${json}" --unset=TP_BENCH_LABEL)
+expect_refused("a run with an empty label" "${json}" "TP_BENCH_LABEL=")
+set(cut_short "${WORK_DIR}/resume_test_cut_short.json")
+file(WRITE "${cut_short}" "[{\"bench\": \"table2_flush_cost\", \"label\": ")
+expect_refused("a run into a file that does not parse" "${cut_short}"
+               "TP_BENCH_JSON=${cut_short}" "TP_BENCH_LABEL=fresh")
+file(REMOVE "${cut_short}" "${cut_short}.lock")
 
 execute_process(
   COMMAND "${TP_BENCH}" --only table2_flush_cost --quiet --resume

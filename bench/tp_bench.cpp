@@ -2,8 +2,11 @@
 //
 // Every experiment is a registered scenario (src/scenarios/); this CLI
 // enumerates, filters and runs them through the shared parallel runner and
-// recorder. The sweep script and CI iterate `tp_bench --list`, so a
-// registered channel can never be silently skipped by the leakage gate.
+// recorder. One process runs, times and records a whole sweep: every cell
+// is crash-isolated, a channel body that throws fails only that channel,
+// and each channel's records reach the results file as soon as it
+// finishes. CI's coverage check reads `tp_bench --list`, so a registered
+// channel can never be silently skipped by the leakage gate.
 //
 //   tp_bench --list                 # registered channel names, one per line
 //   tp_bench --list-md              # README markdown channel table
@@ -19,14 +22,20 @@
 //   tp_bench --resume               # complete only the cells missing from
 //                                   # the results file under this label
 //                                   # (an incomplete cost spec reruns whole)
-//   tp_bench --quiet                # suppress tables (recording unaffected)
-//   tp_bench --profile              # per-channel host throughput report
-//                                   # (simulated accesses/second) at exit
+//   tp_bench --quiet                # suppress the scenario tables
+//
+// A recording run needs a non-empty label that the results file does not
+// hold yet; --resume instead completes that label in place. Both are
+// checked before any channel runs. Every run ends with the channel
+// summary: per channel its status, wall seconds, simulated accesses and
+// branches and accesses/second, slowest first, then a TOTAL row.
 //
 // Exit codes: 0 all selected channels passed; 1 a channel body threw; 2 bad
-// usage / unknown channel name / malformed TP_CELL_BUDGET_MS; 3 every
+// usage / unknown channel name / malformed TP_CELL_BUDGET_MS or TP_THREADS
+// / missing or already recorded label / unreadable results file; 3 every
 // channel ran but some cell was crash-isolated (cell_status != ok in the
 // recorded results).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +43,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,35 +62,41 @@ constexpr const char* kUsage =
     "usage: tp_bench [--list | --list-md | --list-faults] [--only NAME]...\n"
     "                [--grid quick|full] [--label LABEL] [--json PATH]\n"
     "                [--inject SITE[:PARAM]] [--cell-budget-ms N] [--resume]\n"
-    "                [--quiet] [--profile]\n";
+    "                [--quiet]\n";
 
-struct ProfileRow {
+// One channel's line of the summary.
+struct ChannelRow {
   std::string channel;
-  std::uint64_t accesses = 0;
-  std::uint64_t branches = 0;
+  std::string status;  // "pass", "already recorded", "threw" or "N cell(s) failed"
   std::uint64_t wall_ns = 0;
+  tp::hw::SimTally sim;
 };
 
-void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
-  std::uint64_t total_accesses = 0;
-  std::uint64_t total_wall = 0;
-  std::printf("\n--- tp_bench --profile: host simulation throughput (%zu thread%s) ---\n",
-              threads, threads == 1 ? "" : "s");
-  std::printf("%-28s %16s %14s %12s %14s\n", "channel", "sim accesses", "sim branches",
-              "wall s", "accesses/s");
-  for (const ProfileRow& row : rows) {
-    double secs = static_cast<double>(row.wall_ns) / 1e9;
-    double rate = secs > 0.0 ? static_cast<double>(row.accesses) / secs : 0.0;
-    std::printf("%-28s %16llu %14llu %12.3f %14.3g\n", row.channel.c_str(),
-                static_cast<unsigned long long>(row.accesses),
-                static_cast<unsigned long long>(row.branches), secs, rate);
-    total_accesses += row.accesses;
-    total_wall += row.wall_ns;
+// The channel summary, slowest first, then a TOTAL row: the run's verdicts
+// and its host simulation throughput in one table.
+void PrintSummary(std::vector<ChannelRow> rows, std::size_t threads) {
+  std::stable_sort(rows.begin(), rows.end(), [](const ChannelRow& a, const ChannelRow& b) {
+    return a.wall_ns > b.wall_ns;
+  });
+  std::printf("\n--- tp_bench channel summary (%zu thread%s, slowest first) ---\n", threads,
+              threads == 1 ? "" : "s");
+  std::printf("%-28s %-18s %9s %16s %14s %12s\n", "channel", "status", "wall s",
+              "sim accesses", "sim branches", "accesses/s");
+  ChannelRow total{.channel = "TOTAL"};
+  auto print = [](const ChannelRow& row) {
+    const double secs = static_cast<double>(row.wall_ns) / 1e9;
+    const double rate = secs > 0.0 ? static_cast<double>(row.sim.accesses) / secs : 0.0;
+    std::printf("%-28s %-18s %9.3f %16llu %14llu %12.3g\n", row.channel.c_str(),
+                row.status.c_str(), secs, static_cast<unsigned long long>(row.sim.accesses),
+                static_cast<unsigned long long>(row.sim.branches), rate);
+  };
+  for (const ChannelRow& row : rows) {
+    print(row);
+    total.wall_ns += row.wall_ns;
+    total.sim.accesses += row.sim.accesses;
+    total.sim.branches += row.sim.branches;
   }
-  double total_secs = static_cast<double>(total_wall) / 1e9;
-  std::printf("%-28s %16llu %14s %12.3f %14.3g\n", "TOTAL",
-              static_cast<unsigned long long>(total_accesses), "", total_secs,
-              total_secs > 0.0 ? static_cast<double>(total_accesses) / total_secs : 0.0);
+  print(total);
 }
 
 void PrintFaultSites() {
@@ -101,9 +117,11 @@ struct BenchHistory {
   std::size_t non_ok = 0;
 };
 
-// Resume bookkeeping: which specs are complete, which cells to skip, and
-// the record texts the rewritten results file keeps.
+// Resume bookkeeping: whether the file holds the label at all, which specs
+// are complete, which cells to skip, and the record texts the rewritten
+// results file keeps.
 struct ResumePlan {
+  bool label_recorded = false;
   std::set<std::string> complete;
   std::map<std::string, std::set<std::string>> skip;
   std::vector<std::string> kept;
@@ -115,11 +133,16 @@ struct ResumePlan {
 // absent. A partially recorded channel spec keeps its ok cells and reruns
 // only the rest; a partially recorded cost spec is stripped and rerun
 // whole, since its cross-cell ratios need their baseline cells in the same
-// run. Returns nullopt with `error` on unusable input.
+// run. A file that does not hold the label plans a plain run that keeps
+// every record. Returns nullopt with `error` on unusable input.
 std::optional<ResumePlan> PlanResume(
     const std::string& text, const std::string& label,
     const std::vector<const tp::scenarios::ChannelSpec*>& selected, std::string* error) {
-  std::optional<std::vector<std::string>> raw = tp::trajectory::SplitRecordTexts(text, error);
+  // An absent or blank file holds no records, as the Recorder reads it.
+  std::optional<std::vector<std::string>> raw =
+      text.find_first_not_of(" \t\r\n") == std::string::npos
+          ? std::vector<std::string>{}
+          : tp::trajectory::SplitRecordTexts(text, error);
   if (!raw) {
     return std::nullopt;
   }
@@ -133,6 +156,7 @@ std::optional<ResumePlan> PlanResume(
   // does not understand is kept verbatim instead of dropped).
   std::vector<std::optional<tp::trajectory::TrajectoryRecord>> typed(raw->size());
   std::map<std::string, BenchHistory> history;
+  ResumePlan plan;
   for (std::size_t i = 0; i < raw->size(); ++i) {
     std::optional<tp::trajectory::Trajectory> one =
         tp::trajectory::ParseTrajectory("[" + (*raw)[i] + "]");
@@ -141,6 +165,7 @@ std::optional<ResumePlan> PlanResume(
     }
     typed[i] = std::move(one->records[0]);
     const tp::trajectory::TrajectoryRecord& r = *typed[i];
+    plan.label_recorded = plan.label_recorded || r.label == label;
     if (r.label != label || selected_specs.find(r.bench) == selected_specs.end()) {
       continue;
     }
@@ -154,7 +179,6 @@ std::optional<ResumePlan> PlanResume(
     }
   }
 
-  ResumePlan plan;
   for (const auto& [bench, h] : history) {
     if (h.has_total && h.non_ok == 0 && !h.ok_cells.empty()) {
       plan.complete.insert(bench);
@@ -184,12 +208,6 @@ std::optional<ResumePlan> PlanResume(
   return plan;
 }
 
-struct ChannelVerdict {
-  std::string channel;
-  std::string status;  // "pass", "skipped", "threw" or "N cell(s) failed"
-  bool failed = false;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -197,7 +215,6 @@ int main(int argc, char** argv) {
   bool list_md = false;
   bool list_faults = false;
   bool quiet = false;
-  bool profile = false;
   bool resume = false;
   std::string inject;
   std::vector<std::string> only;
@@ -268,8 +285,6 @@ int main(int argc, char** argv) {
       resume = true;
     } else if (arg == "--quiet" || arg == "-q") {
       quiet = true;
-    } else if (arg == "--profile") {
-      profile = true;
     } else if (arg == "--help" || arg == "-h") {
       std::fputs(kUsage, stdout);
       return 0;
@@ -283,6 +298,15 @@ int main(int argc, char** argv) {
       budget != nullptr && budget[0] != '\0' && !tp::runner::ParseCellBudgetMs(budget)) {
     std::fprintf(stderr, "tp_bench: TP_CELL_BUDGET_MS='%s' must be a positive integer\n",
                  budget);
+    return 2;
+  }
+  // A malformed TP_THREADS is bad usage, never "all cores": the serial
+  // baseline sweep would silently run in parallel.
+  std::size_t threads = 0;
+  try {
+    threads = tp::runner::ExperimentRunner::DefaultThreads();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "tp_bench: %s\n", e.what());
     return 2;
   }
 
@@ -317,24 +341,40 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // A recording run checks its label before any channel runs: it needs a
+  // non-empty label the results file does not hold yet, unless --resume
+  // completes that label in place. The check, resume's plan and its strip
+  // of stale records are one locked read-edit-replace, so a concurrent
+  // writer's records are neither lost nor planned around.
   ResumePlan resume_plan;
-  if (resume) {
-    const char* json_path = std::getenv("TP_BENCH_JSON");
-    const char* label = std::getenv("TP_BENCH_LABEL");
-    if (json_path == nullptr || json_path[0] == '\0' || label == nullptr) {
-      std::fprintf(stderr,
-                   "tp_bench: --resume needs a results file and label "
-                   "(--json/--label or TP_BENCH_JSON/TP_BENCH_LABEL)\n");
+  const std::string json_path = tp::bench::ResultsPath();
+  if (json_path.empty()) {
+    if (resume) {
+      std::fprintf(stderr, "tp_bench: --resume needs a results file (--json or TP_BENCH_JSON)\n");
       return 2;
     }
-    // Plan and strip the stale records in one locked read-edit-replace, so
-    // a concurrent writer's records are neither lost nor planned around.
-    std::string resume_error;
+  } else {
+    const char* env_label = std::getenv("TP_BENCH_LABEL");
+    const std::string label = env_label != nullptr ? env_label : "";
+    if (label.empty()) {
+      std::fprintf(stderr,
+                   "tp_bench: recording into %s needs a non-empty label "
+                   "(--label or TP_BENCH_LABEL)\n",
+                   json_path.c_str());
+      return 2;
+    }
+    std::string plan_error;
     const bool planned = tp::trajectory::EditResultsFile(
         json_path,
         [&](std::string& text, std::string* error) {
           std::optional<ResumePlan> plan = PlanResume(text, label, selected, error);
           if (!plan) {
+            return false;
+          }
+          if (plan->label_recorded && !resume) {
+            *error = "label '" + label +
+                     "' is already recorded; pick a fresh label, or pass --resume to "
+                     "complete it";
             return false;
           }
           resume_plan = std::move(*plan);
@@ -343,26 +383,25 @@ int main(int argc, char** argv) {
           }
           return true;
         },
-        &resume_error);
+        &plan_error);
     if (!planned) {
-      std::fprintf(stderr, "tp_bench: --resume: %s: %s\n", json_path, resume_error.c_str());
+      std::fprintf(stderr, "tp_bench: %s: %s\n", json_path.c_str(), plan_error.c_str());
       return 2;
     }
   }
 
-  // One pool shared across scenarios; each scenario gets its own recorder
-  // named after it, exactly like the old per-figure binaries.
-  tp::runner::ExperimentRunner pool;
+  // One pool shared across scenarios; each scenario records through its own
+  // Recorder, which appends the scenario's records when RunSpec returns, so
+  // a crash keeps every finished channel for --resume.
+  tp::runner::ExperimentRunner pool(threads);
   bool threw = false;
   bool cells_failed = false;
-  std::vector<ChannelVerdict> verdicts;
-  std::vector<ProfileRow> profile_rows;
+  std::vector<ChannelRow> rows;
   for (const tp::scenarios::ChannelSpec* spec : selected) {
-    ChannelVerdict verdict;
-    verdict.channel = spec->name;
+    ChannelRow row{.channel = spec->name};
     if (resume_plan.complete.find(spec->name) != resume_plan.complete.end()) {
-      verdict.status = "skipped (already recorded)";
-      verdicts.push_back(std::move(verdict));
+      row.status = "already recorded";
+      rows.push_back(std::move(row));
       continue;
     }
     tp::scenarios::RunSpecOptions options;
@@ -373,8 +412,8 @@ int main(int argc, char** argv) {
     // The tally is fed when simulated machines are destroyed, which every
     // channel body does before returning — the delta across RunSpec is the
     // channel's simulated work.
-    tp::hw::SimTally before = tp::hw::SimTallySnapshot();
-    std::uint64_t t0 = tp::bench::Recorder::NowNs();
+    const tp::hw::SimTally before = tp::hw::SimTallySnapshot();
+    const std::uint64_t t0 = tp::bench::Recorder::NowNs();
     try {
       std::vector<tp::runner::SweepCellResult> results =
           tp::scenarios::RunSpec(*spec, pool, options);
@@ -388,45 +427,28 @@ int main(int argc, char** argv) {
         }
       }
       if (bad > 0) {
-        verdict.status = std::to_string(bad) + " cell(s) failed";
-        verdict.failed = true;
+        row.status = std::to_string(bad) + " cell(s) failed";
         cells_failed = true;
       } else {
-        verdict.status = "pass";
+        row.status = "pass";
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "tp_bench: channel '%s' failed: %s\n", spec->name.c_str(),
                    e.what());
-      verdict.status = "threw";
-      verdict.failed = true;
+      row.status = "threw";
       threw = true;
     } catch (...) {
       std::fprintf(stderr, "tp_bench: channel '%s' failed: unknown exception\n",
                    spec->name.c_str());
-      verdict.status = "threw";
-      verdict.failed = true;
+      row.status = "threw";
       threw = true;
     }
-    verdicts.push_back(std::move(verdict));
-    if (profile) {
-      tp::hw::SimTally after = tp::hw::SimTallySnapshot();
-      profile_rows.push_back(ProfileRow{spec->name, after.accesses - before.accesses,
-                                        after.branches - before.branches,
-                                        tp::bench::Recorder::NowNs() - t0});
-    }
+    const tp::hw::SimTally after = tp::hw::SimTallySnapshot();
+    row.wall_ns = tp::bench::Recorder::NowNs() - t0;
+    row.sim = {after.accesses - before.accesses, after.branches - before.branches};
+    rows.push_back(std::move(row));
   }
-  if (profile) {
-    PrintProfile(profile_rows, pool.threads());
-  }
-  // Per-channel summary: with crash isolation a failure no longer aborts
-  // the run, so the verdicts are gathered where a scrollback diff would
-  // miss them. Suppressed only for a single all-pass channel under --quiet.
-  if (!quiet || threw || cells_failed) {
-    std::printf("\n--- tp_bench channel summary ---\n");
-    for (const ChannelVerdict& v : verdicts) {
-      std::printf("%-28s %s\n", v.channel.c_str(), v.status.c_str());
-    }
-  }
+  PrintSummary(std::move(rows), pool.threads());
   if (threw) {
     return 1;
   }

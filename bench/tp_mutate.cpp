@@ -18,7 +18,7 @@
 // any applicable pair goes undetected.
 //
 // Exit codes: 0 every applicable mutant detected; 1 undetected mutant(s);
-// 2 bad usage.
+// 2 bad usage (malformed TP_THREADS included).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +26,7 @@
 #include <fstream>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -261,6 +262,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  // A malformed TP_THREADS is bad usage, never "all cores".
+  std::size_t threads = 0;
+  try {
+    threads = tp::runner::ExperimentRunner::DefaultThreads();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "tp_mutate: %s\n", e.what());
+    return 2;
+  }
+
   // The matrix runs quick grids with the contract checker live and no
   // results recording — the detectors, not the trajectory, are under test.
   setenv("TP_TAINT", "1", 1);
@@ -290,7 +300,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  tp::runner::ExperimentRunner pool;
+  tp::runner::ExperimentRunner pool(threads);
   std::vector<MatrixEntry> matrix;
   std::size_t undetected = 0;
 

@@ -62,9 +62,10 @@ struct Latencies {
 };
 
 // Process-wide tally of simulated work, accumulated from each core's
-// perf counters when the core is destroyed — no per-access cost. The
-// tp_bench --profile mode reads snapshot deltas around each channel to
-// report host simulation throughput (accesses/second).
+// perf counters when the core is destroyed — no per-access cost. tp_bench
+// reads snapshot deltas around each channel for its channel summary's host
+// simulation throughput (accesses/second); the perfbench harness reads
+// them around each workload pass.
 struct SimTally {
   std::uint64_t accesses = 0;  // reads + writes + fetches
   std::uint64_t branches = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -11,11 +12,15 @@
 
 namespace tp::bench {
 
-Recorder::Recorder(std::string bench) : bench_(std::move(bench)) {
-  if (const char* path = std::getenv("TP_BENCH_JSON");
-      path != nullptr && path[0] != '\0' && !(path[0] == '0' && path[1] == '\0')) {
-    path_ = path;
+std::string ResultsPath() {
+  const char* path = std::getenv("TP_BENCH_JSON");
+  if (path == nullptr || std::string_view(path) == "0") {
+    return "";
   }
+  return path;
+}
+
+Recorder::Recorder(std::string bench) : bench_(std::move(bench)), path_(ResultsPath()) {
   if (const char* label = std::getenv("TP_BENCH_LABEL"); label != nullptr) {
     label_ = label;
   }
@@ -61,8 +66,8 @@ void Recorder::Flush() {
     texts.push_back(trajectory::RecordJson(r));
   }
   // The shared read-edit-replace holds the results file's lock from read
-  // to rename, so concurrent sweeps, resumes and merges never lose each
-  // other's records.
+  // to rename, so concurrent sweeps and resumes never lose each other's
+  // records.
   std::string error;
   if (!trajectory::EditResultsFile(
           path_,

@@ -3,8 +3,9 @@
 // Every bench driver feeds a Recorder one BenchRecord per experiment cell;
 // on Flush (or destruction) the records — plus one whole-process "total"
 // record — are appended to the JSON array file named by the TP_BENCH_JSON
-// environment variable. With TP_BENCH_JSON unset (or "" / "0") recording is
-// disabled and the benches print their tables exactly as before.
+// environment variable (ResultsPath). With TP_BENCH_JSON unset (or "" /
+// "0") recording is disabled and the benches print their tables exactly as
+// before.
 //
 // The record type and its serialisation belong to the trajectory library
 // (trajectory::TrajectoryRecord and trajectory::RecordJson); BUILDING.md
@@ -14,8 +15,8 @@
 // The file is written atomically through trajectory::EditResultsFile: the
 // updated array goes to a temp file in the same directory which is then
 // renamed over TP_BENCH_JSON, so a crash mid-write can never corrupt a
-// committed trajectory. Concurrent sweeps, resumes and merges serialise on
-// its .lock sidecar. A file that is not a JSON array of records (a
+// committed trajectory. Concurrent sweeps and resumes serialise on its
+// .lock sidecar. A file that is not a JSON array of records (a
 // truncated copy, say) is left untouched and the flush's records are
 // dropped with a message on stderr; an absent or empty file starts a
 // fresh array.
@@ -31,6 +32,10 @@
 namespace tp::bench {
 
 using BenchRecord = trajectory::TrajectoryRecord;
+
+// The results file TP_BENCH_JSON names, or "" when recording is off (unset,
+// "" or "0"). The Recorder and tp_bench's label check read it here alone.
+std::string ResultsPath();
 
 class Recorder {
  public:

@@ -1,6 +1,9 @@
 #include "runner/runner.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace tp::runner {
 
@@ -39,13 +42,26 @@ ExperimentRunner::ExperimentRunner(std::size_t threads)
 
 std::size_t ExperimentRunner::DefaultThreads() {
   if (const char* env = std::getenv("TP_THREADS"); env != nullptr && env[0] != '\0') {
-    long n = std::strtol(env, nullptr, 10);
-    if (n > 0) {
-      return static_cast<std::size_t>(n);
+    const std::optional<std::uint64_t> n =
+        ParsePositiveInt(env, std::numeric_limits<std::size_t>::max());
+    if (!n) {
+      throw std::invalid_argument(std::string("TP_THREADS='") + env +
+                                  "' is not a positive integer");
     }
+    return static_cast<std::size_t>(*n);
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+std::optional<std::uint64_t> ParsePositiveInt(std::string_view text, std::uint64_t max) {
+  std::uint64_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (text.empty() || ec != std::errc{} || ptr != end || n == 0 || n > max) {
+    return std::nullopt;
+  }
+  return n;
 }
 
 mi::Observations MergeObservations(const std::vector<mi::Observations>& parts) {

@@ -16,7 +16,10 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -69,7 +72,9 @@ class ExperimentRunner {
 
   std::size_t threads() const { return threads_; }
 
-  // TP_THREADS env var if set (>0), else std::thread::hardware_concurrency.
+  // TP_THREADS when set and non-empty, else std::thread::hardware_concurrency.
+  // Throws std::invalid_argument when TP_THREADS is not a positive integer
+  // (ParsePositiveInt), so a typo never silently runs on every core.
   static std::size_t DefaultThreads();
 
   // Runs fn(0..n-1) across the pool; returns results in index order.
@@ -147,6 +152,12 @@ class ExperimentRunner {
 // merge: shard boundaries are plan-defined, so the merged stream is
 // reproducible at any thread count).
 mi::Observations MergeObservations(const std::vector<mi::Observations>& parts);
+
+// A positive whole number no greater than `max`, as the TP_THREADS and
+// TP_CELL_BUDGET_MS knobs spell it. Anything else ("", "abc", "4x", "-1",
+// "0", "+5", " 5", an overflow) is nullopt, never a silent default.
+std::optional<std::uint64_t> ParsePositiveInt(
+    std::string_view text, std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 struct Shard {
   std::size_t index = 0;

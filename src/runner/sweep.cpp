@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -220,14 +219,7 @@ std::vector<GridCell> ExpandGrid(const GridSpec& spec) {
 }
 
 std::optional<std::uint64_t> ParseCellBudgetMs(std::string_view text) {
-  std::uint64_t ms = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, ms);
-  if (text.empty() || ec != std::errc{} || ptr != end || ms == 0 ||
-      ms > std::numeric_limits<std::uint64_t>::max() / kNsPerMs) {
-    return std::nullopt;
-  }
-  return ms;
+  return ParsePositiveInt(text, std::numeric_limits<std::uint64_t>::max() / kNsPerMs);
 }
 
 std::vector<SweepCellResult> SweepEngine::RunChannelGrid(

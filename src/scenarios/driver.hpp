@@ -1,7 +1,7 @@
-// Registry-driven scenario execution: the tp_bench CLI, the sweep script
-// and the tests all run scenarios through these entry points, so every
-// registered channel behaves identically — header, grid expansion,
-// crash-isolated cells, recording, report.
+// Registry-driven scenario execution: the tp_bench and tp_mutate CLIs, the
+// perfbench harness and the tests all run scenarios through these entry
+// points, so every registered channel behaves identically — header, grid
+// expansion, crash-isolated cells, recording, report.
 #ifndef TP_SCENARIOS_DRIVER_HPP_
 #define TP_SCENARIOS_DRIVER_HPP_
 

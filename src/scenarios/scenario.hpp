@@ -12,9 +12,9 @@
 //
 // Specs self-register into the global registry from static initialisers
 // (`RegisterChannel` at namespace scope in each scenario file), so the
-// tp_bench CLI, the sweep script and CI can enumerate every channel —
-// nothing has to be added to a hand-maintained driver list, and a channel
-// that exists cannot be silently skipped by the leakage gate.
+// tp_bench CLI and CI can enumerate every channel — nothing has to be
+// added to a hand-maintained driver list, and a channel that exists cannot
+// be silently skipped by the leakage gate.
 #ifndef TP_SCENARIOS_SCENARIO_HPP_
 #define TP_SCENARIOS_SCENARIO_HPP_
 

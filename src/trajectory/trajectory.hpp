@@ -95,10 +95,10 @@ std::optional<Trajectory> ParseTrajectory(std::string_view json_text,
 std::optional<Trajectory> LoadTrajectory(const std::string& path, std::string* error = nullptr);
 
 // Splits the top-level JSON array into the raw text of each element,
-// byte-for-byte (trimmed of surrounding whitespace). Resume and merge
-// tooling rewrites result files by recombining these texts, so records the
-// tool does not understand — future schema fields included — survive
-// untouched. Returns nullopt when the document is not an array.
+// byte-for-byte (trimmed of surrounding whitespace). The Recorder and
+// tp_bench --resume rewrite result files by recombining these texts, so
+// records the tool does not understand — future schema fields included —
+// survive untouched. Returns nullopt when the document is not an array.
 std::optional<std::vector<std::string>> SplitRecordTexts(std::string_view json_text,
                                                          std::string* error = nullptr);
 
@@ -108,9 +108,9 @@ std::optional<std::vector<std::string>> SplitRecordTexts(std::string_view json_t
 std::string JoinRecordTexts(const std::vector<std::string>& records);
 
 // Read-edit-replace of a results file, the one way every writer (the
-// Recorder, tp_bench --resume, tp_results_merge) updates one. Holds an
-// exclusive flock on `<path>.lock` from the read to the rename, so
-// concurrent writers serialise instead of renaming over each other's
+// Recorder's append, tp_bench's label check and --resume) updates one.
+// Holds an exclusive flock on `<path>.lock` from the read to the rename,
+// so concurrent writers serialise instead of renaming over each other's
 // updates. `edit` gets the file's text (empty when the file does not
 // exist) and may change it; changed text goes to a temp file in the same
 // directory, is fsynced and renamed over `path`. An edit that returns

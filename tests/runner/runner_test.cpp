@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "attacks/intra_core.hpp"
 #include "mi/leakage_test.hpp"
@@ -74,6 +78,37 @@ TEST(ExperimentRunnerMap, PropagatesTaskExceptions) {
                           return i;
                         }),
                std::runtime_error);
+}
+
+TEST(ExperimentRunnerThreads, TakesOnlyAPositiveInteger) {
+  EXPECT_EQ(ParsePositiveInt("4"), 4u);
+  EXPECT_EQ(ParsePositiveInt("8", 8), 8u);
+  for (const char* bad : {"", "abc", "4x", "-1", "0", "+4", " 4", "99999999999999999999"}) {
+    EXPECT_FALSE(ParsePositiveInt(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(ParsePositiveInt("9", 8).has_value());
+
+  // A malformed TP_THREADS throws instead of falling back to every core;
+  // unset or empty still means every core.
+  const char* inherited = std::getenv("TP_THREADS");
+  const std::optional<std::string> saved =
+      inherited != nullptr ? std::optional<std::string>(inherited) : std::nullopt;
+  setenv("TP_THREADS", "3", 1);
+  EXPECT_EQ(ExperimentRunner::DefaultThreads(), 3u);
+  EXPECT_EQ(ExperimentRunner().threads(), 3u);
+  for (const char* bad : {"abc", "4x", "-1", "0"}) {
+    setenv("TP_THREADS", bad, 1);
+    EXPECT_THROW(ExperimentRunner::DefaultThreads(), std::invalid_argument) << bad;
+  }
+  const std::size_t cores =
+      std::thread::hardware_concurrency() > 0 ? std::thread::hardware_concurrency() : 1;
+  setenv("TP_THREADS", "", 1);
+  EXPECT_EQ(ExperimentRunner::DefaultThreads(), cores);
+  unsetenv("TP_THREADS");
+  EXPECT_EQ(ExperimentRunner::DefaultThreads(), cores);
+  if (saved) {
+    setenv("TP_THREADS", saved->c_str(), 1);
+  }
 }
 
 TEST(MergeObservationsTest, ConcatenatesInShardOrder) {

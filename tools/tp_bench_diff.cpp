@@ -4,10 +4,13 @@
 // (exit 1) on protected-cell leakage or wall-clock regressions; exit 2 for
 // unusable input. See src/trajectory/diff.hpp for the gate rules and
 // BUILDING.md for the CI wiring.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "trajectory/diff.hpp"
@@ -25,9 +28,11 @@ constexpr const char* kUsage =
     "  --json PATH      results file to read (default: BENCH_results.json)\n"
     "  --report PATH    also write a machine-readable JSON report\n"
     "  --wall-ratio X   max candidate/baseline wall-clock ratio before a\n"
-    "                   cell counts as regressed (default 1.25)\n"
-    "  --max-mi-delta X fail ANY joined cell whose |MI delta| exceeds X\n"
-    "                   (0 demands bit-identical MI; off by default)\n"
+    "                   cell counts as regressed (a finite number above 0;\n"
+    "                   default 1.25)\n"
+    "  --max-mi-delta X fail ANY joined cell whose |MI delta| exceeds X (a\n"
+    "                   finite number >= 0; 0 demands bit-identical MI; off\n"
+    "                   by default)\n"
     "  --require-wall   fail any joined cell whose baseline has a wall_ns\n"
     "                   measurement but whose candidate records none\n"
     "  --require-contract\n"
@@ -63,6 +68,18 @@ struct Args {
   std::vector<std::string> coverage_labels;
 };
 
+// A gate threshold: a complete, finite number. Anything else ("abc",
+// "1.5x", "nan", "inf") is nullopt, so a typo cannot change the gate.
+std::optional<double> ParseThreshold(const char* text) {
+  double x = 0.0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, x);
+  if (ptr == text || ec != std::errc{} || ptr != end || !std::isfinite(x)) {
+    return std::nullopt;
+  }
+  return x;
+}
+
 bool ParseArgs(int argc, char** argv, Args* args) {
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -91,17 +108,26 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (v == nullptr) {
         return false;
       }
-      args->options.max_wall_ratio = std::atof(v);
-      if (args->options.max_wall_ratio <= 0.0) {
-        std::fprintf(stderr, "tp_bench_diff: --wall-ratio must be positive\n");
+      const std::optional<double> ratio = ParseThreshold(v);
+      if (!ratio || *ratio <= 0.0) {
+        std::fprintf(stderr, "tp_bench_diff: --wall-ratio '%s' must be a finite number above 0\n",
+                     v);
         return false;
       }
+      args->options.max_wall_ratio = *ratio;
     } else if (arg == "--max-mi-delta") {
       const char* v = value();
       if (v == nullptr) {
         return false;
       }
-      args->options.max_abs_mi_delta = std::atof(v);
+      const std::optional<double> delta = ParseThreshold(v);
+      if (!delta || *delta < 0.0) {
+        std::fprintf(stderr,
+                     "tp_bench_diff: --max-mi-delta '%s' must be a finite number of at least 0\n",
+                     v);
+        return false;
+      }
+      args->options.max_abs_mi_delta = *delta;
     } else if (arg == "--require-wall") {
       args->options.require_cell_wall = true;
     } else if (arg == "--require-contract") {
