@@ -2,8 +2,9 @@
 # crash-isolated leaves an incomplete spec, and the resumed run reruns it
 # whole, so every cell is recorded exactly once and healthy. In between,
 # the label rule holds: a plain rerun under the recorded label, a run
-# without a label and a run into a results file that does not parse all
-# exit 2 before any channel runs, and leave their file byte-identical.
+# without a label and a run into a results file the loader refuses (cut
+# short, or holding an invalid record) all exit 2 before any channel runs,
+# and leave their file byte-identical.
 #
 #   cmake -DTP_BENCH=<tp_bench> -DWORK_DIR=<dir> -P resume_test.cmake
 
@@ -78,6 +79,14 @@ file(WRITE "${cut_short}" "[{\"bench\": \"table2_flush_cost\", \"label\": ")
 expect_refused("a run into a file that does not parse" "${cut_short}"
                "TP_BENCH_JSON=${cut_short}" "TP_BENCH_LABEL=fresh")
 file(REMOVE "${cut_short}" "${cut_short}.lock")
+# Balanced braces are not enough: a record tp_bench_diff cannot parse (here
+# a trailing comma) refuses the run just as a cut-short file does.
+set(invalid "${WORK_DIR}/resume_test_invalid_record.json")
+file(WRITE "${invalid}" "[\n{\"schema_version\": 3, \"bench\": \"x\", \"label\": \"old\", "
+                        "\"cell\": \"c\", \"quick\": true,}\n]\n")
+expect_refused("a run into a file with an invalid record" "${invalid}"
+               "TP_BENCH_JSON=${invalid}" "TP_BENCH_LABEL=new")
+file(REMOVE "${invalid}" "${invalid}.lock")
 
 execute_process(
   COMMAND "${TP_BENCH}" --only table2_flush_cost --quiet --resume

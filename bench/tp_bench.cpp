@@ -12,7 +12,8 @@
 //   tp_bench --list-md              # README markdown channel table
 //   tp_bench --list-faults          # registered fault-injection sites
 //   tp_bench                        # run every channel
-//   tp_bench --only fig5_flush_channel [--only ...]   # subset
+//   tp_bench --only fig5_flush_channel [--only ...]   # subset (a repeated
+//                                   # name runs and records once)
 //   tp_bench --grid quick|full      # force TP_QUICK on/off for this run
 //   tp_bench --label L              # TP_BENCH_LABEL for recorded results
 //   tp_bench --json PATH            # TP_BENCH_JSON results file
@@ -26,15 +27,17 @@
 //
 // A recording run needs a non-empty label that the results file does not
 // hold yet; --resume instead completes that label in place. Both are
-// checked before any channel runs. Every run ends with the channel
-// summary: per channel its status, wall seconds, simulated accesses and
-// branches and accesses/second, slowest first, then a TOTAL row.
+// checked before any channel runs, reading the file with the loader's own
+// reader, so a file tp_bench_diff would refuse is refused here too. Every
+// run ends with the channel summary: per channel its status, wall
+// seconds, simulated accesses and branches and accesses/second, slowest
+// first, then a TOTAL row.
 //
 // Exit codes: 0 all selected channels passed; 1 a channel body threw; 2 bad
 // usage / unknown channel name / malformed TP_CELL_BUDGET_MS or TP_THREADS
-// / missing or already recorded label / unreadable results file; 3 every
-// channel ran but some cell was crash-isolated (cell_status != ok in the
-// recorded results).
+// / missing or already recorded label / a results file the loader
+// refuses; 3 every channel ran but some cell was crash-isolated
+// (cell_status != ok in the recorded results).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -128,22 +131,20 @@ struct ResumePlan {
   bool rewrite = false;
 };
 
-// Scans the results file's text for the label and decides, per selected
+// Reads the results file's text for the label and decides, per selected
 // spec, whether it is already fully recorded (skip), partially recorded or
 // absent. A partially recorded channel spec keeps its ok cells and reruns
 // only the rest; a partially recorded cost spec is stripped and rerun
 // whole, since its cross-cell ratios need their baseline cells in the same
 // run. A file that does not hold the label plans a plain run that keeps
-// every record. Returns nullopt with `error` on unusable input.
+// every record; records this build cannot type are always kept. Returns
+// nullopt with `error` when the loader would refuse the file.
 std::optional<ResumePlan> PlanResume(
     const std::string& text, const std::string& label,
     const std::vector<const tp::scenarios::ChannelSpec*>& selected, std::string* error) {
-  // An absent or blank file holds no records, as the Recorder reads it.
-  std::optional<std::vector<std::string>> raw =
-      text.find_first_not_of(" \t\r\n") == std::string::npos
-          ? std::vector<std::string>{}
-          : tp::trajectory::SplitRecordTexts(text, error);
-  if (!raw) {
+  std::optional<std::vector<tp::trajectory::ResultsElement>> elements =
+      tp::trajectory::ReadResults(text, error);
+  if (!elements) {
     return std::nullopt;
   }
 
@@ -152,19 +153,14 @@ std::optional<ResumePlan> PlanResume(
     selected_specs[spec->name] = spec;
   }
 
-  // First pass: type each raw record (individually, so a record this build
-  // does not understand is kept verbatim instead of dropped).
-  std::vector<std::optional<tp::trajectory::TrajectoryRecord>> typed(raw->size());
+  // First pass: what each selected spec recorded under the label.
   std::map<std::string, BenchHistory> history;
   ResumePlan plan;
-  for (std::size_t i = 0; i < raw->size(); ++i) {
-    std::optional<tp::trajectory::Trajectory> one =
-        tp::trajectory::ParseTrajectory("[" + (*raw)[i] + "]");
-    if (!one || one->records.size() != 1) {
+  for (const tp::trajectory::ResultsElement& e : *elements) {
+    if (!e.record) {
       continue;
     }
-    typed[i] = std::move(one->records[0]);
-    const tp::trajectory::TrajectoryRecord& r = *typed[i];
+    const tp::trajectory::TrajectoryRecord& r = *e.record;
     plan.label_recorded = plan.label_recorded || r.label == label;
     if (r.label != label || selected_specs.find(r.bench) == selected_specs.end()) {
       continue;
@@ -190,17 +186,16 @@ std::optional<ResumePlan> PlanResume(
   // Second pass: of the specs about to be rerun, keep only the records of
   // the cells the rerun skips; every other record of theirs (stale total,
   // non-ok cells, a cost spec's cells) is re-recorded.
-  for (std::size_t i = 0; i < raw->size(); ++i) {
+  for (tp::trajectory::ResultsElement& e : *elements) {
+    const std::optional<tp::trajectory::TrajectoryRecord>& r = e.record;
     bool keep = true;
-    if (typed[i] && typed[i]->label == label &&
-        selected_specs.find(typed[i]->bench) != selected_specs.end() &&
-        plan.complete.find(typed[i]->bench) == plan.complete.end()) {
-      auto skip = plan.skip.find(typed[i]->bench);
-      keep = skip != plan.skip.end() && typed[i]->cell_ok() &&
-             skip->second.count(typed[i]->cell) > 0;
+    if (r && r->label == label && selected_specs.find(r->bench) != selected_specs.end() &&
+        plan.complete.find(r->bench) == plan.complete.end()) {
+      auto skip = plan.skip.find(r->bench);
+      keep = skip != plan.skip.end() && r->cell_ok() && skip->second.count(r->cell) > 0;
     }
     if (keep) {
-      plan.kept.push_back((*raw)[i]);
+      plan.kept.push_back(std::move(e.text));
     } else {
       plan.rewrite = true;
     }

@@ -1,5 +1,6 @@
 #include "fuzz/oracles.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include "runner/runner.hpp"
 #include "runner/sweep.hpp"
 #include "trajectory/json.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace tp::fuzz {
 
@@ -1049,9 +1051,70 @@ std::string StructDiff(const trajectory::JsonValue& a, const trajectory::JsonVal
   return "";
 }
 
+// The results-file reader against the parser it stands on. ReadResults
+// accepts exactly the blank documents and the JSON arrays. An array's
+// element spans are ascending, disjoint and inside the payload; each span
+// reparsed alone is structurally its element; the reader returns exactly
+// those span texts; and reading JoinRecordTexts of them gives them back.
+OracleResult CheckResultsReader(const std::string& payload,
+                                const std::optional<trajectory::JsonValue>& parsed) {
+  std::string error;
+  const auto elements = trajectory::ReadResults(payload, &error);
+  const bool array = parsed.has_value() && parsed->is(trajectory::JsonValue::Type::kArray);
+  const bool blank = std::all_of(payload.begin(), payload.end(), [](char ch) {
+    return ch == ' ' || ch == '\t' || ch == '\r' || ch == '\n';
+  });
+  if (elements.has_value() && !array && !blank) {
+    return OracleResult::Violation("trajectory: results reader accepted a non-array document");
+  }
+  if (!elements.has_value() && (array || blank)) {
+    return OracleResult::Violation("trajectory: results reader refused an array: " + error);
+  }
+  if (!array) {
+    return OracleResult{};
+  }
+  if (elements->size() != parsed->array.size()) {
+    return OracleResult::Violation("trajectory: results reader lost or added elements");
+  }
+  std::vector<std::string> texts;
+  std::size_t prev_end = 0;
+  for (std::size_t i = 0; i < elements->size(); ++i) {
+    const trajectory::JsonValue& v = parsed->array[i];
+    const std::string where = "trajectory: element " + U(i) + " span ";
+    if (v.begin < prev_end || v.begin >= v.end || v.end > payload.size()) {
+      return OracleResult::Violation(where + "overlaps, is empty or leaves the payload");
+    }
+    prev_end = v.end;
+    texts.push_back(payload.substr(v.begin, v.end - v.begin));
+    const std::optional<trajectory::JsonValue> alone = trajectory::ParseJson(texts[i], &error);
+    if (!alone.has_value()) {
+      return OracleResult::Violation(where + "does not reparse: " + error);
+    }
+    if (std::string why = StructDiff(v, *alone); !why.empty()) {
+      return OracleResult::Violation(where + "reparses to another value: " + why);
+    }
+    if ((*elements)[i].text != texts[i]) {
+      return OracleResult::Violation(where + "differs from the results reader's text");
+    }
+  }
+  const auto again = trajectory::ReadResults(trajectory::JoinRecordTexts(texts), &error);
+  if (!again.has_value() || again->size() != texts.size()) {
+    return OracleResult::Violation("trajectory: joined texts do not read back: " + error);
+  }
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    if ((*again)[i].text != texts[i]) {
+      return OracleResult::Violation("trajectory: JoinRecordTexts changed element " + U(i));
+    }
+  }
+  return OracleResult{};
+}
+
 OracleResult RunTrajectory(const FuzzCase& c) {
   std::string error;
   const std::optional<trajectory::JsonValue> parsed = trajectory::ParseJson(c.payload, &error);
+  if (OracleResult reader = CheckResultsReader(c.payload, parsed); !reader.ok) {
+    return reader;
+  }
 
   if (!parsed.has_value()) {
     // Error format invariant: "offset N: why" with N within the input.
@@ -1232,8 +1295,40 @@ void AppendJsonValue(Rng& rng, int depth, std::string& out) {
   }
 }
 
+// One results-file-shaped record: a subset of the record keys, each with a
+// value of its schema type or, now and then, any JSON value.
+std::string ResultsLikeRecord(Rng& rng) {
+  static constexpr const char* kFields[][2] = {
+      {"schema_version", "3"},
+      {"bench", "\"fig3\""},
+      {"label", "\"base\""},
+      {"cell", "\"x86/raw\""},
+      {"quick", "true"},
+      {"rounds", "150"},
+      {"mi_bits", "0.5"},
+      {"wall_ns", "1234"},
+      {"metrics", "{\"switch_us\": 29.5}"},
+      {"cell_status", "\"failed\""},
+  };
+  std::string rec = "{";
+  for (const auto& [key, value] : kFields) {
+    if (!rng.Chance(80)) {
+      continue;
+    }
+    rec += rec.size() == 1 ? "\"" : ", \"";
+    rec += key;
+    rec += "\": ";
+    if (rng.Chance(10)) {
+      AppendJsonValue(rng, 1, rec);
+    } else {
+      rec += value;
+    }
+  }
+  return rec + "}";
+}
+
 void GenerateTrajectory(Rng& rng, FuzzCase& c) {
-  const std::uint64_t kind = rng.Below(4);
+  const std::uint64_t kind = rng.Below(5);
   c.params = {kind};
   switch (kind) {
     case 0: {  // random bytes, biased toward JSON punctuation
@@ -1267,7 +1362,7 @@ void GenerateTrajectory(Rng& rng, FuzzCase& c) {
       }
       break;
     }
-    default: {  // pathological shapes targeting known hardening
+    case 3: {  // pathological shapes targeting known hardening
       switch (rng.Below(6)) {
         case 0:
           c.payload.assign(65 + rng.Below(16), '[');
@@ -1297,6 +1392,36 @@ void GenerateTrajectory(Rng& rng, FuzzCase& c) {
           c.payload = doc;
           break;
         }
+      }
+      break;
+    }
+    default: {  // a results file as the writers frame it, some bytes off
+      // A byte replaced, inserted or erased makes the refusals the reader
+      // must share with the loader: "tru", ",}", an unbalanced brace.
+      static constexpr char kJsonish[] = "{}[]\",:0123456789.eE+-tfn \\";
+      std::vector<std::string> records(rng.Below(6));
+      for (std::string& rec : records) {
+        rec = ResultsLikeRecord(rng);
+        if (!rng.Chance(25)) {
+          continue;
+        }
+        const std::size_t pos = rng.Below(rec.size());
+        const char byte = kJsonish[rng.Below(sizeof(kJsonish) - 1)];
+        switch (rng.Below(3)) {
+          case 0:
+            rec[pos] = byte;
+            break;
+          case 1:
+            rec.insert(pos, 1, byte);
+            break;
+          default:
+            rec.erase(pos, 1);
+            break;
+        }
+      }
+      c.payload = trajectory::JoinRecordTexts(records);
+      if (rng.Chance(10)) {  // a byte after the closing ']'
+        c.payload += kJsonish[rng.Below(sizeof(kJsonish) - 1)];
       }
       break;
     }

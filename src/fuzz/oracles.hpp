@@ -20,7 +20,11 @@
 //   trajectory  — the forgiving JSON parser: never crashes, reports sane
 //                 "offset N:" errors, accepts everything an independent
 //                 strict validator accepts, and successfully parsed
-//                 documents survive a serialize/reparse round trip.
+//                 documents survive a serialize/reparse round trip. The
+//                 results reader accepts exactly the blank documents and
+//                 the arrays, and an array's element spans are ordered,
+//                 disjoint, reparse to their elements and survive
+//                 JoinRecordTexts.
 #ifndef TP_FUZZ_ORACLES_HPP_
 #define TP_FUZZ_ORACLES_HPP_
 

@@ -72,17 +72,17 @@ void Recorder::Flush() {
   if (!trajectory::EditResultsFile(
           path_,
           [&](std::string& text, std::string* why) {
-            // An absent or blank file starts a fresh array. Any other file
-            // the framing rejects (a truncated copy, say) stays as it is:
+            // An absent or blank file starts a fresh array. A file the
+            // loader refuses (a truncated copy, say) stays as it is:
             // replacing it would throw away every record it still holds.
+            auto existing = trajectory::ReadResults(text, why);
+            if (!existing) {
+              *why = path_ + ": " + *why + "; left untouched";
+              return false;
+            }
             std::vector<std::string> records;
-            if (text.find_first_not_of(" \t\r\n") != std::string::npos) {
-              auto existing = trajectory::SplitRecordTexts(text, why);
-              if (!existing) {
-                *why = path_ + ": " + *why + "; left untouched";
-                return false;
-              }
-              records = std::move(*existing);
+            for (trajectory::ResultsElement& e : *existing) {
+              records.push_back(std::move(e.text));
             }
             records.insert(records.end(), texts.begin(), texts.end());
             text = trajectory::JoinRecordTexts(records);

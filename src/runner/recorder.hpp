@@ -16,10 +16,12 @@
 // updated array goes to a temp file in the same directory which is then
 // renamed over TP_BENCH_JSON, so a crash mid-write can never corrupt a
 // committed trajectory. Concurrent sweeps and resumes serialise on its
-// .lock sidecar. A file that is not a JSON array of records (a
-// truncated copy, say) is left untouched and the flush's records are
-// dropped with a message on stderr; an absent or empty file starts a
-// fresh array.
+// .lock sidecar. The existing file is read with trajectory::ReadResults,
+// the loader's own reader, and rewritten from its element texts, so
+// records this build cannot type survive byte for byte. A file the loader
+// refuses (a truncated copy, an invalid record, bytes after the closing
+// ']') is left untouched and the flush's records are dropped with a
+// message on stderr; an absent or blank file starts a fresh array.
 #ifndef TP_RUNNER_RECORDER_HPP_
 #define TP_RUNNER_RECORDER_HPP_
 

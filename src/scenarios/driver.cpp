@@ -1,5 +1,6 @@
 #include "scenarios/driver.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <stdexcept>
@@ -28,7 +29,10 @@ std::vector<const ChannelSpec*> SelectSpecs(const ChannelRegistry& registry,
       }
       return {};
     }
-    selected.push_back(spec);
+    // A name given twice runs, and records, once.
+    if (std::find(selected.begin(), selected.end(), spec) == selected.end()) {
+      selected.push_back(spec);
+    }
   }
   return selected;
 }

@@ -15,8 +15,9 @@
 namespace tp::scenarios {
 
 // Resolves `only` names against the registry. Empty `only` selects every
-// spec (name order). An unknown name sets `*error` (listing the valid
-// names) and returns an empty selection.
+// spec (name order); otherwise specs come in first-request order, a
+// repeated name selected once. An unknown name sets `*error` (listing the
+// valid names) and returns an empty selection.
 std::vector<const ChannelSpec*> SelectSpecs(const ChannelRegistry& registry,
                                             const std::vector<std::string>& only,
                                             std::string* error);

@@ -74,6 +74,13 @@ class Parser {
       return false;
     }
     SkipWs();
+    out.begin = pos_;
+    const bool ok = ParseBody(out, depth);
+    out.end = pos_;
+    return ok;
+  }
+
+  bool ParseBody(JsonValue& out, int depth) {
     if (pos_ >= text_.size()) {
       Fail("unexpected end of input");
       return false;

@@ -8,6 +8,7 @@
 #ifndef TP_TRAJECTORY_JSON_HPP_
 #define TP_TRAJECTORY_JSON_HPP_
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -25,6 +26,11 @@ struct JsonValue {
   std::string string;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;  // insertion order
+  // The value's bytes in the parsed text: [begin, end), surrounding
+  // whitespace excluded. Readers that keep an element's exact text (the
+  // results-file reader) cut it out with these.
+  std::size_t begin = 0;
+  std::size_t end = 0;
 
   bool is(Type t) const { return type == t; }
   // First member named `key`, or nullptr.

@@ -4,7 +4,6 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -237,7 +236,12 @@ bool Trajectory::HasLabel(std::string_view label) const {
   return false;
 }
 
-std::optional<Trajectory> ParseTrajectory(std::string_view json_text, std::string* error) {
+std::optional<std::vector<ResultsElement>> ReadResults(std::string_view json_text,
+                                                       std::string* error) {
+  // An absent or blank file holds no records.
+  if (json_text.find_first_not_of(" \t\r\n") == std::string_view::npos) {
+    return std::vector<ResultsElement>{};
+  }
   std::string parse_error;
   std::optional<JsonValue> doc = ParseJson(json_text, &parse_error);
   if (!doc) {
@@ -252,100 +256,36 @@ std::optional<Trajectory> ParseTrajectory(std::string_view json_text, std::strin
     }
     return std::nullopt;
   }
-  Trajectory t;
-  for (std::size_t i = 0; i < doc->array.size(); ++i) {
+  std::vector<ResultsElement> elements(doc->array.size());
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    const JsonValue& v = doc->array[i];
+    ResultsElement& e = elements[i];
+    e.text = json_text.substr(v.begin, v.end - v.begin);
     std::string why;
     TrajectoryRecord r;
-    if (!ParseRecord(doc->array[i], r, &why)) {
-      t.warnings.push_back("skipped " + Where(r, i) + ": " + why);
-      continue;
+    if (ParseRecord(v, r, &why)) {
+      e.record = std::move(r);
+    } else {
+      e.skipped = Where(r, i) + ": " + why;
     }
-    t.records.push_back(std::move(r));
   }
-  return t;
+  return elements;
 }
 
-std::optional<std::vector<std::string>> SplitRecordTexts(std::string_view json_text,
-                                                         std::string* error) {
-  auto fail = [&](const std::string& why) -> std::optional<std::vector<std::string>> {
-    if (error != nullptr) {
-      *error = why;
-    }
+std::optional<Trajectory> ParseTrajectory(std::string_view json_text, std::string* error) {
+  std::optional<std::vector<ResultsElement>> elements = ReadResults(json_text, error);
+  if (!elements) {
     return std::nullopt;
-  };
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < json_text.size() &&
-           std::isspace(static_cast<unsigned char>(json_text[i]))) {
-      ++i;
-    }
-  };
-  skip_ws();
-  if (i >= json_text.size() || json_text[i] != '[') {
-    return fail("top-level value is not a JSON array of records");
   }
-  ++i;
-  std::vector<std::string> records;
-  while (true) {
-    skip_ws();
-    if (i >= json_text.size()) {
-      return fail("unterminated array");
+  Trajectory t;
+  for (ResultsElement& e : *elements) {
+    if (e.record) {
+      t.records.push_back(std::move(*e.record));
+    } else {
+      t.warnings.push_back("skipped " + e.skipped);
     }
-    if (json_text[i] == ']') {
-      return records;
-    }
-    if (!records.empty()) {
-      if (json_text[i] != ',') {
-        return fail("expected ',' between records");
-      }
-      ++i;
-      skip_ws();
-    }
-    // One element: scan to its end with brace/bracket depth and string
-    // awareness, preserving its bytes exactly.
-    const std::size_t start = i;
-    int depth = 0;
-    bool in_string = false;
-    for (; i < json_text.size(); ++i) {
-      const char c = json_text[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (depth == 0) {
-          break;  // the enclosing array's ']'
-        }
-        --depth;
-        if (depth == 0 && (json_text[start] == '{' || json_text[start] == '[')) {
-          ++i;
-          break;
-        }
-      } else if (c == ',' && depth == 0) {
-        break;  // scalar element ends at the separator
-      }
-    }
-    if (depth != 0 || in_string) {
-      return fail("unbalanced record");
-    }
-    std::string_view element = json_text.substr(start, i - start);
-    while (!element.empty() &&
-           std::isspace(static_cast<unsigned char>(element.back()))) {
-      element.remove_suffix(1);
-    }
-    if (element.empty()) {
-      return fail("empty record");
-    }
-    records.emplace_back(element);
   }
+  return t;
 }
 
 std::string JoinRecordTexts(const std::vector<std::string>& records) {

@@ -4,7 +4,8 @@
 // processes and sometimes hand-edited. A record that is not an object,
 // lacks the required identity fields (bench/label/cell), carries a wrong
 // field type, or declares an unknown schema_version is *skipped* with a
-// warning; only a file whose top level fails to parse at all is an error.
+// warning; only a file that is neither blank nor a JSON array is an
+// error.
 // Keys the record does not know are ignored, so records that carry retired
 // fields (the early-stopping keys of older files) still load and diff.
 #ifndef TP_TRAJECTORY_TRAJECTORY_HPP_
@@ -84,9 +85,31 @@ struct Trajectory {
 // !cell_ok().
 std::string RecordJson(const TrajectoryRecord& r);
 
-// Parses the JSON text of a results file. Never throws; unparseable
-// *records* become warnings. Returns nullopt with `error` only when the
-// document itself is not a JSON array.
+// One element of a results document, as the one reader (ReadResults)
+// returns it: the element's exact bytes, and either its typed record or
+// why the loader skips it.
+struct ResultsElement {
+  // Byte for byte as in the file, surrounding whitespace trimmed.
+  std::string text;
+  std::optional<TrajectoryRecord> record;  // nullopt when skipped
+  std::string skipped;                     // "record N (bench/cell): why" when skipped
+};
+
+// The one reader of results files: parses the document once with ParseJson
+// and returns its top-level array element by element. The loader, the
+// Recorder's append and tp_bench's label check and --resume all read
+// through it, so every writer refuses exactly what the loader refuses.
+// Writers rebuild a file from the element texts, so records this build
+// cannot type (an unknown schema_version, unknown fields, wrong field
+// types, non-object elements) are kept byte for byte. A blank document
+// (empty or whitespace only, as an absent file reads) holds no elements.
+// Returns nullopt with `error` when the document is neither blank nor a
+// JSON array: malformed JSON, an invalid element or trailing bytes.
+std::optional<std::vector<ResultsElement>> ReadResults(std::string_view json_text,
+                                                       std::string* error = nullptr);
+
+// ReadResults, keeping the typed records and a warning per skipped one.
+// Never throws.
 std::optional<Trajectory> ParseTrajectory(std::string_view json_text,
                                           std::string* error = nullptr);
 
@@ -94,17 +117,10 @@ std::optional<Trajectory> ParseTrajectory(std::string_view json_text,
 // error.
 std::optional<Trajectory> LoadTrajectory(const std::string& path, std::string* error = nullptr);
 
-// Splits the top-level JSON array into the raw text of each element,
-// byte-for-byte (trimmed of surrounding whitespace). The Recorder and
-// tp_bench --resume rewrite result files by recombining these texts, so
-// records the tool does not understand — future schema fields included —
-// survive untouched. Returns nullopt when the document is not an array.
-std::optional<std::vector<std::string>> SplitRecordTexts(std::string_view json_text,
-                                                         std::string* error = nullptr);
-
-// Reassembles record texts into a results document: one record per line
-// inside one array. Join(Split(text)) is `text` for every file this
-// framing wrote, so appending keeps the earlier records as a byte prefix.
+// Reassembles element texts into a results document, the one framing every
+// writer emits: one record per line inside one array. ReadResults of a
+// joined document gives back the same texts, so appending keeps the earlier
+// records of a file this framing wrote as a byte prefix.
 std::string JoinRecordTexts(const std::vector<std::string>& records);
 
 // Read-edit-replace of a results file, the one way every writer (the
@@ -115,6 +131,8 @@ std::string JoinRecordTexts(const std::vector<std::string>& records);
 // exist) and may change it; changed text goes to a temp file in the same
 // directory, is fsynced and renamed over `path`. An edit that returns
 // false aborts with its message in `error` and leaves the file untouched.
+// The edits read the text with ReadResults and write it with
+// JoinRecordTexts; this function itself knows nothing of the format.
 using ResultsEdit = std::function<bool(std::string& text, std::string* error)>;
 bool EditResultsFile(const std::string& path, const ResultsEdit& edit, std::string* error);
 

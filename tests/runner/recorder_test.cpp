@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace tp::bench {
 namespace {
@@ -152,6 +153,56 @@ TEST_F(RecorderTest, LeavesFileWithCloseBracketButNoOpenUntouched) {
     r.Add({.cell = "d"});
   }
   EXPECT_EQ(ReadFile(), "oops]");
+}
+
+// Balanced braces are not enough: the Recorder reads with the loader's own
+// reader, so a file tp_bench_diff would refuse is left byte-identical and
+// the flush's records are dropped with a message naming the file.
+TEST_F(RecorderTest, LeavesFileTheLoaderRefusesUntouched) {
+  const std::string valid = trajectory::RecordJson({.bench = "x", .cell = "c"});
+  const std::vector<std::string> refused_files = {
+      R"([{"schema_version": 3, "bench": "x", "label": "old", "cell": "c", "quick": true,}])",
+      "[\n" + valid + ",\n{\"b\": tru}\n]\n",
+      "[\n" + valid + "\n] trailing",
+  };
+  for (const std::string& refused : refused_files) {
+    {
+      std::ofstream out(path_, std::ios::trunc);
+      out << refused;
+    }
+    ::testing::internal::CaptureStderr();
+    {
+      Recorder r("bench_f");
+      r.Add({.cell = "f"});
+    }
+    const std::string stderr_text = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ReadFile(), refused);
+    EXPECT_NE(stderr_text.find(path_), std::string::npos) << stderr_text;
+  }
+}
+
+// Records this build cannot type are still valid JSON: an append keeps
+// them, and every earlier byte of a file the framing wrote, as a prefix.
+TEST_F(RecorderTest, AppendKeepsRecordsItCannotTypeByteForByte) {
+  const std::vector<std::string> untyped = {
+      R"({"schema_version": 99, "bench": "future", "label": "l", "cell": "c", "new": [1]})",
+      R"({"schema_version": 3, "bench": "b", "label": "l", "cell": "c", "rounds": "many"})",
+      R"("not an object")",
+  };
+  const std::string earlier = trajectory::JoinRecordTexts(untyped);
+  {
+    std::ofstream out(path_, std::ios::trunc);
+    out << earlier;
+  }
+  {
+    Recorder r("bench_g");
+    r.Add({.cell = "g"});
+  }
+  const std::string text = ReadFile();
+  const std::string prefix = earlier.substr(0, earlier.size() - 3);  // up to "\n]\n"
+  EXPECT_EQ(text.substr(0, prefix.size()), prefix) << text;
+  EXPECT_EQ(Count(text, "\"schema_version\""), 4u);  // 2 kept + cell + total
+  EXPECT_NE(text.find("\"bench\": \"bench_g\""), std::string::npos);
 }
 
 TEST_F(RecorderTest, StartsAFreshArrayInAnEmptyFile) {

@@ -137,6 +137,21 @@ TEST(SelectSpecs, OnlyFiltersInRequestOrder) {
   EXPECT_EQ(selected[1]->name, "alpha");
 }
 
+// `--only x --only x` must not run, and record, x twice: tp_bench_diff
+// refuses a label that holds a cell's record twice.
+TEST(SelectSpecs, RepeatedNameIsSelectedOnceInFirstRequestOrder) {
+  ChannelRegistry registry;
+  registry.Register(CostSpec("alpha"));
+  registry.Register(CostSpec("beta"));
+  std::string error;
+  std::vector<const ChannelSpec*> selected =
+      SelectSpecs(registry, {"beta", "alpha", "beta", "alpha"}, &error);
+  EXPECT_TRUE(error.empty());
+  ASSERT_EQ(selected.size(), 2u);
+  EXPECT_EQ(selected[0]->name, "beta");
+  EXPECT_EQ(selected[1]->name, "alpha");
+}
+
 TEST(SelectSpecs, UnknownNameFailsWithListing) {
   ChannelRegistry registry;
   registry.Register(CostSpec("alpha"));

@@ -699,37 +699,6 @@ TEST(Trajectory, ParsesCellStatusFields) {
   EXPECT_TRUE(t->records[2].cell_ok());
 }
 
-TEST(SplitRecords, RoundTripsRecordsByteForByte) {
-  // Includes a record this build cannot parse (future fields, nested
-  // structures, "]" and escaped quotes inside strings): resume/merge must
-  // carry it through untouched.
-  const std::string rec1 = Rec(R"("mi_bits": 0.25)");
-  const std::string rec2 =
-      R"({"future_field": {"nested": [1, {"deep": "a ] \" , b"}]}, "x": "y"})";
-  const std::string doc = "[\n" + rec1 + ",\n" + rec2 + "\n]\n";
-  std::string error;
-  std::optional<std::vector<std::string>> records = SplitRecordTexts(doc, &error);
-  ASSERT_TRUE(records.has_value()) << error;
-  ASSERT_EQ(records->size(), 2u);
-  EXPECT_EQ((*records)[0], rec1);
-  EXPECT_EQ((*records)[1], rec2);
-
-  // Join -> split is the identity on the record texts.
-  std::optional<std::vector<std::string>> again =
-      SplitRecordTexts(JoinRecordTexts(*records), &error);
-  ASSERT_TRUE(again.has_value()) << error;
-  EXPECT_EQ(*again, *records);
-
-  // An empty array survives the round trip too.
-  ASSERT_TRUE(SplitRecordTexts("[]").has_value());
-  EXPECT_TRUE(SplitRecordTexts("[]")->empty());
-
-  // Non-arrays and unbalanced documents are errors, not crashes.
-  EXPECT_FALSE(SplitRecordTexts(R"({"not": "array"})", &error).has_value());
-  EXPECT_FALSE(SplitRecordTexts("[{\"a\": 1}", &error).has_value());
-  EXPECT_FALSE(SplitRecordTexts("[{\"a\": 1} {\"b\": 2}]", &error).has_value());
-}
-
 std::string ReadText(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buf;

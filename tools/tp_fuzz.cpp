@@ -12,11 +12,19 @@
 //   tp_fuzz --emit-corpus 3 --corpus-append DIR  # seed a corpus with
 //                                            # passing cases per target
 //
-// Exit codes: 0 all invariants held, 1 violation found, 2 usage error.
+// Exit codes: 0 all invariants held, 1 violation found, 2 usage error (a
+// malformed --cases, --seed, --budget-s or --emit-corpus value included).
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,6 +48,7 @@ using tp::fuzz::RunCase;
 using tp::fuzz::Target;
 using tp::fuzz::TargetFromName;
 using tp::fuzz::TargetName;
+using tp::runner::ParsePositiveInt;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -59,6 +68,55 @@ int Usage(const char* argv0) {
                "  --quiet            suppress progress output\n",
                argv0);
   return 2;
+}
+
+// A numeric option's value is missing or malformed: bad usage, never a
+// silent default that would let a CI run pass on zero cases.
+int BadValue(const char* argv0, const std::string& option, const char* value,
+             const char* expected) {
+  if (value != nullptr) {
+    std::fprintf(stderr, "%s: %s '%s' must be %s\n", argv0, option.c_str(), value, expected);
+  }
+  return Usage(argv0);
+}
+
+// A case count: a positive integer that fits size_t. A missing value
+// (nullptr) is nullopt, as the parsers below treat it.
+std::optional<std::size_t> ParseCount(const char* text) {
+  if (text == nullptr) {
+    return std::nullopt;
+  }
+  return ParsePositiveInt(text, std::numeric_limits<std::size_t>::max());
+}
+
+// A root seed: a whole-string unsigned 64-bit integer, decimal or 0x hex
+// as strtoull reads it with base 0. "zz", "7x", "-1", " 7" and an overflow
+// are nullopt, never seed 0 or a wrapped value.
+std::optional<std::uint64_t> ParseSeed(const char* text) {
+  if (text == nullptr || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long seed = std::strtoull(text, &end, 0);
+  if (*end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return seed;
+}
+
+// A wall-clock budget: a complete, finite number of seconds above 0.
+std::optional<double> ParseBudgetSeconds(const char* text) {
+  if (text == nullptr) {
+    return std::nullopt;
+  }
+  double secs = 0.0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, secs);
+  if (ptr == text || ec != std::errc{} || ptr != end || !std::isfinite(secs) || secs <= 0.0) {
+    return std::nullopt;
+  }
+  return secs;
 }
 
 bool ParseTargets(const std::string& arg, std::vector<Target>* out) {
@@ -208,16 +266,18 @@ int main(int argc, char** argv) {
     };
     if (arg == "--cases") {
       const char* v = next();
-      if (v == nullptr) {
-        return Usage(argv[0]);
+      const std::optional<std::size_t> n = ParseCount(v);
+      if (!n) {
+        return BadValue(argv[0], arg, v, "a positive integer");
       }
-      options.cases = std::strtoull(v, nullptr, 10);
+      options.cases = *n;
     } else if (arg == "--seed") {
       const char* v = next();
-      if (v == nullptr) {
-        return Usage(argv[0]);
+      const std::optional<std::uint64_t> seed = ParseSeed(v);
+      if (!seed) {
+        return BadValue(argv[0], arg, v, "an unsigned 64-bit integer (decimal or 0x hex)");
       }
-      options.seed = std::strtoull(v, nullptr, 0);
+      options.seed = *seed;
     } else if (arg == "--target") {
       const char* v = next();
       if (v == nullptr || !ParseTargets(v, &options.targets)) {
@@ -243,16 +303,18 @@ int main(int argc, char** argv) {
       options.corpus_append_dir = v;
     } else if (arg == "--emit-corpus") {
       const char* v = next();
-      if (v == nullptr) {
-        return Usage(argv[0]);
+      const std::optional<std::size_t> n = ParseCount(v);
+      if (!n) {
+        return BadValue(argv[0], arg, v, "a positive integer");
       }
-      emit_corpus = std::strtoull(v, nullptr, 10);
+      emit_corpus = *n;
     } else if (arg == "--budget-s") {
       const char* v = next();
-      if (v == nullptr) {
-        return Usage(argv[0]);
+      const std::optional<double> secs = ParseBudgetSeconds(v);
+      if (!secs) {
+        return BadValue(argv[0], arg, v, "a finite number of seconds above 0");
       }
-      options.budget_s = std::strtod(v, nullptr);
+      options.budget_s = *secs;
     } else if (arg == "--no-shrink") {
       options.shrink = false;
     } else if (arg == "--list-targets") {
