@@ -24,7 +24,6 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -187,29 +186,20 @@ std::string MatrixJson(const std::vector<MatrixEntry>& entries) {
   return out;
 }
 
-// Runs exactly one cell of one grid through the production sweep path
-// (skip set = every other cell), so fault latching, seeding and contract
-// capture behave exactly as in tp_bench.
-std::optional<tp::runner::SweepCellResult> RunOneCell(
-    const tp::runner::ExperimentRunner& pool, const tp::scenarios::ChannelSpec& spec,
-    const tp::runner::GridSpec& grid, const std::string& cell_name,
-    std::uint64_t cell_budget_ns) {
-  std::set<std::string> skip;
-  for (const tp::runner::GridCell& cell : tp::runner::ExpandGrid(grid)) {
-    if (cell.Name() != cell_name) {
-      skip.insert(cell.Name());
-    }
-  }
+// Runs exactly one cell of one grid through the production sweep path (a
+// grid narrowed to that cell, seeded as the registered cell), so fault
+// latching, seeding and contract capture behave exactly as in tp_bench.
+tp::runner::SweepCellResult RunOneCell(const tp::runner::ExperimentRunner& pool,
+                                       const tp::scenarios::ChannelSpec& spec,
+                                       const tp::runner::GridSpec& grid,
+                                       const std::string& cell_name,
+                                       std::uint64_t cell_budget_ns) {
   tp::runner::SweepOptions options;
-  options.skip_cells = &skip;
   options.cell_budget_ns = cell_budget_ns;
-  tp::runner::SweepEngine engine(pool);
-  std::vector<tp::runner::SweepCellResult> results =
-      engine.RunChannelGrid(grid, spec.cell_shard, spec.leak_options, options);
-  if (results.size() != 1) {
-    return std::nullopt;
-  }
-  return std::move(results[0]);
+  return tp::runner::SweepEngine(pool)
+      .RunChannelGrid(tp::runner::OneCellGrid(grid, cell_name), spec.cell_shard,
+                      spec.leak_options, options)
+      .front();
 }
 
 }  // namespace
@@ -323,12 +313,10 @@ int main(int argc, char** argv) {
         }
 
         tp::faults::ClearFaultPlan();
-        std::optional<tp::runner::SweepCellResult> base =
-            RunOneCell(pool, *spec, grid, cell_name, 0);
-        if (!base || !base->ok()) {
+        const tp::runner::SweepCellResult base = RunOneCell(pool, *spec, grid, cell_name, 0);
+        if (!base.ok()) {
           std::fprintf(stderr, "tp_mutate: baseline run of %s/%s %s\n",
-                       spec->name.c_str(), cell_name.c_str(),
-                       base ? base->status.c_str() : "missing");
+                       spec->name.c_str(), cell_name.c_str(), base.status.c_str());
           ++undetected;  // a broken baseline must fail the gate too
           continue;
         }
@@ -341,34 +329,30 @@ int main(int argc, char** argv) {
           // The stall self-test needs a budget the healthy shards cannot
           // trip; the injected sleep overshoots any budget by design.
           const std::uint64_t budget =
-              site == "harness.cell_stall" ? base->wall_ns * 10 + 500'000'000ull : 0;
-          std::optional<tp::runner::SweepCellResult> mut =
-              RunOneCell(pool, *spec, grid, cell_name, budget);
+              site == "harness.cell_stall" ? base.wall_ns * 10 + 500'000'000ull : 0;
+          const tp::runner::SweepCellResult mut = RunOneCell(pool, *spec, grid, cell_name, budget);
           tp::faults::ClearFaultPlan();
 
           MatrixEntry entry;
           entry.site = site;
           entry.bench = spec->name;
           entry.cell = cell_name;
-          entry.base_mi = base->leakage.mi_bits;
-          entry.base_violations = base->contract.violations;
-          if (mut) {
-            entry.mut_mi = mut->leakage.mi_bits;
-            entry.mut_violations = mut->contract.violations;
-            entry.mut_status = mut->ok() ? "" : mut->status;
-            if (!mut->ok()) {
-              entry.detected = true;
-              entry.detector = "cell_status";
-            } else if ((base->contract.clean() && !mut->contract.clean()) ||
-                       mut->contract.violations > base->contract.violations) {
-              entry.detected = true;
-              entry.detector = "contract";
-            } else if (mut->leakage.leak &&
-                       mut->leakage.mi_bits >
-                           base->leakage.mi_bits + tp::mi::kResolutionBits) {
-              entry.detected = true;
-              entry.detector = "mi";
-            }
+          entry.base_mi = base.leakage.mi_bits;
+          entry.base_violations = base.contract.violations;
+          entry.mut_mi = mut.leakage.mi_bits;
+          entry.mut_violations = mut.contract.violations;
+          entry.mut_status = mut.ok() ? "" : mut.status;
+          if (!mut.ok()) {
+            entry.detected = true;
+            entry.detector = "cell_status";
+          } else if ((base.contract.clean() && !mut.contract.clean()) ||
+                     mut.contract.violations > base.contract.violations) {
+            entry.detected = true;
+            entry.detector = "contract";
+          } else if (mut.leakage.leak &&
+                     mut.leakage.mi_bits > base.leakage.mi_bits + tp::mi::kResolutionBits) {
+            entry.detected = true;
+            entry.detector = "mi";
           }
           if (!entry.detected) {
             ++undetected;

@@ -21,7 +21,7 @@ enum class Target {
   kReplay,      // batch-replay vs TP_NO_REPLAY vs per-op dispatch identity
   kTaint,       // contract cleanliness + taint-map counting consistency
   kThreads,     // SweepEngine 1-vs-N thread bit-identity
-  kTrajectory,  // forgiving JSON parser robustness
+  kTrajectory,  // strict JSON parser robustness
 };
 
 struct FuzzCase {

@@ -743,12 +743,12 @@ OracleResult RunThreads(const FuzzCase& c) {
 }
 
 // ---------------------------------------------------------------------------
-// trajectory: forgiving JSON parser robustness
+// trajectory: JSON parser robustness
 // ---------------------------------------------------------------------------
 
 // Independent strict JSON validator: a second, reference implementation of
-// the grammar the forgiving parser must at minimum accept (standard JSON,
-// finite numbers, nesting depth <= 64 to mirror the parser's bound). Kept
+// the grammar the parser must accept exactly (RFC 8259 JSON, finite
+// numbers, nesting depth <= 64 to mirror the parser's bound). Kept
 // deliberately separate in style and structure from trajectory/json.cpp so
 // a shared bug is unlikely.
 class MiniValidator {
@@ -949,7 +949,10 @@ void SerializeJson(const trajectory::JsonValue& v, std::string& out) {
     case Type::kNumber: {
       char buf[40];
       const double d = v.number;
-      if (d == static_cast<double>(static_cast<long long>(d)) && std::fabs(d) < 1e15) {
+      // "%lld" would print -0 as 0 and lose the sign the round trip checks.
+      const bool negative_zero = d == 0 && std::signbit(d);
+      if (!negative_zero && d == static_cast<double>(static_cast<long long>(d)) &&
+          std::fabs(d) < 1e15) {
         std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
       } else {
         std::snprintf(buf, sizeof(buf), "%.17g", d);
@@ -1131,13 +1134,16 @@ OracleResult RunTrajectory(const FuzzCase& c) {
       return OracleResult::Violation("trajectory: error offset " + U(off) +
                                      " beyond input size " + U(c.payload.size()));
     }
-    // Differential invariant: anything the independent strict validator
-    // accepts, the forgiving parser must parse.
+    // Differential invariant: the parser and the independent validator
+    // accept exactly the same documents.
     if (MiniValidator(c.payload).Valid()) {
       return OracleResult::Violation(
           "trajectory: parser rejected strictly-valid JSON: \"" + error + "\"");
     }
     return OracleResult{};
+  }
+  if (!MiniValidator(c.payload).Valid()) {
+    return OracleResult::Violation("trajectory: parser accepted JSON the validator rejects");
   }
 
   // Round-trip invariant: serialize -> reparse -> structurally identical.

@@ -17,8 +17,8 @@
 //   threads     — SweepEngine over a synthetic channel: TP_THREADS=1 vs N
 //                 must be bit-identical per cell (observations, MI, shard
 //                 accounting).
-//   trajectory  — the forgiving JSON parser: never crashes, reports sane
-//                 "offset N:" errors, accepts everything an independent
+//   trajectory  — the strict JSON parser: never crashes, reports sane
+//                 "offset N:" errors, accepts exactly what an independent
 //                 strict validator accepts, and successfully parsed
 //                 documents survive a serialize/reparse round trip. The
 //                 results reader accepts exactly the blank documents and

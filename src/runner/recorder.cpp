@@ -1,6 +1,7 @@
 #include "runner/recorder.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +12,12 @@
 #include "runner/quick.hpp"
 
 namespace tp::bench {
+
+namespace {
+
+std::atomic<std::size_t> g_dropped_records{0};
+
+}  // namespace
 
 std::string ResultsPath() {
   const char* path = std::getenv("TP_BENCH_JSON");
@@ -66,8 +73,7 @@ void Recorder::Flush() {
     texts.push_back(trajectory::RecordJson(r));
   }
   // The shared read-edit-replace holds the results file's lock from read
-  // to rename, so concurrent sweeps and resumes never lose each other's
-  // records.
+  // to rename, so concurrent sweeps never lose each other's records.
   std::string error;
   if (!trajectory::EditResultsFile(
           path_,
@@ -90,9 +96,12 @@ void Recorder::Flush() {
           },
           &error)) {
     std::fprintf(stderr, "recorder: %s, %zu records not written\n", error.c_str(), pending_.size());
+    g_dropped_records += pending_.size();
   }
   pending_.clear();
 }
+
+std::size_t Recorder::DroppedRecords() { return g_dropped_records.load(); }
 
 std::uint64_t Recorder::NowNs() {
   return static_cast<std::uint64_t>(

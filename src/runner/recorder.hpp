@@ -15,13 +15,14 @@
 // The file is written atomically through trajectory::EditResultsFile: the
 // updated array goes to a temp file in the same directory which is then
 // renamed over TP_BENCH_JSON, so a crash mid-write can never corrupt a
-// committed trajectory. Concurrent sweeps and resumes serialise on its
-// .lock sidecar. The existing file is read with trajectory::ReadResults,
-// the loader's own reader, and rewritten from its element texts, so
-// records this build cannot type survive byte for byte. A file the loader
+// committed trajectory. Concurrent sweeps serialise on its .lock sidecar.
+// The existing file is read with trajectory::ReadResults, the loader's own
+// reader, and rewritten from its element texts, so records this build
+// cannot type survive byte for byte. A file the loader
 // refuses (a truncated copy, an invalid record, bytes after the closing
 // ']') is left untouched and the flush's records are dropped with a
-// message on stderr; an absent or blank file starts a fresh array.
+// message on stderr and counted (DroppedRecords); an absent or blank file
+// starts a fresh array.
 #ifndef TP_RUNNER_RECORDER_HPP_
 #define TP_RUNNER_RECORDER_HPP_
 
@@ -58,6 +59,11 @@ class Recorder {
 
   // Monotonic host wall-clock for wall_ns deltas.
   static std::uint64_t NowNs();
+
+  // Records that every Recorder in this process has dropped so far because
+  // their flush could not write the results file. tp_bench reads it around
+  // each channel and fails a channel whose records were not written.
+  static std::size_t DroppedRecords();
 
  private:
   std::string bench_;

@@ -129,17 +129,6 @@ Isolated RunIsolated(const GridCell& cell, CellState& state, std::uint64_t budge
   return out;
 }
 
-// The grid's cells minus the ones the options skip.
-std::vector<GridCell> CellsToRun(const GridSpec& spec, const SweepOptions& options) {
-  std::vector<GridCell> cells = ExpandGrid(spec);
-  if (options.skip_cells != nullptr) {
-    std::erase_if(cells, [&](const GridCell& cell) {
-      return options.skip_cells->count(cell.Name()) > 0;
-    });
-  }
-  return cells;
-}
-
 // Copies a captured contract tally onto a record's contract_* fields. A
 // no-op when taint tracking is off, so v2-shaped records stay v2-shaped; a
 // zero-switch cell with taint on records as (vacuously) clean.
@@ -202,7 +191,6 @@ std::vector<GridCell> ExpandGrid(const GridSpec& spec) {
         for (double cf : spec.colour_fractions) {
           for (const std::string& mode : spec.modes) {
             GridCell cell;
-            cell.index = cells.size();
             cell.platform = platform;
             cell.variant = variant;
             cell.timeslice_ms = ts;
@@ -218,6 +206,26 @@ std::vector<GridCell> ExpandGrid(const GridSpec& spec) {
   return cells;
 }
 
+GridSpec OneCellGrid(const GridSpec& grid, std::string_view cell_name) {
+  const std::vector<GridCell> cells = ExpandGrid(grid);
+  auto it = std::find_if(cells.begin(), cells.end(),
+                         [&](const GridCell& cell) { return cell.Name() == cell_name; });
+  if (it == cells.end()) {
+    throw std::invalid_argument("grid has no cell '" + std::string(cell_name) + "'");
+  }
+  GridSpec one = grid;
+  one.platforms = {it->platform};
+  one.variants = {it->variant};
+  one.timeslices_ms = {it->timeslice_ms};
+  one.colour_fractions = {it->colour_fraction};
+  one.modes = {it->mode};
+  const GridCell narrowed = ExpandGrid(one).front();
+  if (narrowed.seed != it->seed || narrowed.Name() != it->Name()) {
+    throw std::logic_error("one-cell grid does not reproduce cell '" + it->Name() + "'");
+  }
+  return one;
+}
+
 std::optional<std::uint64_t> ParseCellBudgetMs(std::string_view text) {
   return ParsePositiveInt(text, std::numeric_limits<std::uint64_t>::max() / kNsPerMs);
 }
@@ -225,7 +233,7 @@ std::optional<std::uint64_t> ParseCellBudgetMs(std::string_view text) {
 std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
     const GridSpec& spec, const CellShardFn& fn, const mi::LeakageOptions& leak_options,
     const SweepOptions& options) const {
-  const std::vector<GridCell> cells = CellsToRun(spec, options);
+  const std::vector<GridCell> cells = ExpandGrid(spec);
   const std::uint64_t budget_ns = EffectiveCellBudgetNs(options);
 
   struct ShardTask {
@@ -310,7 +318,7 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
 
 std::vector<SweepCellResult> SweepEngine::RunCostGrid(const GridSpec& spec, const CostCellFn& fn,
                                                       const SweepOptions& options) const {
-  const std::vector<GridCell> cells = CellsToRun(spec, options);
+  const std::vector<GridCell> cells = ExpandGrid(spec);
   const std::uint64_t budget_ns = EffectiveCellBudgetNs(options);
   std::vector<CellState> states(cells.size());
   return runner_.Map(cells.size(), [&](std::size_t c) {

@@ -20,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,7 +62,6 @@ struct GridSpec {
 };
 
 struct GridCell {
-  std::size_t index = 0;  // position in the expanded grid
   std::string platform;
   std::string variant;
   double timeslice_ms = 0.0;
@@ -79,6 +77,13 @@ struct GridCell {
 };
 
 std::vector<GridCell> ExpandGrid(const GridSpec& spec);
+
+// `grid` narrowed to its one cell named `cell_name`: every axis holds only
+// that cell's value, so the cell keeps its coordinates and therefore its
+// seed, and a sweep of the result runs exactly the registered cell. Throws
+// std::invalid_argument when `grid` has no such cell, and std::logic_error
+// if the narrowed cell's seed or name differs from the original's.
+GridSpec OneCellGrid(const GridSpec& grid, std::string_view cell_name);
 
 // What one cost cell's body returns: the figures the cell owns. `display`
 // is optional text for the spec's report (fig4's spy trace).
@@ -113,12 +118,8 @@ struct SweepCellResult {
   bool ok() const { return status == "ok"; }
 };
 
-// Sweep-wide controls for crash isolation and resumption.
+// Sweep-wide controls for crash isolation.
 struct SweepOptions {
-  // Cells (by display Name()) to skip entirely — they are absent from the
-  // result vector. Used by tp_bench --resume to complete only the cells a
-  // crashed or interrupted run never recorded.
-  const std::set<std::string>* skip_cells = nullptr;
   // Per-cell watchdog: when a cell's summed shard work time exceeds this
   // budget, remaining shards are abandoned and the cell is recorded with
   // cell_status "timeout". 0 disables the watchdog (the TP_CELL_BUDGET_MS
@@ -151,8 +152,8 @@ class SweepEngine {
   using CostCellFn = std::function<CostCell(const GridCell&)>;
 
   // Cost sweeps: one task per cell, each run in the same crash-isolation
-  // harness, watchdog and skip set as an MI shard. A failed cell carries
-  // its status instead of a CostCell.
+  // harness and watchdog as an MI shard. A failed cell carries its status
+  // instead of a CostCell.
   std::vector<SweepCellResult> RunCostGrid(const GridSpec& spec, const CostCellFn& fn,
                                            const SweepOptions& options = {}) const;
 

@@ -39,33 +39,25 @@ std::vector<const ChannelSpec*> SelectSpecs(const ChannelRegistry& registry,
 
 std::vector<runner::SweepCellResult> RunSpec(const ChannelSpec& spec,
                                              const runner::ExperimentRunner& pool,
-                                             const RunSpecOptions& options) {
-  const bool verbose = options.verbose;
+                                             bool verbose) {
   if (verbose) {
     Header(spec.title, spec.paper);
   }
   runner::SweepEngine engine(pool);
   bench::Recorder recorder(spec.name);
 
-  const bool resuming =
-      options.sweep.skip_cells != nullptr && !options.sweep.skip_cells->empty();
-  std::size_t expanded = 0;
   std::vector<runner::SweepCellResult> results;
   for (const runner::GridSpec& grid : spec.grids()) {
-    expanded += grid.num_cells();
     std::vector<runner::SweepCellResult> part;
     if (spec.is_channel()) {
-      part = engine.RunChannelGrid(grid, spec.cell_shard, spec.leak_options, options.sweep);
+      part = engine.RunChannelGrid(grid, spec.cell_shard, spec.leak_options);
     } else {
-      part = engine.RunCostGrid(grid, spec.cost_cell, options.sweep);
+      part = engine.RunCostGrid(grid, spec.cost_cell);
     }
     results.insert(results.end(), std::make_move_iterator(part.begin()),
                    std::make_move_iterator(part.end()));
   }
   if (results.empty()) {
-    if (expanded > 0 && resuming) {
-      return {};  // every cell was already recorded; nothing to rerun
-    }
     // A channel that expands to zero cells would pass every downstream
     // gate (only the "total" record exists) — refuse instead.
     throw std::runtime_error("channel '" + spec.name + "' expanded to no grid cells");
@@ -78,20 +70,10 @@ std::vector<runner::SweepCellResult> RunSpec(const ChannelSpec& spec,
     PrintSweepResults(results);
   }
   runner::RecordSweep(recorder, pool, results);
-  // The spec's report expects the full grid; a resumed partial rerun skips
-  // it (the numbers are already in the results file).
-  if (spec.report && verbose && !resuming) {
+  if (spec.report && verbose) {
     spec.report(results);
   }
   return results;
-}
-
-std::vector<runner::SweepCellResult> RunSpec(const ChannelSpec& spec,
-                                             const runner::ExperimentRunner& pool,
-                                             bool verbose) {
-  RunSpecOptions options;
-  options.verbose = verbose;
-  return RunSpec(spec, pool, options);
 }
 
 std::string ListNames(const ChannelRegistry& registry) {

@@ -7,8 +7,8 @@
 // per-(cell, shard) experiment closure expanded through
 // SweepEngine::RunChannelGrid; cost-style scenarios (switch latency, IPC
 // cycles, Splash slowdowns, ...) supply a per-cell body expanded through
-// SweepEngine::RunCostGrid. Crash isolation, recording and resume are
-// shared driver code for both, not per-scenario boilerplate.
+// SweepEngine::RunCostGrid. Crash isolation and recording are shared
+// driver code for both, not per-scenario boilerplate.
 //
 // Specs self-register into the global registry from static initialisers
 // (`RegisterChannel` at namespace scope in each scenario file), so the

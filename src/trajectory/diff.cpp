@@ -11,15 +11,6 @@ namespace {
 
 std::string Key(const TrajectoryRecord& r) { return r.bench + "/" + r.cell; }
 
-bool HasLeakMetric(const TrajectoryRecord& r) {
-  for (const char* key : kLeakMetricKeys) {
-    if (r.metrics.find(key) != r.metrics.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // One record per (bench, cell) for one label. A duplicate is a hard error:
 // "latest wins" used to paper over a label appended twice (e.g. a rerun
 // into a committed baseline file), and whichever run happened to come last
@@ -98,14 +89,24 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
     return outcome;
   }
 
+  // A crash-isolated baseline cell carries no floors: gating against it
+  // would wave the candidate through, so the baseline must be re-recorded.
+  bool base_has_contract = false;
   for (const auto& [key, b] : base) {
+    if (!b->cell_ok()) {
+      outcome.error = "baseline label '" + std::string(baseline) +
+                      "' holds crash-isolated cell '" + key + "' (" + b->cell_status +
+                      "); re-record the baseline under a fresh label";
+      return outcome;
+    }
+    base_has_contract = base_has_contract || b->has_contract();
+  }
+
+  for (const auto& [key, b] : base) {
+    // A cell that vanished takes its gating with it — dropping or renaming
+    // one, or a channel that stopped recording, must refresh the baseline.
     if (cand.find(key) == cand.end()) {
       result.missing_in_candidate.push_back(key);
-      // A protected cell that vanished takes its leakage gating with it —
-      // dropping or renaming one must refresh the baseline instead.
-      if (IsProtectedCell(b->cell)) {
-        ++result.missing_protected;
-      }
     }
   }
   for (const auto& [key, c] : cand) {
@@ -114,10 +115,10 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
       b = it->second;
     } else {
       result.missing_in_baseline.push_back(key);
-      // A *protected* cell new to the trajectory is still leak-gated: it
-      // must enter with zero MI (or zero on every leak-metric key), or the
-      // gate never sees it regress.
-      if (!(IsProtectedCell(c->cell) && (c->has_mi() || HasLeakMetric(*c)))) {
+      // A cell new to the trajectory is still gated when it crashed or is
+      // protected: it must enter with zero MI (or zero on every leak-metric
+      // key) and a clean contract, or the gate never sees it regress.
+      if (c->cell_ok() && !IsProtectedCell(c->cell)) {
         continue;
       }
     }
@@ -129,30 +130,19 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
     d.cand_mi = c->mi_bits;
     d.cand_wall_ns = c->wall_ns;
     d.cand_rounds = c->rounds;
+    d.base_contract = b != nullptr ? b->contract_clean : -1;
     if (!c->cell_ok()) {
-      // A crash-isolated candidate cell has no observables to compare:
-      // report it (gated only under require_cells) instead of letting the
-      // leak/wall/contract gates misread its absent MI and timing.
+      // A crash-isolated candidate cell fails, and has no observables for
+      // the leak/wall/contract gates to misread.
       d.cand_status = c->cell_status;
-      d.base_contract = b != nullptr ? b->contract_clean : -1;
       std::string note = "candidate cell '" + key + "' " + c->cell_status;
       if (!c->cell_error.empty()) {
         note += ": " + c->cell_error;
       }
       result.notes.push_back(std::move(note));
-      if (options.require_cells) {
-        d.cell_failure = true;
-        ++result.failed_cells;
-      }
+      ++result.failed_cells;
       result.cells.push_back(std::move(d));
       continue;
-    }
-    if (b != nullptr && !b->cell_ok()) {
-      // A failed baseline cell carries no floors; compare the candidate as
-      // if the cell were new to the trajectory.
-      result.notes.push_back("baseline cell '" + key + "' " + b->cell_status +
-                             ", candidate held to a fresh-cell floor");
-      b = nullptr;
     }
     double base_mi_floor = 0.0;
     if (b != nullptr) {
@@ -193,7 +183,9 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
         d.wall_normalized = true;
       }
       d.wall_regression = wall_gated && gate_ratio > options.max_wall_ratio;
-      if (options.require_cell_wall && d.base_wall_ns > 0 && d.cand_wall_ns == 0) {
+      // Per-cell timing that silently vanishes would exempt the cell from
+      // every future wall gate.
+      if (d.base_wall_ns > 0 && d.cand_wall_ns == 0) {
         result.notes.push_back("wall_ns vanished from cell '" + key + "'");
         d.missing_wall = true;
       }
@@ -238,17 +230,20 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
         }
       }
     }
-    d.base_contract = b != nullptr ? b->contract_clean : -1;
     d.cand_contract = c->contract_clean;
-    if (options.require_contract && d.protected_mode) {
+    if (d.protected_mode) {
       if (d.cand_contract == 0 && d.base_contract != 0) {
         // Newly dirty (baseline clean, or held to clean when absent/new).
+        // Cells the baseline already shows dirty (the paper's residual x86
+        // private-L2 state) pass as long as they stay no worse.
         d.contract_regression = true;
         if (!c->contract_first.empty()) {
           result.notes.push_back("contract violation in '" + key + "': " + c->contract_first);
         }
-      } else if (d.base_contract >= 0 && d.cand_contract < 0) {
-        result.notes.push_back("contract_clean vanished from protected cell '" + key + "'");
+      } else if (base_has_contract && d.cand_contract < 0) {
+        // A taint-on baseline holds every protected cell to recording its
+        // verdict; losing the observable would disarm this gate.
+        result.notes.push_back("contract_clean missing from protected cell '" + key + "'");
         d.contract_regression = true;
       }
     }
@@ -269,7 +264,7 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
     s.base_rounds += d.base_rounds;
     s.cand_rounds += d.cand_rounds;
     if (d.leak_regression || d.wall_regression || d.mi_delta_regression ||
-        d.missing_wall || d.contract_regression || d.cell_failure) {
+        d.missing_wall || d.contract_regression || d.cell_failure()) {
       ++s.cells_gated;
     }
   }
@@ -283,52 +278,16 @@ DiffOutcome DiffTrajectories(const Trajectory& trajectory, std::string_view base
   return outcome;
 }
 
-CoverageResult CheckCoverage(const Trajectory& trajectory, std::string_view label,
-                             const CoverageOptions& options) {
-  CoverageResult result;
-  result.label = label;
-  if (!trajectory.HasLabel(label)) {
-    result.error = "label '" + std::string(label) + "' not found in trajectory";
-    return result;
-  }
-  std::map<std::string, std::size_t> cells_per_bench;
-  for (const TrajectoryRecord& r : trajectory.records) {
-    if (r.label != label || r.cell == "total") {
-      continue;  // the Recorder's per-process "total" row is not coverage
-    }
-    ++result.records;
-    ++cells_per_bench[r.bench];
-    if (options.require_contract && IsProtectedCell(r.cell)) {
-      if (!r.cell_ok()) {
-        // A crash-isolated cell has no contract verdict to record; the
-        // require_cells diff gate owns that failure mode.
-        result.notes.push_back("protected cell '" + Key(r) + "' " + r.cell_status +
-                               ", contract coverage not required");
-      } else if (r.contract_clean < 0) {
-        result.missing_contract.push_back(Key(r));
-      }
-    }
-  }
-  for (const std::string& bench : options.expected_benches) {
-    if (cells_per_bench.find(bench) == cells_per_bench.end()) {
-      result.missing_benches.push_back(bench);
-    }
-  }
-  return result;
-}
-
 std::string ReportJson(const DiffOutcome& outcome) {
   const DiffResult& r = outcome.result;
   std::string out = "{\n";
   out += "  \"baseline\": " + JsonQuote(r.baseline_label) + ",\n";
   out += "  \"candidate\": " + JsonQuote(r.candidate_label) + ",\n";
   out += "  \"options\": {\"max_wall_ratio\": " + JsonNumber(r.options.max_wall_ratio) +
-         ", \"require_cell_wall\": " +
-         std::string(r.options.require_cell_wall ? "true" : "false") +
-         ", \"require_contract\": " +
-         std::string(r.options.require_contract ? "true" : "false") +
-         ", \"require_cells\": " +
-         std::string(r.options.require_cells ? "true" : "false") + "},\n";
+         ", \"max_abs_mi_delta\": " +
+         (std::isfinite(r.options.max_abs_mi_delta) ? JsonNumber(r.options.max_abs_mi_delta)
+                                                    : std::string("null")) +
+         "},\n";
   out += "  \"summary\": {\"cells_compared\": " + std::to_string(r.cells.size()) +
          ", \"base_total_wall_ns\": " + std::to_string(r.summary.base_wall_ns) +
          ", \"cand_total_wall_ns\": " + std::to_string(r.summary.cand_wall_ns) +
@@ -342,7 +301,7 @@ std::string ReportJson(const DiffOutcome& outcome) {
   out += "  \"leak_regressions\": " + std::to_string(r.leak_regressions) + ",\n";
   out += "  \"wall_regressions\": " + std::to_string(r.wall_regressions) + ",\n";
   out += "  \"mi_delta_regressions\": " + std::to_string(r.mi_delta_regressions) + ",\n";
-  out += "  \"missing_protected\": " + std::to_string(r.missing_protected) + ",\n";
+  out += "  \"missing_cells\": " + std::to_string(r.missing_in_candidate.size()) + ",\n";
   out += "  \"missing_wall\": " + std::to_string(r.missing_wall) + ",\n";
   out += "  \"contract_regressions\": " + std::to_string(r.contract_regressions) + ",\n";
   out += "  \"failed_cells\": " + std::to_string(r.failed_cells) + ",\n";
@@ -390,9 +349,8 @@ std::string ReportJson(const DiffOutcome& outcome) {
     if (d.contract_regression) {
       out += ", \"contract_regression\": true";
     }
-    if (d.cand_status != "ok") {
+    if (d.cell_failure()) {
       out += ", \"cell_status\": " + JsonQuote(d.cand_status);
-      out += ", \"cell_failure\": " + std::string(d.cell_failure ? "true" : "false");
     }
     out += "}";
   }

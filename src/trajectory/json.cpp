@@ -1,6 +1,5 @@
 #include "trajectory/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -45,9 +44,10 @@ class Parser {
     }
   }
 
+  // JSON whitespace is exactly space, tab, LF and CR (no \v or \f).
   void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
       ++pos_;
     }
   }
@@ -58,6 +58,15 @@ class Parser {
       return true;
     }
     return false;
+  }
+
+  // Consumes a run of decimal digits; false when there is none.
+  bool Digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ > start;
   }
 
   bool ConsumeWord(std::string_view word) {
@@ -174,6 +183,10 @@ class Parser {
   bool ParseString(std::string& out) {
     ++pos_;  // opening quote
     while (pos_ < text_.size()) {
+      if (static_cast<unsigned char>(text_[pos_]) < 0x20) {
+        Fail("raw control character in string");
+        return false;
+      }
       char c = text_[pos_++];
       if (c == '"') {
         return true;
@@ -250,31 +263,31 @@ class Parser {
     return false;
   }
 
+  // A number exactly as JSON spells it:
+  // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool ParseNumber(JsonValue& out) {
-    std::size_t start = pos_;
-    if (Consume('-')) {
+    const std::size_t start = pos_;
+    Consume('-');
+    bool ok = Consume('0') || Digits();
+    if (ok && Consume('.')) {
+      ok = Digits();
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
+    if (ok && (Consume('e') || Consume('E'))) {
+      if (!Consume('+')) {
+        Consume('-');
+      }
+      ok = Digits();
     }
-    if (pos_ == start) {
-      Fail("invalid value");
-      return false;
-    }
-    std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double v = std::strtod(num.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    if (!ok) {
+      const bool started = pos_ > start;
       pos_ = start;
-      Fail("malformed number");
+      Fail(started ? "malformed number" : "invalid value");
       return false;
     }
     // A huge exponent ("1e99999") overflows strtod to infinity; propagating
-    // a non-finite value would poison every downstream comparison, so the
-    // forgiving parser still rejects it (JSON has no inf/nan either).
+    // a non-finite value would poison every downstream comparison, so it is
+    // rejected (JSON has no inf/nan either).
+    const double v = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
     if (!std::isfinite(v)) {
       pos_ = start;
       Fail("number out of range");

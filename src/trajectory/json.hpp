@@ -4,7 +4,10 @@
 //
 // The repo's own Recorder writes the files this parses, but tp_bench_diff
 // must also survive hand-edited input: parsing never throws, reports the
-// byte offset of the first error, and bounds recursion depth.
+// byte offset of the first error, and bounds recursion depth. It accepts
+// exactly RFC 8259 JSON (what Python's json module reads, less NaN and
+// Infinity): numbers in the JSON grammar and finite as doubles, whitespace
+// only space, tab, LF and CR, and no raw byte below 0x20 inside a string.
 #ifndef TP_TRAJECTORY_JSON_HPP_
 #define TP_TRAJECTORY_JSON_HPP_
 
@@ -37,7 +40,7 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
 };
 
-// Parses one JSON document (trailing whitespace allowed, nothing else).
+// Parses one JSON document (surrounding whitespace allowed, nothing else).
 // Returns nullopt and fills `error` ("offset N: ...") on malformed input.
 std::optional<JsonValue> ParseJson(std::string_view text, std::string* error = nullptr);
 

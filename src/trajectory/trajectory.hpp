@@ -97,8 +97,8 @@ struct ResultsElement {
 
 // The one reader of results files: parses the document once with ParseJson
 // and returns its top-level array element by element. The loader, the
-// Recorder's append and tp_bench's label check and --resume all read
-// through it, so every writer refuses exactly what the loader refuses.
+// Recorder's append and tp_bench's label check all read through it, so
+// every writer refuses exactly what the loader refuses.
 // Writers rebuild a file from the element texts, so records this build
 // cannot type (an unknown schema_version, unknown fields, wrong field
 // types, non-object elements) are kept byte for byte. A blank document
@@ -123,8 +123,8 @@ std::optional<Trajectory> LoadTrajectory(const std::string& path, std::string* e
 // records of a file this framing wrote as a byte prefix.
 std::string JoinRecordTexts(const std::vector<std::string>& records);
 
-// Read-edit-replace of a results file, the one way every writer (the
-// Recorder's append, tp_bench's label check and --resume) updates one.
+// Read-edit-replace of a results file, the one way the Recorder's append
+// updates one and tp_bench's label check reads one under its lock.
 // Holds an exclusive flock on `<path>.lock` from the read to the rename,
 // so concurrent writers serialise instead of renaming over each other's
 // updates. `edit` gets the file's text (empty when the file does not

@@ -181,6 +181,31 @@ TEST_F(RecorderTest, LeavesFileTheLoaderRefusesUntouched) {
   }
 }
 
+// A results file refused between construction and flush (here cut short by
+// another process) drops the flush's records and counts them, so tp_bench
+// can fail the channel instead of passing it with nothing written.
+TEST_F(RecorderTest, CountsRecordsDroppedByARefusedFlush) {
+  const std::size_t before = Recorder::DroppedRecords();
+  ::testing::internal::CaptureStderr();
+  {
+    Recorder r("bench_h");
+    r.Add({.cell = "h"});
+    std::ofstream(path_, std::ios::trunc) << "[{\"cut short";
+  }
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(ReadFile(), "[{\"cut short");
+  EXPECT_EQ(Recorder::DroppedRecords() - before, 2u);  // the cell and the total
+
+  // A flush the file takes drops nothing.
+  std::remove(path_.c_str());
+  {
+    Recorder r("bench_h");
+    r.Add({.cell = "h"});
+  }
+  EXPECT_EQ(Count(ReadFile(), "\"bench\": \"bench_h\""), 2u);
+  EXPECT_EQ(Recorder::DroppedRecords() - before, 2u);
+}
+
 // Records this build cannot type are still valid JSON: an append keeps
 // them, and every earlier byte of a file the framing wrote, as a prefix.
 TEST_F(RecorderTest, AppendKeepsRecordsItCannotTypeByteForByte) {

@@ -38,9 +38,6 @@ TEST(GridSpec, ExpandsCartesianProductInOrder) {
   EXPECT_EQ(cells.front().mode, "raw");
   EXPECT_EQ(cells.back().platform, "p1");
   EXPECT_EQ(cells.back().mode, "protected");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].index, i);
-  }
   // All names and seeds distinct.
   std::set<std::string> names;
   std::set<std::uint64_t> seeds;
@@ -115,10 +112,10 @@ mi::Observations SyntheticShard(const GridCell& cell, const Shard& shard) {
 
 // Synthetic cost cell: figures derived from the cell's coordinates alone.
 CostCell SyntheticCost(const GridCell& cell) {
-  return {.rounds = 10 + cell.index,
+  return {.rounds = 10 + cell.mode.size(),
           .samples = 3,
           .metrics = {{"seed_low", static_cast<double>(cell.seed % 1000)},
-                      {"index", static_cast<double>(cell.index)}}};
+                      {"mode_chars", static_cast<double>(cell.mode.size())}}};
 }
 
 TEST(SweepEngine, GridResultsAreThreadCountInvariant) {
@@ -220,7 +217,7 @@ TEST(SweepEngine, ThrowingCellIsIsolatedAndOthersComplete) {
   ASSERT_EQ(costs.size(), 3u);
   EXPECT_TRUE(costs[0].ok());
   ASSERT_TRUE(costs[0].cost.has_value());
-  EXPECT_EQ(costs[0].cost->metrics.at("index"), 0.0);
+  EXPECT_EQ(costs[0].cost->metrics.at("mode_chars"), 5.0);  // "leaky"
   EXPECT_EQ(costs[1].status, "failed");
   EXPECT_NE(costs[1].error.find("harness.cell_throw"), std::string::npos);
   EXPECT_FALSE(costs[1].cost.has_value());
@@ -289,43 +286,55 @@ TEST(SweepEngine, CellBudgetTakesOnlyPositiveWholeMilliseconds) {
   unsetenv("TP_CELL_BUDGET_MS");
 }
 
-TEST(SweepEngine, SkipCellsRerunsOnlyTheRestBitIdentically) {
+TEST(SweepEngine, OneCellGridRunsItsCellBitIdentically) {
   GridSpec spec;
   spec.root_seed = 0x5EED;
   spec.rounds = 96;
-  spec.platforms = {"p0"};
+  spec.platforms = {"p0", "p1"};
+  spec.timeslices_ms = {0.25, 1.0};
   spec.modes = {"leaky", "quiet"};
   mi::LeakageOptions lopt;
   lopt.shuffles = 20;
   ExperimentRunner pool(2);
-  std::vector<SweepCellResult> full =
+  const std::vector<GridCell> cells = ExpandGrid(spec);
+  const std::vector<SweepCellResult> full =
       SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt);
-  ASSERT_EQ(full.size(), 2u);
+  const std::vector<SweepCellResult> full_costs =
+      SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
+  ASSERT_EQ(full.size(), 8u);
+  ASSERT_EQ(full_costs.size(), 8u);
 
-  std::set<std::string> skip = {full[0].cell.Name()};
-  SweepOptions options;
-  options.skip_cells = &skip;
-  std::vector<SweepCellResult> rest =
-      SweepEngine(pool).RunChannelGrid(spec, SyntheticShard, lopt, options);
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].cell.Name(), full[1].cell.Name());
-  // The resume contract: a partial rerun reproduces the uninterrupted
-  // run's numbers exactly (coordinate-keyed seeds, not index-keyed).
-  EXPECT_EQ(rest[0].observations.inputs(), full[1].observations.inputs());
-  EXPECT_EQ(rest[0].observations.outputs(), full[1].observations.outputs());
-  EXPECT_EQ(rest[0].leakage.mi_bits, full[1].leakage.mi_bits);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const GridSpec one = OneCellGrid(spec, cells[i].Name());
+    ASSERT_EQ(one.num_cells(), 1u);
+    const GridCell cell = ExpandGrid(one).front();
+    EXPECT_EQ(cell.platform, cells[i].platform);
+    EXPECT_EQ(cell.variant, cells[i].variant);
+    EXPECT_EQ(cell.timeslice_ms, cells[i].timeslice_ms);
+    EXPECT_EQ(cell.colour_fraction, cells[i].colour_fraction);
+    EXPECT_EQ(cell.mode, cells[i].mode);
+    EXPECT_EQ(cell.seed, cells[i].seed);
+    EXPECT_EQ(cell.Name(), cells[i].Name());
 
-  // Cost grids honour the same skip set, and a rerun cell keeps its
-  // coordinates (and so its seed) from the full grid.
-  std::vector<SweepCellResult> full_costs = SweepEngine(pool).RunCostGrid(spec, SyntheticCost);
-  std::vector<SweepCellResult> rest_costs =
-      SweepEngine(pool).RunCostGrid(spec, SyntheticCost, options);
-  ASSERT_EQ(full_costs.size(), 2u);
-  ASSERT_EQ(rest_costs.size(), 1u);
-  EXPECT_EQ(rest_costs[0].cell.Name(), full_costs[1].cell.Name());
-  ASSERT_TRUE(rest_costs[0].cost.has_value());
-  EXPECT_EQ(rest_costs[0].cost->metrics.at("seed_low"),
-            full_costs[1].cost->metrics.at("seed_low"));
+    // Coordinate-keyed seeds: the one-cell run reproduces that cell of the
+    // full-grid run exactly, wherever it sits in the grid.
+    const std::vector<SweepCellResult> alone =
+        SweepEngine(pool).RunChannelGrid(one, SyntheticShard, lopt);
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(alone[0].shards, full[i].shards);
+    EXPECT_EQ(alone[0].observations.inputs(), full[i].observations.inputs());
+    EXPECT_EQ(alone[0].observations.outputs(), full[i].observations.outputs());
+    EXPECT_EQ(alone[0].leakage.mi_bits, full[i].leakage.mi_bits);
+    EXPECT_EQ(alone[0].leakage.m0_bits, full[i].leakage.m0_bits);
+
+    // Cost grids narrow the same way.
+    const std::vector<SweepCellResult> alone_cost =
+        SweepEngine(pool).RunCostGrid(one, SyntheticCost);
+    ASSERT_EQ(alone_cost.size(), 1u);
+    ASSERT_TRUE(alone_cost[0].cost.has_value());
+    EXPECT_EQ(alone_cost[0].cost->metrics, full_costs[i].cost->metrics);
+  }
+  EXPECT_THROW(OneCellGrid(spec, "p2/quiet"), std::invalid_argument);
 }
 
 TEST(RecordSweep, FailedCellRoundTripsThroughTheTrajectory) {

@@ -191,8 +191,8 @@ TEST(RunSpecTest, ChannelExpandingToNoCellsThrows) {
   EXPECT_THROW(RunSpec(spec, pool, /*verbose=*/false), std::runtime_error);
 }
 
-// perfbench's copy of the cost cells and tp_bench --resume both rely on a
-// cost spec's results being exactly the cells of its grids, in order.
+// perfbench's copy of the cost cells relies on a cost spec's results being
+// exactly the cells of its grids, in order.
 TEST(RunSpecTest, CostSpecsReturnTheirGridCellsInOrder) {
   test::QuickModeGuard quick;
   runner::ExperimentRunner pool(4);

@@ -1,15 +1,19 @@
-// Adversarial inputs for the forgiving JSON parser: overflowing exponents,
-// pathological nesting, unterminated strings, truncated escapes and raw
-// byte soup must all come back as clean "offset N: why" errors — never a
-// crash, never a non-finite number, never an unbounded recursion. tp_fuzz
-// --target trajectory feeds the same parser randomized bytes; these are
-// the fixed regression anchors.
+// Adversarial inputs for the strict JSON parser: overflowing exponents,
+// pathological nesting, unterminated strings, truncated escapes, raw byte
+// soup and near-JSON that Python's json module refuses must all come back
+// as clean "offset N: why" errors — never a crash, never a non-finite
+// number, never an unbounded recursion. tp_fuzz --target trajectory feeds
+// the same parser randomized bytes; these are the fixed regression anchors.
 #include <cmath>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "trajectory/json.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace tp::trajectory {
 namespace {
@@ -109,6 +113,39 @@ TEST(JsonHardening, ByteSoupNeverCrashes) {
 TEST(JsonHardening, TrailingGarbageIsRejected) {
   EXPECT_NE(ErrorFor("{} extra").find("trailing"), std::string::npos);
   EXPECT_NE(ErrorFor("1 2").find("trailing"), std::string::npos);
+}
+
+// The one grammar of results files is RFC 8259 JSON, what perfbench's
+// Python json.loads reads: a hand-edited results file Python refuses must
+// not load into tp_bench_diff or a writer either.
+TEST(JsonHardening, RefusesNearJsonThatPythonRefuses) {
+  const std::string record = R"({"schema_version": 3, "bench": "b", "label": "l", "cell": "c")";
+  std::vector<std::string> refused;
+  for (const char* number : {"+1", "01", ".5", "1.", "-", "-01", "1e", "1.e5", "0x1"}) {
+    refused.push_back("[" + record + ", \"wall_ns\": " + number + "}]");
+  }
+  refused.push_back("[\v" + record + "}]");  // \v is not JSON whitespace
+  refused.push_back("\f[" + record + "}]");  // nor is \f
+  refused.push_back("[" + record + ", \"cell_error\": \"a\tb\"}]");  // raw tab
+  refused.push_back(std::string("[\"a\0b\"]", 7));
+  for (const std::string& text : refused) {
+    std::string error;
+    EXPECT_FALSE(ParseJson(text, &error).has_value()) << text;
+    EXPECT_EQ(error.compare(0, 7, "offset "), 0) << error;
+    EXPECT_FALSE(ParseTrajectory(text).has_value()) << text;
+  }
+
+  // Every spelling the grammar allows still parses, to the same double.
+  for (const auto& [text, value] : std::vector<std::pair<std::string, double>>{
+           {"0", 0.0}, {"-0", 0.0}, {"7", 7.0}, {"-12", -12.0}, {"0.5", 0.5},
+           {"1.25e3", 1250.0}, {"1E+2", 100.0}, {"2e-3", 0.002}, {"1e+06", 1e6}}) {
+    const std::optional<JsonValue> v = ParseJson(" \t\n\r[" + text + "]\r\n");
+    ASSERT_TRUE(v.has_value()) << text;
+    EXPECT_EQ(v->array.at(0).number, value) << text;
+  }
+  const std::optional<JsonValue> escaped = ParseJson(R"(["a\tb"])");
+  ASSERT_TRUE(escaped.has_value());
+  EXPECT_EQ(escaped->array.at(0).string, "a\tb");
 }
 
 }  // namespace

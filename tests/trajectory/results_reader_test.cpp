@@ -1,5 +1,5 @@
 // The one results-file reader behind the loader, the Recorder's append and
-// tp_bench's label check and --resume: JSON value byte ranges, element
+// tp_bench's label check: JSON value byte ranges, element
 // texts kept byte for byte, per-element typing, and the documents every
 // writer must refuse because the loader does.
 #include <gtest/gtest.h>
@@ -43,8 +43,8 @@ std::vector<std::string> Texts(const std::vector<ResultsElement>& elements) {
 
 TEST(ResultsReader, KeepsElementTextsByteForByte) {
   // Includes a record this build cannot type (future fields, nested
-  // structures, "]" and escaped quotes inside strings): appends and
-  // resumes must carry it through untouched.
+  // structures, "]" and escaped quotes inside strings): an append must
+  // carry it through untouched.
   const std::string rec1 =
       R"({"schema_version": 1, "bench": "b", "label": "l", "cell": "c", "mi_bits": 0.25})";
   const std::string rec2 =

@@ -1,5 +1,5 @@
 // The trajectory toolchain behind tp_bench_diff: JSON reader robustness,
-// forgiving record parsing, and the leak/wall regression gate. The
+// forgiving record parsing, and the always-on regression gate. The
 // overriding property: hand-edited BENCH_results.json input must never
 // crash the differ — it degrades to warnings or a load error.
 #include <fcntl.h>
@@ -181,13 +181,18 @@ TEST(Trajectory, MiAbsentMeansNaN) {
 }
 
 TEST(Trajectory, SkipsMalformedRecordsWithWarnings) {
-  std::optional<Trajectory> t = ParseTrajectory(
-      "[" + Rec("") + ", 17, \"record\"," +
-      R"({"schema_version": 1, "bench": "b", "cell": "c"},)" +       // missing label
-      R"({"schema_version": 99, "bench": "b", "label": "l", "cell": "c"},)" +  // unknown schema
-      R"({"bench": "b", "label": "l", "cell": "c"},)" +              // no schema_version
-      R"({"schema_version": 1, "bench": "b", "label": "l", "cell": "c", "mi_bits": "NaN"})" +
-      "]");
+  // Built with += : GCC 12's -Wrestrict misanalyses
+  // std::operator+(const char*, std::string&&) here at -O3 (bogus "may
+  // overlap" at PTRDIFF_MAX offsets), which breaks the -Werror Release build.
+  std::string doc = "[";
+  doc += Rec("");
+  doc += ", 17, \"record\",";
+  doc += R"({"schema_version": 1, "bench": "b", "cell": "c"},)";  // missing label
+  doc += R"({"schema_version": 99, "bench": "b", "label": "l", "cell": "c"},)";  // unknown schema
+  doc += R"({"bench": "b", "label": "l", "cell": "c"},)";  // no schema_version
+  doc += R"({"schema_version": 1, "bench": "b", "label": "l", "cell": "c", "mi_bits": "NaN"})";
+  doc += "]";
+  std::optional<Trajectory> t = ParseTrajectory(doc);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->records.size(), 1u);  // only the first record survives
   EXPECT_EQ(t->warnings.size(), 6u);
@@ -459,36 +464,32 @@ TEST(Diff, TinyCellsAreNeverWallGated) {
 }
 
 TEST(Diff, RequireWallFailsWhenCandidateLosesTiming) {
+  // Always on: a cell whose baseline records wall_ns must still record it,
+  // or it would drop out of every future wall gate.
   Trajectory t;
   t.records.push_back(MakeRecord("base", "x/raw", -1, 1'000'000'000));
   t.records.push_back(MakeRecord("cand", "x/raw", -1, 0));  // timing vanished
-  // Off by default: a zero candidate wall is not a regression on its own.
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
-  DiffOptions opt;
-  opt.require_cell_wall = true;
-  DiffOutcome o = DiffTrajectories(t, "base", "cand", opt);
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_FALSE(o.ok());
   EXPECT_EQ(o.result.missing_wall, 1u);
   // A candidate that records any wall time passes; an untimed baseline
   // cell (wall_ns 0 on both sides) never arms the gate.
   t.records[1].wall_ns = 5'000'000;
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand", opt).ok());
+  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
   t.records[0].wall_ns = 0;
   t.records[1].wall_ns = 0;
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand", opt).ok());
+  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
 }
 
-TEST(Diff, DisjointCellSetsAreReportedNotGated) {
+TEST(Diff, CellsNewToTheBaselineAreReportedNotGated) {
   Trajectory t;
-  t.records.push_back(MakeRecord("base", "gone/raw", 1.0, 1e8));
   t.records.push_back(MakeRecord("base", "stays/raw", 1.0, 1e8));
   t.records.push_back(MakeRecord("cand", "stays/raw", 1.0, 1e8));
   t.records.push_back(MakeRecord("cand", "new/raw", 1.0, 1e8));
   DiffOutcome o = DiffTrajectories(t, "base", "cand");
-  EXPECT_TRUE(o.ok());
+  EXPECT_TRUE(o.ok()) << ReportJson(o);
   EXPECT_EQ(o.result.cells.size(), 1u);
-  ASSERT_EQ(o.result.missing_in_candidate.size(), 1u);
-  EXPECT_EQ(o.result.missing_in_candidate[0], "bench/gone/raw");
+  EXPECT_TRUE(o.result.missing_in_candidate.empty());
   ASSERT_EQ(o.result.missing_in_baseline.size(), 1u);
   EXPECT_EQ(o.result.missing_in_baseline[0], "bench/new/raw");
 }
@@ -528,7 +529,18 @@ TEST(Diff, MissingProtectedCellFails) {
   t.records.push_back(MakeRecord("cand", "y/raw", 1.0, 1e8));
   DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_FALSE(o.ok());
-  EXPECT_EQ(o.result.missing_protected, 1u);
+  ASSERT_EQ(o.result.missing_in_candidate.size(), 1u);
+  EXPECT_EQ(o.result.missing_in_candidate[0], "bench/x/protected");
+  // So does every other baseline cell: a label is one whole run.
+  t.records[0].cell = "x/raw";
+  o = DiffTrajectories(t, "base", "cand");
+  EXPECT_FALSE(o.ok());
+  ASSERT_EQ(o.result.missing_in_candidate.size(), 1u);
+  EXPECT_EQ(o.result.missing_in_candidate[0], "bench/x/raw");
+  std::string error;
+  std::optional<JsonValue> report = ParseJson(ReportJson(o), &error);
+  ASSERT_TRUE(report.has_value()) << error;
+  EXPECT_EQ(report->Find("missing_cells")->number, 1.0);
 }
 
 TEST(Diff, ZeroBaselineWallStillGatesExpensiveCandidate) {
@@ -589,17 +601,14 @@ TEST(Diff, DuplicateRecordsWithinOneLabelAreAHardError) {
 }
 
 TEST(Diff, RequireContractGatesProtectedCells) {
+  // Always on: an MI-quiet protected cell that turns contract-dirty fails.
   Trajectory t;
   t.records.push_back(MakeRecord("base", "x/protected", 0.0, 1e8));
   t.records.push_back(MakeRecord("cand", "x/protected", 0.0, 1e8));
   t.records[0].contract_clean = 1;
   t.records[1].contract_clean = 0;
   t.records[1].contract_first = "L1-I slice 0 set 3 way 1";
-  // Off by default: an MI-quiet dirty cell passes without the flag.
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
-  DiffOptions opt;
-  opt.require_contract = true;
-  DiffOutcome o = DiffTrajectories(t, "base", "cand", opt);
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_FALSE(o.ok());
   EXPECT_EQ(o.result.contract_regressions, 1u);
   ASSERT_EQ(o.result.notes.size(), 1u);
@@ -607,36 +616,34 @@ TEST(Diff, RequireContractGatesProtectedCells) {
   // A baseline already dirty (the paper's residual x86 private-L2 state)
   // passes as long as the candidate is no worse.
   t.records[0].contract_clean = 0;
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand", opt).ok());
+  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
   // A cell with no baseline contract record is held to clean.
   t.records[0].contract_clean = -1;
-  EXPECT_FALSE(DiffTrajectories(t, "base", "cand", opt).ok());
+  EXPECT_FALSE(DiffTrajectories(t, "base", "cand").ok());
   // A clean candidate always passes; unprotected cells are never gated.
   t.records[0].contract_clean = 1;
   t.records[1].contract_clean = 1;
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand", opt).ok());
+  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
   t.records[0].cell = t.records[1].cell = "x/raw";
   t.records[1].contract_clean = 0;
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand", opt).ok());
+  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
 }
 
 TEST(Diff, RequireContractFailsWhenObservableVanishes) {
-  // Dropping the observable would disarm the gate, same rule as
-  // require_cell_wall: baseline carried contract_clean, candidate lost it.
+  // Dropping the observable would disarm the gate: baseline carried
+  // contract_clean, candidate lost it.
   Trajectory t;
   t.records.push_back(MakeRecord("base", "x/protected", 0.0, 1e8));
   t.records.push_back(MakeRecord("cand", "x/protected", 0.0, 1e8));
   t.records[0].contract_clean = 1;
-  DiffOptions opt;
-  opt.require_contract = true;
-  DiffOutcome o = DiffTrajectories(t, "base", "cand", opt);
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_FALSE(o.ok());
   EXPECT_EQ(o.result.contract_regressions, 1u);
   ASSERT_EQ(o.result.notes.size(), 1u);
-  EXPECT_NE(o.result.notes[0].find("vanished"), std::string::npos);
+  EXPECT_NE(o.result.notes[0].find("contract_clean missing"), std::string::npos);
   // Observable absent on both sides: nothing to gate (taint-off runs).
   t.records[0].contract_clean = -1;
-  EXPECT_TRUE(DiffTrajectories(t, "base", "cand", opt).ok());
+  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
 }
 
 TEST(Diff, ReportJsonCarriesContractFields) {
@@ -645,9 +652,7 @@ TEST(Diff, ReportJsonCarriesContractFields) {
   t.records.push_back(MakeRecord("cand", "x/protected", 0.0, 1e8));
   t.records[0].contract_clean = 1;
   t.records[1].contract_clean = 0;
-  DiffOptions opt;
-  opt.require_contract = true;
-  DiffOutcome o = DiffTrajectories(t, "base", "cand", opt);
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
   std::string report = ReportJson(o);
   std::string error;
   std::optional<JsonValue> parsed = ParseJson(report, &error);
@@ -753,36 +758,25 @@ TEST(ResultsFile, EditWaitsForTheLockThenEditsTheLatestContents) {
   std::remove((path + ".lock").c_str());
 }
 
-TEST(Diff, FailedCandidateCellIsNotedButNotGatedByDefault) {
-  Trajectory t;
-  t.records.push_back(MakeRecord("base", "x/protected", 0.0, 1e8));
-  t.records.push_back(MakeRecord("cand", "x/protected", -1, 0));
-  t.records[1].cell_status = "failed";
-  t.records[1].cell_error = "shard threw";
-  DiffOutcome o = DiffTrajectories(t, "base", "cand");
-  EXPECT_TRUE(o.ok()) << ReportJson(o);
-  EXPECT_EQ(o.result.failed_cells, 0u);
-  ASSERT_EQ(o.result.cells.size(), 1u);
-  EXPECT_EQ(o.result.cells[0].cand_status, "failed");
-  EXPECT_FALSE(o.result.cells[0].cell_failure);
-  // The failure is exempt from the leak/wall gates but always surfaced.
-  ASSERT_EQ(o.result.notes.size(), 1u);
-  EXPECT_NE(o.result.notes[0].find("failed"), std::string::npos);
-  EXPECT_NE(o.result.notes[0].find("shard threw"), std::string::npos);
-}
-
 TEST(Diff, RequireCellsGatesOnFailedCandidateCells) {
+  // Always on: a crash-isolated candidate cell fails, is exempt from the
+  // leak/wall/contract gates (it has no observables) and is surfaced with
+  // its error.
   Trajectory t;
   t.records.push_back(MakeRecord("base", "x/protected", 0.0, 1e8));
   t.records.push_back(MakeRecord("cand", "x/protected", -1, 0));
+  t.records[0].contract_clean = 1;
   t.records[1].cell_status = "timeout";
-  DiffOptions opt;
-  opt.require_cells = true;
-  DiffOutcome o = DiffTrajectories(t, "base", "cand", opt);
+  t.records[1].cell_error = "budget exceeded";
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_FALSE(o.ok());
   EXPECT_EQ(o.result.failed_cells, 1u);
+  EXPECT_EQ(o.result.leak_regressions + o.result.missing_wall + o.result.contract_regressions,
+            0u);
   ASSERT_EQ(o.result.cells.size(), 1u);
-  EXPECT_TRUE(o.result.cells[0].cell_failure);
+  EXPECT_TRUE(o.result.cells[0].cell_failure());
+  ASSERT_EQ(o.result.notes.size(), 1u);
+  EXPECT_NE(o.result.notes[0].find("timeout: budget exceeded"), std::string::npos);
   // The report carries the status for machine consumers.
   std::string report = ReportJson(o);
   std::string error;
@@ -792,98 +786,127 @@ TEST(Diff, RequireCellsGatesOnFailedCandidateCells) {
   const JsonValue& cell = parsed->Find("cells")->array[0];
   ASSERT_NE(cell.Find("cell_status"), nullptr);
   EXPECT_EQ(cell.Find("cell_status")->string, "timeout");
+  // A crash-isolated cell new to the baseline fails too.
+  t.records[1].cell_status = "ok";
+  t.records[1].mi_bits = 0.0;
+  t.records[1].wall_ns = 100'000'000;
+  t.records[1].contract_clean = 1;
+  t.records.push_back(MakeRecord("cand", "y/raw", -1, 0));
+  t.records.back().cell_status = "failed";
+  o = DiffTrajectories(t, "base", "cand");
+  EXPECT_FALSE(o.ok());
+  EXPECT_EQ(o.result.failed_cells, 1u);
+  EXPECT_EQ(o.result.missing_in_baseline.size(), 1u);
 }
 
-TEST(Diff, FailedBaselineCellHoldsCandidateToAFreshCellFloor) {
-  // A baseline cell that crashed has no trustworthy observables: the
-  // candidate is compared as if the baseline cell were absent (protected
-  // cells held to MI = 0), instead of inheriting a vacuous pass.
+TEST(Diff, BaselineWithACrashIsolatedCellIsRefused) {
+  // A crashed baseline cell carries no floors, so a baseline holding one
+  // is unusable input rather than a vacuous pass, and the error names it.
   Trajectory t;
   t.records.push_back(MakeRecord("base", "x/protected", 0.9, 1e8));
-  t.records.push_back(MakeRecord("cand", "x/protected", 0.01, 1e8));
+  t.records.push_back(MakeRecord("base", "y/raw", 1.0, 1e8));
+  t.records.push_back(MakeRecord("cand", "x/protected", 0.0, 1e8));
+  t.records.push_back(MakeRecord("cand", "y/raw", 1.0, 1e8));
   t.records[0].cell_status = "failed";
   DiffOutcome o = DiffTrajectories(t, "base", "cand");
   EXPECT_FALSE(o.ok());
-  EXPECT_EQ(o.result.leak_regressions, 1u);
-  bool noted = false;
-  for (const std::string& note : o.result.notes) {
-    noted = noted || note.find("fresh-cell floor") != std::string::npos;
-  }
-  EXPECT_TRUE(noted) << ReportJson(o);
+  EXPECT_NE(o.error.find("crash-isolated cell 'bench/x/protected'"), std::string::npos)
+      << o.error;
+  EXPECT_TRUE(o.result.cells.empty());
+  // The same label as a candidate is judged, and fails.
+  o = DiffTrajectories(t, "cand", "base");
+  EXPECT_TRUE(o.error.empty()) << o.error;
+  EXPECT_EQ(o.result.failed_cells, 1u);
+  EXPECT_FALSE(o.ok());
 }
 
-// ---- sweep coverage (tp_bench_diff --check-coverage) ----
+// ---- label coverage: what the old coverage check asked, as diff rules ----
 
 TEST(Coverage, MissingLabelIsAnError) {
   Trajectory t;
   t.records.push_back(MakeRecord("a", "cell/raw", 1.0, 100));
-  CoverageResult r = CheckCoverage(t, "ghost");
-  EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.error.find("ghost"), std::string::npos);
+  DiffOutcome o = DiffTrajectories(t, "a", "ghost");
+  EXPECT_FALSE(o.ok());
+  EXPECT_NE(o.error.find("ghost"), std::string::npos);
 }
 
 TEST(Coverage, EveryExpectedBenchMustRecordARealCell) {
+  // A channel the baseline holds but the candidate never recorded leaves
+  // every one of its cells missing.
   Trajectory t;
-  t.records.push_back(MakeRecord("run", "cell/raw", 1.0, 100));
-  CoverageOptions opts;
-  opts.expected_benches = {"bench", "ghost_bench"};
-  CoverageResult r = CheckCoverage(t, "run", opts);
-  EXPECT_FALSE(r.ok());
-  ASSERT_EQ(r.missing_benches.size(), 1u);
-  EXPECT_EQ(r.missing_benches[0], "ghost_bench");
-  EXPECT_EQ(r.records, 1u);
+  t.records.push_back(MakeRecord("base", "cell/raw", 1.0, 100));
+  t.records.push_back(MakeRecord("base", "cell/raw", 1.0, 100));
+  t.records.back().bench = "ghost_bench";
+  t.records.push_back(MakeRecord("cand", "cell/raw", 1.0, 100));
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
+  EXPECT_FALSE(o.ok());
+  ASSERT_EQ(o.result.missing_in_candidate.size(), 1u);
+  EXPECT_EQ(o.result.missing_in_candidate[0], "ghost_bench/cell/raw");
+  EXPECT_EQ(o.result.cells.size(), 1u);
 }
 
 TEST(Coverage, RecorderTotalRowIsNotCoverage) {
-  // A channel whose only record is the per-process "total" row produced no
-  // real cells: it ran but measured nothing, which is exactly the failure
-  // the old grep check could not distinguish.
+  // A channel whose only candidate record is the per-process "total" row
+  // ran but measured nothing: its baseline cells are missing.
   Trajectory t;
-  t.records.push_back(MakeRecord("run", "total", -1.0, 100));
-  CoverageOptions opts;
-  opts.expected_benches = {"bench"};
-  CoverageResult r = CheckCoverage(t, "run", opts);
-  EXPECT_FALSE(r.ok());
-  ASSERT_EQ(r.missing_benches.size(), 1u);
-  EXPECT_EQ(r.missing_benches[0], "bench");
-  EXPECT_EQ(r.records, 0u);
+  t.records.push_back(MakeRecord("base", "cell/raw", 1.0, 100));
+  t.records.push_back(MakeRecord("base", "total", -1.0, 100));
+  t.records.push_back(MakeRecord("cand", "total", -1.0, 100));
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
+  EXPECT_FALSE(o.ok());
+  ASSERT_EQ(o.result.missing_in_candidate.size(), 1u);
+  EXPECT_EQ(o.result.missing_in_candidate[0], "bench/cell/raw");
 }
 
 TEST(Coverage, ProtectedCellMustRecordContractClean) {
+  // A baseline that records contract observables (a taint-on run) holds
+  // every healthy protected candidate cell, new ones included, to
+  // recording its verdict.
   Trajectory t;
-  t.records.push_back(MakeRecord("run", "x/protected", 0.0, 100));
-  t.records.push_back(MakeRecord("run", "x/raw", 1.0, 100));
-  CoverageResult r = CheckCoverage(t, "run");
-  EXPECT_FALSE(r.ok());
-  ASSERT_EQ(r.missing_contract.size(), 1u);
-  EXPECT_EQ(r.missing_contract[0], "bench/x/protected");
+  t.records.push_back(MakeRecord("base", "x/raw", 1.0, 100));
+  t.records.back().contract_clean = 1;
+  t.records.push_back(MakeRecord("cand", "x/raw", 1.0, 100));
+  t.records.push_back(MakeRecord("cand", "x/protected", 0.0, 100));
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
+  EXPECT_FALSE(o.ok());
+  EXPECT_EQ(o.result.contract_regressions, 1u);
+  ASSERT_EQ(o.result.notes.size(), 1u);
+  EXPECT_NE(o.result.notes[0].find("bench/x/protected"), std::string::npos);
 
   // The unprotected cell never needs the observable; once the protected
-  // cell records its verdict (clean or dirty), coverage is satisfied —
-  // judging the verdict is the diff gate's job, not coverage's.
-  t.records[0].contract_clean = 0;
-  r = CheckCoverage(t, "run");
-  EXPECT_TRUE(r.ok()) << (r.missing_contract.empty() ? "" : r.missing_contract[0]);
+  // cell records a verdict it cannot be held to, coverage is satisfied —
+  // a dirty new protected cell then fails the contract rule itself.
+  t.records[2].contract_clean = 1;
+  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
+  t.records[2].contract_clean = 0;
+  o = DiffTrajectories(t, "base", "cand");
+  EXPECT_EQ(o.result.contract_regressions, 1u);
+  EXPECT_EQ(o.result.notes.size(), 0u);
 }
 
-TEST(Coverage, CrashIsolatedProtectedCellIsNotedNotGated) {
-  // A crashed cell has no contract verdict to record; --require-cells in
-  // the diff gate owns that failure, coverage only notes the exemption.
+TEST(Coverage, CrashIsolatedProtectedCellFailsAsACrashNotAContractHole) {
+  // A crashed cell has no contract verdict to record; it fails as a
+  // crash-isolated cell, not as a cell missing contract_clean.
   Trajectory t;
-  t.records.push_back(MakeRecord("run", "x/protected", -1.0, 100));
-  t.records[0].cell_status = "timeout";
-  CoverageResult r = CheckCoverage(t, "run");
-  EXPECT_TRUE(r.ok());
-  ASSERT_EQ(r.notes.size(), 1u);
-  EXPECT_NE(r.notes[0].find("timeout"), std::string::npos);
+  t.records.push_back(MakeRecord("base", "x/protected", 0.0, 100));
+  t.records.back().contract_clean = 1;
+  t.records.push_back(MakeRecord("cand", "x/protected", -1.0, 100));
+  t.records.back().cell_status = "timeout";
+  DiffOutcome o = DiffTrajectories(t, "base", "cand");
+  EXPECT_FALSE(o.ok());
+  EXPECT_EQ(o.result.failed_cells, 1u);
+  EXPECT_EQ(o.result.contract_regressions, 0u);
+  ASSERT_EQ(o.result.notes.size(), 1u);
+  EXPECT_NE(o.result.notes[0].find("timeout"), std::string::npos);
 }
 
 TEST(Coverage, ContractRequirementCanBeDisabled) {
+  // Only by the baseline: a taint-off baseline label records no contract
+  // observables and so requires none.
   Trajectory t;
-  t.records.push_back(MakeRecord("run", "x/protected", 0.0, 100));
-  CoverageOptions opts;
-  opts.require_contract = false;
-  EXPECT_TRUE(CheckCoverage(t, "run", opts).ok());
+  t.records.push_back(MakeRecord("base", "x/protected", 0.0, 100));
+  t.records.push_back(MakeRecord("cand", "x/protected", 0.0, 100));
+  EXPECT_TRUE(DiffTrajectories(t, "base", "cand").ok());
 }
 
 // ---- retired early-stopping keys ----
@@ -999,11 +1022,12 @@ TEST(Diff, ReportJsonCarriesSummaryBlock) {
     EXPECT_TRUE(cell.Find("wall_normalized")->boolean);
   }
   EXPECT_TRUE(found) << report;
-  // And the options block records the gate knobs.
+  // And the options block records the gate knobs (null: MI drift off).
   const JsonValue* opts = parsed->Find("options");
   ASSERT_NE(opts, nullptr);
-  ASSERT_NE(opts->Find("require_cells"), nullptr);
-  EXPECT_FALSE(opts->Find("require_cells")->boolean);
+  EXPECT_EQ(opts->Find("max_wall_ratio")->number, 1.25);
+  ASSERT_NE(opts->Find("max_abs_mi_delta"), nullptr);
+  EXPECT_TRUE(opts->Find("max_abs_mi_delta")->is(JsonValue::Type::kNull));
 }
 
 }  // namespace

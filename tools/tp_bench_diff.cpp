@@ -1,9 +1,9 @@
 // tp_bench_diff — the bench-trajectory regression gate.
 //
 // Joins two run labels of a BENCH_results.json on (bench, cell) and fails
-// (exit 1) on protected-cell leakage or wall-clock regressions; exit 2 for
-// unusable input. See src/trajectory/diff.hpp for the gate rules and
-// BUILDING.md for the CI wiring.
+// (exit 1) when the candidate regressed under any gate rule, every one of
+// them always on; exit 2 for unusable input. See src/trajectory/diff.hpp
+// for the gate rules and BUILDING.md for the CI wiring.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -22,7 +22,12 @@ constexpr const char* kUsage =
     "usage: tp_bench_diff [options] <baseline-label> <candidate-label>\n"
     "\n"
     "Compares two recorded sweep labels and reports per-cell MI deltas and\n"
-    "wall-clock ratios. Exit 0: no regression; 1: regression; 2: bad input.\n"
+    "wall-clock ratios. Every gate rule is always on: protected-cell leakage,\n"
+    "baseline cells missing from the candidate, crash-isolated candidate\n"
+    "cells, wall-clock blow-ups and vanished wall_ns, and protected cells that\n"
+    "turn contract-dirty or, against a taint-on baseline, lack contract_clean.\n"
+    "A baseline holding a crash-isolated cell is bad input.\n"
+    "Exit 0: no regression; 1: regression; 2: bad input.\n"
     "\n"
     "options:\n"
     "  --json PATH      results file to read (default: BENCH_results.json)\n"
@@ -33,27 +38,8 @@ constexpr const char* kUsage =
     "  --max-mi-delta X fail ANY joined cell whose |MI delta| exceeds X (a\n"
     "                   finite number >= 0; 0 demands bit-identical MI; off\n"
     "                   by default)\n"
-    "  --require-wall   fail any joined cell whose baseline has a wall_ns\n"
-    "                   measurement but whose candidate records none\n"
-    "  --require-contract\n"
-    "                   fail any protected cell whose candidate reports\n"
-    "                   contract_clean=false where the baseline was clean or\n"
-    "                   absent, or whose candidate dropped the observable\n"
-    "  --require-cells  fail any candidate cell recorded with a non-ok\n"
-    "                   cell_status (crash-isolated \"failed\"/\"timeout\"\n"
-    "                   cells are otherwise reported but not gated)\n"
     "  --list-labels    print the labels present in the file and exit\n"
-    "  --quiet          suppress the per-cell table, print the verdict only\n"
-    "\n"
-    "coverage mode: tp_bench_diff --check-coverage [options] <label>...\n"
-    "  Instead of diffing, verify each label covers its sweep: every bench\n"
-    "  named in --channels has at least one real cell record (not the\n"
-    "  per-process \"total\" row), and every healthy protected cell records\n"
-    "  its contract_clean observable. Reports exactly which channel or cell\n"
-    "  is missing. Exit 0: covered; 1: coverage hole; 2: bad input.\n"
-    "  --channels PATH  expected bench names, one per line (typically the\n"
-    "                   output of `tp_bench --list`); omit to check only\n"
-    "                   contract coverage\n";
+    "  --quiet          suppress the per-cell table, print the verdict only\n";
 
 struct Args {
   std::string json_path = "BENCH_results.json";
@@ -63,9 +49,6 @@ struct Args {
   tp::trajectory::DiffOptions options;
   bool list_labels = false;
   bool quiet = false;
-  bool check_coverage = false;
-  std::string channels_path;
-  std::vector<std::string> coverage_labels;
 };
 
 // A gate threshold: a complete, finite number. Anything else ("abc",
@@ -128,22 +111,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
       args->options.max_abs_mi_delta = *delta;
-    } else if (arg == "--require-wall") {
-      args->options.require_cell_wall = true;
-    } else if (arg == "--require-contract") {
-      args->options.require_contract = true;
-    } else if (arg == "--require-cells") {
-      args->options.require_cells = true;
     } else if (arg == "--list-labels") {
       args->list_labels = true;
-    } else if (arg == "--check-coverage") {
-      args->check_coverage = true;
-    } else if (arg == "--channels") {
-      const char* v = value();
-      if (v == nullptr) {
-        return false;
-      }
-      args->channels_path = v;
     } else if (arg == "--quiet" || arg == "-q") {
       args->quiet = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -159,15 +128,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (args->list_labels) {
     return positional.empty();
   }
-  if (args->check_coverage) {
-    if (positional.empty()) {
-      std::fprintf(stderr, "tp_bench_diff: --check-coverage needs at least one label\n%s",
-                   kUsage);
-      return false;
-    }
-    args->coverage_labels = std::move(positional);
-    return true;
-  }
   if (positional.size() != 2) {
     std::fputs(kUsage, stderr);
     return false;
@@ -175,70 +135,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   args->baseline = positional[0];
   args->candidate = positional[1];
   return true;
-}
-
-// Expected bench names, one per line; blank lines ignored.
-bool LoadChannels(const std::string& path, std::vector<std::string>* channels) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "tp_bench_diff: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (!line.empty()) {
-      channels->push_back(line);
-    }
-  }
-  return true;
-}
-
-// Coverage mode: checks each label in turn and prints per-label verdicts.
-int RunCoverage(const Args& args, const tp::trajectory::Trajectory& trajectory) {
-  tp::trajectory::CoverageOptions options;
-  if (!args.channels_path.empty() &&
-      !LoadChannels(args.channels_path, &options.expected_benches)) {
-    return 2;
-  }
-  bool covered = true;
-  bool bad_input = false;
-  for (const std::string& label : args.coverage_labels) {
-    tp::trajectory::CoverageResult r =
-        tp::trajectory::CheckCoverage(trajectory, label, options);
-    if (!r.error.empty()) {
-      std::fprintf(stderr, "tp_bench_diff: %s\n", r.error.c_str());
-      bad_input = true;
-      continue;
-    }
-    for (const std::string& bench : r.missing_benches) {
-      std::printf("coverage: channel '%s' recorded no cells under label '%s'\n",
-                  bench.c_str(), label.c_str());
-    }
-    for (const std::string& cell : r.missing_contract) {
-      std::printf("coverage: protected cell '%s' lacks contract_clean under label '%s'\n",
-                  cell.c_str(), label.c_str());
-    }
-    if (!args.quiet) {
-      for (const std::string& note : r.notes) {
-        std::printf("note: %s\n", note.c_str());
-      }
-    }
-    std::printf(
-        "tp_bench_diff: coverage of '%s' — %zu cell record(s), %zu/%zu expected "
-        "channel(s) present, %zu protected cell(s) without contract_clean -> %s\n",
-        label.c_str(), r.records,
-        options.expected_benches.size() - r.missing_benches.size(),
-        options.expected_benches.size(), r.missing_contract.size(),
-        r.ok() ? "PASS" : "FAIL");
-    covered = covered && r.ok();
-  }
-  if (bad_input) {
-    return 2;
-  }
-  return covered ? 0 : 1;
 }
 
 }  // namespace
@@ -267,10 +163,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (args.check_coverage) {
-    return RunCoverage(args, *trajectory);
-  }
-
   tp::trajectory::DiffOutcome outcome = tp::trajectory::DiffTrajectories(
       *trajectory, args.baseline, args.candidate, args.options);
 
@@ -294,8 +186,7 @@ int main(int argc, char** argv) {
                 "prot", "verdict");
     for (const tp::trajectory::CellDiff& d : r.cells) {
       std::string key = d.bench + "/" + d.cell;
-      const char* verdict = d.cell_failure             ? "FAILED"
-                            : d.cand_status != "ok"    ? "failed (not gated)"
+      const char* verdict = d.cell_failure()           ? "FAILED"
                             : d.leak_regression        ? "LEAK"
                             : d.wall_regression        ? "SLOW"
                             : d.mi_delta_regression    ? "MI-DRIFT"
@@ -319,11 +210,12 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "tp_bench_diff: %s vs %s — %zu cells compared, %zu leak regression(s), "
-      "%zu wall regression(s), %zu MI drift(s), %zu missing protected cell(s), "
+      "%zu wall regression(s), %zu MI drift(s), %zu missing cell(s), "
       "%zu missing wall record(s), %zu contract regression(s), "
       "%zu failed cell(s) -> %s\n",
       r.baseline_label.c_str(), r.candidate_label.c_str(), r.cells.size(),
-      r.leak_regressions, r.wall_regressions, r.mi_delta_regressions, r.missing_protected,
-      r.missing_wall, r.contract_regressions, r.failed_cells, outcome.ok() ? "PASS" : "FAIL");
+      r.leak_regressions, r.wall_regressions, r.mi_delta_regressions,
+      r.missing_in_candidate.size(), r.missing_wall, r.contract_regressions, r.failed_cells,
+      outcome.ok() ? "PASS" : "FAIL");
   return outcome.ok() ? 0 : 1;
 }
